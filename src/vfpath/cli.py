@@ -184,6 +184,8 @@ def cmd_montecarlo(args, settings) -> int:
     laws = _parse_laws(args.law, GUIDANCE_LAWS)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Every campaign trial draws its own wind: check the base scenario for that.
+    settings["sim"]["wind_sampled"] = True
     base = build_scenario(settings, laws[0])
     summary = monte_carlo(
         base,
@@ -306,10 +308,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         settings = load_settings(args.config)
         if args.dt is not None:
-            if args.dt <= 0.0:
-                raise ConfigError("--dt must be positive")
             settings["sim"]["dt"] = args.dt
         if args.dump_effective_config:
+            build_scenario(settings)  # print only a scenario that can run
             print(dump_settings(settings), end="")
             return 0
         if getattr(args, "trials", None) is not None and args.trials < 1:

@@ -2,29 +2,21 @@
 
 An empty (or absent) config reproduces the benchmark sinusoid scenario; any
 key can be overridden.  Sections and keys are validated strictly so a typo
-fails loudly with the offending name.
+fails loudly with the offending name.  Every section but ``[path]`` takes its
+keys, types and defaults from the fields of the parameter dataclasses.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from typing import Any, Optional
+from dataclasses import MISSING, fields
+from typing import Any, Optional, get_type_hints
 
 from .baselines import BaselineParams
 from .guidance import GuidanceParams
-from .paths import (
-    CirclePath,
-    LinePath,
-    ReferencePath,
-    SinusoidPath,
-    load_polyline,
-)
-from .simulation import (
-    SCENARIO_AMPLITUDE,
-    SCENARIO_PERIOD,
-    ScenarioConfig,
-)
+from .paths import CirclePath, LinePath, ReferencePath, SinusoidPath, load_polyline
+from .simulation import SCENARIO_AMPLITUDE, SCENARIO_PERIOD, ScenarioConfig
 from .vehicle import AirspeedSpec, WindModel
 
 
@@ -32,104 +24,93 @@ class ConfigError(ValueError):
     """Malformed configuration; message names the offending file/section/key."""
 
 
-# (type, default); type "opt_float" coerces blank to None.
-DEFAULTS: dict[str, dict[str, tuple[str, Any]]] = {
-    "path": {
-        "kind": ("str", "sinusoid"),
-        "amplitude": ("float", SCENARIO_AMPLITUDE),
-        "period": ("float", SCENARIO_PERIOD),
-        "s_min": ("opt_float", None),
-        "s_max": ("opt_float", None),
-        "x0": ("float", 0.0),
-        "y0": ("float", 0.0),
-        "heading": ("float", 0.0),
-        "cx": ("float", 0.0),
-        "cy": ("float", 0.0),
-        "radius": ("float", 300.0),
-        "file": ("str", ""),
-    },
-    "vehicle": {
-        "airspeed": ("float", 15.0),
-        "alpha": ("float", 1.65),
-    },
-    "guidance": {
-        "chi_inf": ("float", 0.5 * math.pi),
-        "k1": ("float", 0.01),
-        "d_s": ("float", 10.0),
-        "eta": ("float", 0.25 * math.pi),
-        "n": ("int", 3),
-        "m": ("int", 5),
-        "sigma": ("float", 0.25 * math.pi),
-        "epsilon": ("float", 0.05),
-        "delta_hys": ("float", 0.05),
-        "reaching": ("str", "sat"),
-    },
-    "baselines": {
-        "vf_k": ("float", 0.02),
-        "vf_beta": ("float", 0.5 * math.pi),
-        "plos_k1": ("float", 15.0),
-        "plos_k2": ("float", 0.1),
-        "nlgl_l1": ("float", 110.0),
-    },
-    "sim": {
-        "dt": ("float", 0.01),
-        "max_time": ("float", 300.0),
-        "integrator": ("str", "rk4"),
-        "d0": ("float", 200.0),
-        "s0": ("float", 0.0),
-        "chi0": ("float", 1.8),
-        "x_init": ("opt_float", None),
-        "y_init": ("opt_float", None),
-        "nlgl_d0": ("float", 80.0),
-        "wind_x": ("float", 0.0),
-        "wind_y": ("float", 0.0),
-        "wind_sampled": ("bool", False),
-        "d_threshold": ("float", 15.0),
-        "align_threshold": ("float", 0.2),
-        "dwell": ("float", 5.0),
-        "stop_when_converged": ("bool", True),
-        "kappa_max": ("float", 0.7 / 15.0),
-    },
+Settings = dict[str, dict[str, Any]]  # section -> key -> value
+
+
+def _field_schema(cls) -> dict[str, tuple[Any, Any]]:
+    """Name -> (type, default) of each field of a dataclass that has a default."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if f.default is not MISSING:
+            out[f.name] = (hints[f.name], f.default)
+        elif f.default_factory is not MISSING:
+            out[f.name] = (hints[f.name], f.default_factory())
+    return out
+
+
+# [path] keys span several path constructors, and its radius default (300 m)
+# is not CirclePath's (100 m), so the path section keeps its own table.
+PATH_KEYS = {
+    "kind": (str, "sinusoid"),
+    "amplitude": (float, SCENARIO_AMPLITUDE),
+    "period": (float, SCENARIO_PERIOD),
+    "s_min": (Optional[float], None),
+    "s_max": (Optional[float], None),
+    "x0": (float, 0.0),
+    "y0": (float, 0.0),
+    "heading": (float, 0.0),
+    "cx": (float, 0.0),
+    "cy": (float, 0.0),
+    "radius": (float, 300.0),
+    "file": (str, ""),
 }
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
 
+def _schema() -> dict[str, dict[str, tuple[Any, Any]]]:
+    """Section -> key -> (type, default) for every INI key.
 
-def _coerce(kind: str, raw: str, where: str) -> Any:
-    raw = raw.strip()
-    try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "opt_float":
-            return None if raw == "" else float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in _BOOL_TRUE:
-                return True
-            if low in _BOOL_FALSE:
-                return False
-            raise ValueError(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(f"invalid value {raw!r} for {where}") from None
-
-
-def default_settings() -> dict[str, dict[str, Any]]:
+    The special cases, undone by :func:`build_scenario`: ``alpha`` lives
+    under ``[vehicle]``, the airspeed spec is the one key ``airspeed``, and
+    the wind is ``wind_x``/``wind_y``, or ``wind_sampled`` for the ``None``
+    (sampled) wind.  ``law`` is chosen per run, not configured.
+    """
+    sim = _field_schema(ScenarioConfig)
+    guidance = _field_schema(GuidanceParams)
+    wind, airspeed = sim.pop("wind")[1], sim.pop("airspeed")[1]
+    for name in ("law", "guidance", "baselines"):
+        del sim[name]
     return {
-        section: {key: spec[1] for key, spec in keys.items()}
-        for section, keys in DEFAULTS.items()
+        "path": PATH_KEYS,
+        "vehicle": {
+            "airspeed": (get_type_hints(AirspeedSpec)["v_a"], airspeed.v_a),
+            "alpha": guidance.pop("alpha"),
+        },
+        "guidance": guidance,
+        "baselines": _field_schema(BaselineParams),
+        "sim": {
+            "wind_x": (float, wind.w_x),
+            "wind_y": (float, wind.w_y),
+            "wind_sampled": (bool, wind is None),
+            **sim,
+        },
     }
 
 
-def load_settings(path: Optional[str]) -> dict[str, dict[str, Any]]:
+SCHEMA = _schema()
+
+_PARSERS = {
+    float: float,
+    int: int,
+    str: str,
+    bool: lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
+    Optional[float]: lambda raw: None if raw == "" else float(raw),
+}
+
+
+def default_settings() -> Settings:
+    return {
+        section: {key: spec[1] for key, spec in keys.items()}
+        for section, keys in SCHEMA.items()
+    }
+
+
+def load_settings(path: Optional[str]) -> Settings:
     """Parse a config file over the defaults; ``None`` returns pure defaults."""
     settings = default_settings()
     if path is None:
         return settings
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -138,13 +119,16 @@ def load_settings(path: Optional[str]) -> dict[str, dict[str, Any]]:
     except configparser.Error as exc:
         raise ConfigError(f"could not parse config file {path}: {exc}") from None
     for section in parser.sections():
-        if section not in DEFAULTS:
+        if section not in SCHEMA:
             raise ConfigError(f"unknown section [{section}] in {path}")
         for key, raw in parser.items(section):
-            if key not in DEFAULTS[section]:
+            if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
-            kind = DEFAULTS[section][key][0]
-            settings[section][key] = _coerce(kind, raw, f"[{section}] {key}")
+            parse = _PARSERS[SCHEMA[section][key][0]]
+            try:
+                settings[section][key] = parse(raw.strip())
+            except (KeyError, ValueError):
+                raise ConfigError(f"invalid value {raw!r} for [{section}] {key}") from None
     return settings
 
 
@@ -158,10 +142,10 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
-def dump_settings(settings: dict[str, dict[str, Any]]) -> str:
+def dump_settings(settings: Settings) -> str:
     """Render settings as INI text that re-parses to an equivalent run."""
     lines: list[str] = []
-    for section, keys in DEFAULTS.items():
+    for section, keys in SCHEMA.items():
         lines.append(f"[{section}]")
         for key in keys:
             lines.append(f"{key} = {_format_value(settings[section][key])}")
@@ -169,93 +153,49 @@ def dump_settings(settings: dict[str, dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def build_path(settings: dict[str, dict[str, Any]]) -> ReferencePath:
+def build_path(settings: Settings) -> ReferencePath:
     sec = settings["path"]
     kind = sec["kind"]
+    if kind == "polyline" and not sec["file"]:
+        raise ConfigError("polyline path needs [path] file = <csv>")
+    bounds = {key: sec[key] for key in ("s_min", "s_max") if sec[key] is not None}
     try:
         if kind == "sinusoid":
-            kwargs = {}
-            if sec["s_min"] is not None:
-                kwargs["s_min"] = sec["s_min"]
-            if sec["s_max"] is not None:
-                kwargs["s_max"] = sec["s_max"]
-            return SinusoidPath(sec["amplitude"], sec["period"], **kwargs)
+            return SinusoidPath(sec["amplitude"], sec["period"], **bounds)
         if kind == "line":
-            kwargs = {}
-            if sec["s_min"] is not None:
-                kwargs["s_min"] = sec["s_min"]
-            if sec["s_max"] is not None:
-                kwargs["s_max"] = sec["s_max"]
-            return LinePath(sec["x0"], sec["y0"], sec["heading"], **kwargs)
+            return LinePath(sec["x0"], sec["y0"], sec["heading"], **bounds)
         if kind == "circle":
             return CirclePath(sec["cx"], sec["cy"], sec["radius"])
         if kind == "polyline":
-            if not sec["file"]:
-                raise ConfigError("polyline path needs [path] file = <csv>")
-            try:
-                return load_polyline(sec["file"])
-            except FileNotFoundError:
-                raise ConfigError(f"polyline file not found: {sec['file']}") from None
-    except (ValueError, ConfigError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+            return load_polyline(sec["file"])
+    except FileNotFoundError:
+        raise ConfigError(f"polyline file not found: {sec['file']}") from None
+    except ValueError as exc:
         raise ConfigError(f"invalid [path] parameters: {exc}") from None
     raise ConfigError(f"unknown path kind {kind!r}")
 
 
-def build_scenario(
-    settings: dict[str, dict[str, Any]], law: str = "switched"
-) -> ScenarioConfig:
-    """Assemble a ScenarioConfig for one guidance law from parsed settings."""
-    g = settings["guidance"]
-    v = settings["vehicle"]
-    b = settings["baselines"]
-    s = settings["sim"]
+def build_scenario(settings: Settings, law: str = "switched") -> ScenarioConfig:
+    """Assemble a ScenarioConfig for one guidance law from parsed settings.
+
+    ``kappa_max = 0`` means unbounded.
+    """
+    path = build_path(settings)
+    vehicle = settings["vehicle"]
+    sim = dict(settings["sim"])
+    wind_x, wind_y = sim.pop("wind_x"), sim.pop("wind_y")
+    sampled = sim.pop("wind_sampled")
+    if sim["kappa_max"] == 0.0:
+        sim["kappa_max"] = math.inf
     try:
-        guidance = GuidanceParams(
-            chi_inf=g["chi_inf"],
-            k1=g["k1"],
-            d_s=g["d_s"],
-            alpha=v["alpha"],
-            eta=g["eta"],
-            n=g["n"],
-            m=g["m"],
-            sigma=g["sigma"],
-            epsilon=g["epsilon"],
-            delta_hys=g["delta_hys"],
-            reaching=g["reaching"],
-        )
-        baselines = BaselineParams(
-            vf_k=b["vf_k"],
-            vf_beta=b["vf_beta"],
-            plos_k1=b["plos_k1"],
-            plos_k2=b["plos_k2"],
-            nlgl_l1=b["nlgl_l1"],
-        )
-        wind = None if s["wind_sampled"] else WindModel(s["wind_x"], s["wind_y"])
         return ScenarioConfig(
-            path=build_path(settings),
+            path=path,
             law=law,
-            guidance=guidance,
-            baselines=baselines,
-            airspeed=AirspeedSpec(v["airspeed"]),
-            wind=wind,
-            d0=s["d0"],
-            s0=s["s0"],
-            chi0=s["chi0"],
-            x_init=s["x_init"],
-            y_init=s["y_init"],
-            dt=s["dt"],
-            max_time=s["max_time"],
-            integrator=s["integrator"],
-            d_threshold=s["d_threshold"],
-            align_threshold=s["align_threshold"],
-            dwell=s["dwell"],
-            stop_when_converged=s["stop_when_converged"],
-            nlgl_d0=s["nlgl_d0"],
-            kappa_max=s["kappa_max"] if s["kappa_max"] > 0.0 else math.inf,
+            guidance=GuidanceParams(alpha=vehicle["alpha"], **settings["guidance"]),
+            baselines=BaselineParams(**settings["baselines"]),
+            airspeed=AirspeedSpec(vehicle["airspeed"]),
+            wind=None if sampled else WindModel(wind_x, wind_y),
+            **sim,
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None

@@ -34,7 +34,7 @@ class PathDomainError(ValueError):
     """Raised when a path is evaluated outside its parameter domain."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class PathFrame:
     """Closest-point frame of a vehicle position relative to a path.
 
@@ -154,9 +154,7 @@ class ReferencePath:
         s_star = self.closest_parameter((px, py))
         return self.frame_at(s_star, (px, py))
 
-    def frame_at(
-        self, s_star: float, p: Sequence[float], chi_p_dot: float = 0.0
-    ) -> PathFrame:
+    def frame_at(self, s_star: float, p: Sequence[float]) -> PathFrame:
         rx, ry = self.point(s_star)
         chi_p = self.tangent_angle(s_star)
         ux, uy = p[0] - rx, p[1] - ry
@@ -172,7 +170,6 @@ class ReferencePath:
             chi_p=chi_p,
             d=d,
             rho=rho,
-            chi_p_dot=chi_p_dot,
         )
 
 

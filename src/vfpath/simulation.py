@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,8 +28,21 @@ from .baselines import (
     plos_command,
 )
 from .guidance import GuidanceParams, commanded_course
-from .paths import ReferencePath, SinusoidPath, tracking_window
-from .vehicle import AirspeedSpec, VehicleState, WindModel, ground_speed, step_vehicle
+from .paths import (
+    PathFrame,
+    ReferencePath,
+    SinusoidPath,
+    path_course_rate,
+    tracking_window,
+)
+from .vehicle import (
+    AirspeedSpec,
+    VehicleState,
+    WindModel,
+    ground_speed,
+    step_vehicle,
+    turn_rate,
+)
 
 GUIDANCE_LAWS = ("switched", "basic_vf", "plos", "nlgl")
 
@@ -47,6 +61,10 @@ SCENARIO_PERIOD = 2.0 * math.pi * math.sqrt(
 MC_D0_RANGE = (100.0, 200.0)
 MC_WIND_SPEED_RANGE = (2.0, 3.0)
 MC_WIND_DIR_RANGE = (-2.5, -2.0)
+
+# Length (s) of the windows the chattering index counts turn-rate sign
+# changes in; the time step must be shorter.
+CHATTER_WINDOW = 1.0
 
 
 @dataclass(frozen=True)
@@ -77,14 +95,26 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.law not in GUIDANCE_LAWS:
             raise ValueError(f"unknown guidance law {self.law!r}")
+        for name in ("d0", "s0", "chi0", "x_init", "y_init", "dt", "max_time", "dwell"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dt <= 0.0 or self.max_time <= 0.0:
             raise ValueError("dt and max_time must be positive")
-        if self.d_threshold <= 0.0 or self.align_threshold <= 0.0:
+        if self.dt >= CHATTER_WINDOW:
+            raise ValueError(f"dt must be below the {CHATTER_WINDOW} s chatter window")
+        if not (self.d_threshold > 0.0 and self.align_threshold > 0.0):
             raise ValueError("convergence thresholds must be positive")
         if self.dwell < 0.0:
             raise ValueError("dwell must be non-negative")
         if self.integrator not in ("rk4", "euler"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
+        # A sampled wind (None) can reach the top of the sampling range.
+        wind = MC_WIND_SPEED_RANGE[1] if self.wind is None else self.wind.speed
+        if wind >= self.airspeed.v_a:
+            raise ValueError(
+                f"wind speed {wind} m/s must be below the airspeed {self.airspeed.v_a} m/s"
+            )
 
 
 def benchmark_scenario(law: str = "switched", **overrides) -> ScenarioConfig:
@@ -179,8 +209,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     method = config.integrator
 
     state = initial_state(config)
-    prev_s: Optional[float] = None
-    prev_chi_p = 0.0
+    prev_frame: Optional[PathFrame] = None
     prev_phase = None
     streak = 0
     conv_idx = -1
@@ -200,17 +229,14 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
 
     for k in range(n_max + 1):
         p = (state.x, state.y)
-        if prev_s is None:
+        if prev_frame is None:
             s_star = path.closest_parameter(p)
-            frame = path.frame_at(s_star, p)
-            chi_p_dot = 0.0
         else:
-            window = tracking_window(prev_d, max_travel)
-            s_star = path.closest_parameter(p, near=prev_s, window=window)
-            chi_p = path.tangent_angle(s_star)
-            chi_p_dot = wrap_angle(chi_p - prev_chi_p) / dt
-            frame = path.frame_at(s_star, p, chi_p_dot)
-        prev_s, prev_chi_p, prev_d = s_star, frame.chi_p, frame.d
+            window = tracking_window(prev_frame.d, max_travel)
+            s_star = path.closest_parameter(p, near=prev_frame.s_star, window=window)
+        frame = path.frame_at(s_star, p)
+        frame.chi_p_dot = path_course_rate(frame, prev_frame, dt)
+        prev_frame = frame
         v_g = ground_speed(spec, wind, state.chi)
 
         phase_val = 0
@@ -233,7 +259,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
                 chi_c = state.chi
             chi_d = chi_c
 
-        chi_dot = alpha * wrap_angle(chi_c - state.chi)
+        chi_dot = turn_rate(chi_c, state.chi, alpha)
         rec_t.append(k * dt)
         rec_x.append(state.x)
         rec_y.append(state.y)
@@ -281,7 +307,6 @@ def compute_metrics(
     traj: Trajectory,
     config: ScenarioConfig,
     failure_reason: Optional[str] = None,
-    chatter_window: float = 1.0,
 ) -> TrialMetrics:
     """Score a trajectory.
 
@@ -312,9 +337,7 @@ def compute_metrics(
     d_rms = float(np.sqrt(np.mean(traj.d**2)))
     chi_dot_rms = float(np.sqrt(np.mean(traj.chi_dot**2)))
     chi_dot_max = float(np.max(np.abs(traj.chi_dot)))
-    chatter = (
-        chattering_index(traj, chatter_window) if len(traj) > 2 else 0.0
-    )
+    chatter = chattering_index(traj) if len(traj) > 2 else 0.0
     return TrialMetrics(
         converged=converged,
         t_conv=t_conv,
@@ -326,7 +349,7 @@ def compute_metrics(
     )
 
 
-def chattering_index(traj: Trajectory, window: float = 1.0) -> float:
+def chattering_index(traj: Trajectory, window: float = CHATTER_WINDOW) -> float:
     """Worst-case turn-rate sign-change rate (changes per second).
 
     Counts strict sign changes of chi_dot inside windows of the given length
@@ -406,17 +429,11 @@ def _mc_draw(seed_seq: np.random.SeedSequence) -> tuple[float, float, WindModel]
     return d0, chi0, wind
 
 
-_MC_BASE: Optional[ScenarioConfig] = None
-
-
-def _mc_init(base_config: ScenarioConfig) -> None:
-    global _MC_BASE
-    _MC_BASE = base_config
-
-
-def _mc_job(args: tuple[str, int, float, float, float, float]) -> tuple[str, int, TrialMetrics]:
-    law, index, d0, chi0, w_x, w_y = args
-    config = replace(_MC_BASE, law=law, d0=d0, chi0=chi0, wind=WindModel(w_x, w_y))
+def _mc_job(
+    base_config: ScenarioConfig, job: tuple[str, int, float, float, WindModel]
+) -> tuple[str, int, TrialMetrics]:
+    law, index, d0, chi0, wind = job
+    config = replace(base_config, law=law, d0=d0, chi0=chi0, wind=wind)
     _, metrics = run_trial(config, seed=index)
     return law, index, metrics
 
@@ -447,7 +464,7 @@ def monte_carlo(
     children = np.random.SeedSequence(master_seed).spawn(n_trials)
     draws = [_mc_draw(child) for child in children]
     jobs = [
-        (law, i, d0, chi0, wind.w_x, wind.w_y)
+        (law, i, d0, chi0, wind)
         for law in laws
         for i, (d0, chi0, wind) in enumerate(draws)
     ]
@@ -455,19 +472,16 @@ def monte_carlo(
     results: dict[str, list[Optional[TrialMetrics]]] = {
         law: [None] * n_trials for law in laws
     }
+    run_job = partial(_mc_job, base_config)
     workers = max_workers or os.cpu_count() or 1
     if parallel and workers > 1 and n_trials * len(laws) > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_mc_init, initargs=(base_config,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(jobs) // (workers * 8))
-            for law, index, metrics in pool.map(_mc_job, jobs, chunksize=chunk):
-                results[law][index] = metrics
+            outcomes = list(pool.map(run_job, jobs, chunksize=chunk))
     else:
-        _mc_init(base_config)
-        for job in jobs:
-            law, index, metrics = _mc_job(job)
-            results[law][index] = metrics
+        outcomes = map(run_job, jobs)
+    for law, index, metrics in outcomes:
+        results[law][index] = metrics
 
     trials = {law: [m for m in results[law] if m is not None] for law in laws}
     stats: dict[tuple[str, str], BoxStats] = {}

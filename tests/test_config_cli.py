@@ -1,9 +1,14 @@
+import dataclasses
 import math
+from typing import Optional
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vfpath.cli import main
 from vfpath.config import (
+    SCHEMA,
     ConfigError,
     build_scenario,
     default_settings,
@@ -11,6 +16,30 @@ from vfpath.config import (
     load_settings,
 )
 from vfpath.paths import CirclePath, LinePath, SinusoidPath
+from vfpath.simulation import GUIDANCE_LAWS, benchmark_scenario
+
+# Text that survives an INI line unchanged: no line breaks, no whitespace at
+# the ends (the parser strips it).
+_INI_TEXT = st.text(
+    st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12
+).map(str.strip)
+_VALUES = {
+    float: st.floats(),
+    int: st.integers(),
+    str: _INI_TEXT,
+    bool: st.booleans(),
+    Optional[float]: st.none() | st.floats(),
+}
+_SETTINGS = st.fixed_dictionaries(
+    {
+        section: st.fixed_dictionaries({key: _VALUES[kind] for key, (kind, _) in keys.items()})
+        for section, keys in SCHEMA.items()
+    }
+)
+
+
+def _path_params(path):
+    return type(path), {k: v for k, v in vars(path).items() if not k.startswith("_")}
 
 
 class TestConfig:
@@ -75,6 +104,22 @@ class TestConfig:
         settings["sim"]["kappa_max"] = 0.0
         cfg = build_scenario(settings, "switched")
         assert cfg.kappa_max == math.inf
+
+    @given(settings=_SETTINGS)
+    def test_every_key_round_trips(self, settings, tmp_path_factory):
+        text = dump_settings(settings)
+        f = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+        f.write_text(text, encoding="utf-8")
+        assert dump_settings(load_settings(str(f))) == text
+
+    @pytest.mark.parametrize("law", GUIDANCE_LAWS)
+    def test_defaults_are_the_benchmark_scenario(self, law):
+        built = build_scenario(default_settings(), law)
+        expected = benchmark_scenario(law)
+        assert _path_params(built.path) == _path_params(expected.path)
+        for f in dataclasses.fields(expected):
+            if f.name != "path":
+                assert getattr(built, f.name) == getattr(expected, f.name), f.name
 
     def test_invalid_guidance_rejected(self):
         settings = default_settings()
@@ -150,14 +195,14 @@ class TestCli:
     def test_validate_aggressive_gain_fails(self, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"
         cfg.write_text("[guidance]\nk1 = 0.2\n")
-        rc = main(["validate", "--config", str(cfg)])
+        rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_validate_unbounded_sentinel_passes(self, tmp_path, capsys):
         cfg = tmp_path / "free.cfg"
         cfg.write_text("[guidance]\nk1 = 0.2\n\n[sim]\nkappa_max = 0\n")
-        rc = main(["validate", "--config", str(cfg)])
+        rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
@@ -196,6 +241,28 @@ class TestCli:
         assert main(args) == 0
         assert (out / "montecarlo_summary.csv").read_bytes() == summary
         assert (out / "montecarlo_trials.csv").read_bytes() == trials
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            (["run"], "[sim]\nchi0 = nan\n", "chi0"),
+            (["run", "--dt", "nan"], "", "dt"),
+            (["run"], "[sim]\nmax_time = inf\n", "max_time"),
+            (["run", "--dt", "1.5"], "", "dt"),
+            (["run"], "[vehicle]\nairspeed = 2\n\n[sim]\nwind_x = 3\n", "airspeed"),
+            (["run"], "[vehicle]\nairspeed = 2.5\n\n[sim]\nwind_sampled = true\n", "airspeed"),
+            (["montecarlo", "--trials", "1"], "[vehicle]\nairspeed = 2.5\n", "airspeed"),
+            (["run", "--dump-effective-config", "--dt", "-1"], "", "dt"),
+        ],
+    )
+    def test_bad_scenario_value_exits_2(self, command, config, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        rc = main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
 
     def test_montecarlo_bad_trials_exits_2(self, tmp_path):
         rc = main(["montecarlo", "--trials", "0", "--out", str(tmp_path / "x")])
