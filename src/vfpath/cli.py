@@ -35,23 +35,10 @@ def _fmt(value: float) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, out_file: Path) -> None:
+    columns = (traj.t, traj.x, traj.y, traj.chi, traj.chi_c, traj.chi_d, traj.chi_dot, traj.d)
     lines = [TRAJECTORY_HEADER]
-    for i in range(len(traj)):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(traj.t[i]),
-                    _fmt(traj.x[i]),
-                    _fmt(traj.y[i]),
-                    _fmt(traj.chi[i]),
-                    _fmt(traj.chi_c[i]),
-                    _fmt(traj.chi_d[i]),
-                    _fmt(traj.chi_dot[i]),
-                    _fmt(traj.d[i]),
-                    str(int(traj.phase[i])),
-                )
-            )
-        )
+    for *values, phase in zip(*(c.tolist() for c in columns), traj.phase.tolist()):
+        lines.append(",".join([_fmt(v) for v in values] + [str(phase)]))
     out_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

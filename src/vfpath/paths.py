@@ -13,7 +13,7 @@ trajectories and the side indicator is simply ``rho = sign(d)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,9 +53,6 @@ class PathFrame:
     d: float
     rho: int
     chi_p_dot: float = 0.0
-
-    def with_course_rate(self, chi_p_dot: float) -> "PathFrame":
-        return replace(self, chi_p_dot=chi_p_dot)
 
 
 class ReferencePath:
@@ -125,9 +122,15 @@ class ReferencePath:
         ``window`` of ``near``.  Callers stepping a vehicle along the path use
         this with a window derived from the previous frame; the window must be
         wide enough to contain the global minimizer (see
-        :func:`tracking_window`).
+        :func:`tracking_window`).  Given ``near``, a path kind may first try a
+        local search started there (``_warm_start``) and return its result
+        when it is provably the global minimizer; otherwise the scan runs.
         """
         px, py = float(p[0]), float(p[1])
+        if near is not None:
+            s_star = self._warm_start(near, px, py)
+            if s_star is not None:
+                return s_star
         s_grid, gx, gy = self._coarse_grid()
         lo_i, hi_i = 0, len(s_grid)
         if near is not None and window is not None:
@@ -140,6 +143,13 @@ class ReferencePath:
         lo = s_grid[max(i - 1, 0)]
         hi = s_grid[min(i + 1, len(s_grid) - 1)]
         return self._refine(lo, hi, px, py)
+
+    def _warm_start(self, near: float, px: float, py: float) -> Optional[float]:
+        """Closest parameter found locally from ``near`` and proven global.
+
+        None when no such proof is available; the scan then runs.
+        """
+        return None
 
     def _refine(self, lo: float, hi: float, px: float, py: float) -> float:
         return _golden_section(
@@ -306,6 +316,12 @@ class SinusoidPath(ReferencePath):
         self.s_max = 6.0 * self.period if s_max is None else float(s_max)
         if self.s_max <= self.s_min:
             raise ValueError("s_max must exceed s_min")
+        # Certified radius of the warm start.  If some path point lies at
+        # distance r from p, every s within r of px has |A sin(ws) - py| <=
+        # (1 + 2Aw) r, so the squared distance has second derivative
+        # >= 2 (1 - (1 + 2Aw) r Aw^2) there, positive for r below this radius.
+        aw = self.amplitude * self.omega
+        self.r_cert = 1.0 / (aw * self.omega * (1.0 + 2.0 * aw))
 
     def point(self, s: float) -> tuple[float, float]:
         s = self._clip_parameter(s)
@@ -324,14 +340,16 @@ class SinusoidPath(ReferencePath):
         dy = self.amplitude * math.sin(self.omega * s) - py
         return (s - px) ** 2 + dy * dy
 
-    def _refine(self, lo: float, hi: float, px: float, py: float) -> float:
-        # Safeguarded Newton iteration on the derivative of the squared
-        # distance; quadratically convergent, so it replaces the generic
-        # golden-section refinement in this hot path.  Falls back to golden
-        # section whenever an iterate leaves the bracket or curvature turns
-        # non-convex.
+    def _newton(
+        self, s: float, lo: float, hi: float, px: float, py: float
+    ) -> Optional[float]:
+        """Newton iteration from ``s`` on the derivative of the squared distance.
+
+        Returns the stationary point, or None when the curvature is not
+        positive, an iterate leaves [lo, hi] (or is not finite), or the
+        iteration does not converge within 12 steps.
+        """
         a, w = self.amplitude, self.omega
-        s = 0.5 * (lo + hi)
         for _ in range(12):
             sin_ws = math.sin(w * s)
             cos_ws = math.cos(w * s)
@@ -340,15 +358,36 @@ class SinusoidPath(ReferencePath):
             grad = (s - px) + dy * slope
             curv = 1.0 + slope * slope - dy * a * w * w * sin_ws
             if curv <= 0.0:
-                break
+                return None
             step = grad / curv
             s_next = s - step
-            if s_next < lo or s_next > hi:
-                break
+            if not lo <= s_next <= hi:
+                return None
             s = s_next
             if abs(step) < 1e-10:
-                return min(max(s, self.s_min), self.s_max)
-        return super()._refine(lo, hi, px, py)
+                return s
+        return None
+
+    def _refine(self, lo: float, hi: float, px: float, py: float) -> float:
+        # Newton is quadratically convergent, so it replaces the generic
+        # golden-section refinement in this hot path; golden section is the
+        # fallback when Newton fails inside the bracket.
+        s = self._newton(0.5 * (lo + hi), lo, hi, px, py)
+        return super()._refine(lo, hi, px, py) if s is None else s
+
+    def _warm_start(self, near: float, px: float, py: float) -> Optional[float]:
+        # A stationary point s_w at distance r < r_cert is the global
+        # minimizer: any closer point lies in I = [px - r, px + r], where the
+        # squared distance is strictly convex (see ``r_cert``).
+        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(near)):
+            return None
+        s = self._newton(near, self.s_min, self.s_max, px, py)
+        if s is None:
+            return None
+        dy = self.amplitude * math.sin(self.omega * s) - py
+        if (s - px) ** 2 + dy * dy < self.r_cert * self.r_cert:
+            return s
+        return None
 
 
 class PolylinePath(ReferencePath):

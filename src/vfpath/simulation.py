@@ -460,6 +460,9 @@ def monte_carlo(
     for law in laws:
         if law not in GUIDANCE_LAWS:
             raise ValueError(f"unknown guidance law {law!r}")
+    # Every trial draws its wind: check the top of the sampled range against
+    # the airspeed before any trial runs.
+    replace(base_config, wind=None)
 
     children = np.random.SeedSequence(master_seed).spawn(n_trials)
     draws = [_mc_draw(child) for child in children]

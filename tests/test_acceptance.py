@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
+from numeric_oracles import peak_field_rate_numeric
 from vfpath.cli import write_summary_csv
 from vfpath.guidance import (
     GuidanceParams,
     case1_convergence_time,
-    peak_field_rate_numeric,
     validate_curvature_constraint,
 )
 from vfpath.paths import CirclePath, LinePath, SinusoidPath, max_path_course_rate

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from numeric_oracles import peak_field_rate_numeric
 from vfpath.angles import wrap_angle
 from vfpath.guidance import (
     GuidanceParams,
@@ -12,7 +13,6 @@ from vfpath.guidance import (
     commanded_course,
     desired_course,
     desired_course_distance_only,
-    peak_field_rate_numeric,
     sat,
     validate_curvature_constraint,
 )

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vfpath.paths import (
     CirclePath,
@@ -14,11 +17,21 @@ from vfpath.paths import (
     path_course_rate,
     tracking_window,
 )
-from vfpath.simulation import SCENARIO_AMPLITUDE, SCENARIO_PERIOD
+from vfpath.simulation import (
+    GUIDANCE_LAWS,
+    SCENARIO_AMPLITUDE,
+    SCENARIO_PERIOD,
+    benchmark_scenario,
+    run_trial,
+)
 
 
 def scenario_sinusoid():
     return SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
+
+
+def with_course_rate(frame, chi_p_dot):
+    return dataclasses.replace(frame, chi_p_dot=chi_p_dot)
 
 
 class TestEvaluate:
@@ -162,6 +175,91 @@ class TestClosestPoint:
             LinePath(0, 0, 0).closest_point((math.nan, 0.0))
 
 
+class TestWarmStart:
+    """Warm-started sinusoid projection against the global scan."""
+
+    @staticmethod
+    def offset_point(path, s0, offset):
+        x0, y0 = path.point(s0)
+        chi = path.tangent_angle(s0)
+        return (x0 - offset * math.sin(chi), y0 + offset * math.cos(chi))
+
+    def test_certified_radius_of_benchmark_path(self):
+        # R_min = 150 m and A * omega = sqrt(2): r_cert = 150 / (1 + 2 sqrt(2)).
+        path = scenario_sinusoid()
+        assert path.r_cert == pytest.approx(150.0 / (1.0 + 2.0 * math.sqrt(2.0)))
+
+    @settings(deadline=None)
+    @given(
+        amplitude=st.floats(5.0, 1000.0),
+        period=st.floats(50.0, 5000.0),
+        s_frac=st.floats(0.0, 1.0),
+        offset_frac=st.floats(-0.99, 0.99),
+        near_frac=st.floats(-0.1, 0.1),
+    )
+    def test_accepted_within_certified_radius(
+        self, amplitude, period, s_frac, offset_frac, near_frac
+    ):
+        path = SinusoidPath(amplitude, period)
+        # s0 at least a period from either end; offsets no larger than a
+        # period so the point stays beside that stretch of the path.
+        s0 = path.s_min + period + s_frac * (path.s_max - path.s_min - 2.0 * period)
+        scale = min(path.r_cert, period)
+        px, py = self.offset_point(path, s0, offset_frac * scale)
+        near = s0 + near_frac * scale
+        assert path._warm_start(near, px, py) is not None
+        warm = path.closest_parameter((px, py), near=near)
+        assert warm == pytest.approx(path.closest_parameter((px, py)), abs=1e-6)
+
+    @settings(deadline=None)
+    @given(
+        amplitude=st.floats(5.0, 1000.0),
+        period=st.floats(50.0, 5000.0),
+        s_frac=st.floats(0.0, 1.0),
+        offset_frac=st.floats(1.0, 1.5),
+        side=st.sampled_from((-1.0, 1.0)),
+        near_offset=st.floats(-100.0, 100.0),
+    )
+    def test_never_farther_than_global_scan(
+        self, amplitude, period, s_frac, offset_frac, side, near_offset
+    ):
+        path = SinusoidPath(amplitude, period)
+        s0 = path.s_min + s_frac * (path.s_max - path.s_min)
+        p = self.offset_point(path, s0, side * offset_frac * path.r_cert)
+
+        def dist(s):
+            x, y = path.point(s)
+            return math.hypot(x - p[0], y - p[1])
+
+        warm = dist(path.closest_parameter(p, near=s0 + near_offset))
+        full = dist(path.closest_parameter(p))
+        assert warm <= full + 1e-9 * max(1.0, full)
+
+    @pytest.mark.parametrize("law", GUIDANCE_LAWS)
+    def test_tracking_matches_global_scan_along_trial(self, law):
+        calls = []
+
+        class RecordingSinusoid(SinusoidPath):
+            def closest_parameter(self, p, near=None, window=None):
+                s_star = super().closest_parameter(p, near, window)
+                calls.append((p, near, s_star))
+                return s_star
+
+        path = RecordingSinusoid(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
+        # nlgl starts inside its look-ahead distance, as ``vfpath compare`` runs it.
+        d0 = 80.0 if law == "nlgl" else 200.0
+        traj, _ = run_trial(benchmark_scenario(law, path=path, d0=d0))
+        tracked = [(p, near, s) for p, near, s in calls if near is not None]
+        assert len(tracked) == len(traj) - 1
+        certified = 0
+        for p, near, s_star in tracked:
+            full = SinusoidPath.closest_parameter(path, p)
+            assert s_star == pytest.approx(full, abs=1e-5)
+            certified += path._warm_start(near, p[0], p[1]) is not None
+        # Both the warm start and the scan fallback are exercised.
+        assert 0 < certified < len(tracked)
+
+
 class TestPolyline:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -215,7 +313,7 @@ class TestPolyline:
 class TestCourseRate:
     def test_finite_difference(self):
         f_now = LinePath(0, 0, 0).closest_point((1.0, 1.0))
-        frame_now = f_now.with_course_rate(0.0)
+        frame_now = with_course_rate(f_now, 0.0)
         # synthetic frames with specified tangent angles
         a = frame_now
         import dataclasses

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vfpath import simulation
 from vfpath.guidance import GuidanceParams
 from vfpath.paths import LinePath
 from vfpath.simulation import (
@@ -16,7 +17,7 @@ from vfpath.simulation import (
     monte_carlo,
     run_trial,
 )
-from vfpath.vehicle import WindModel
+from vfpath.vehicle import AirspeedSpec, WindModel
 
 
 def synthetic_trajectory(t, d, chi_dot=None, chi=None, chi_p=None, phase=None):
@@ -233,6 +234,20 @@ class TestMonteCarlo:
             monte_carlo(base, 0, 1)
         with pytest.raises(ValueError):
             monte_carlo(base, 1, 1, laws=("bogus",))
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_sampled_wind_above_airspeed_rejected_before_trials(self, monkeypatch, parallel):
+        # The default wind is calm, so the base scenario itself is valid; every
+        # campaign trial draws a wind of up to 3 m/s, above this airspeed.
+        base = benchmark_scenario(airspeed=AirspeedSpec(2.5))
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial started before the scenario was checked")
+
+        monkeypatch.setattr(simulation, "_mc_job", no_trials)
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_trials)
+        with pytest.raises(ValueError, match="must be below the airspeed"):
+            monte_carlo(base, 2, 0, parallel=parallel, max_workers=2)
 
 
 class TestScenarioConfig:
