@@ -104,9 +104,11 @@ def nlgl_virtual_target(
 ) -> tuple[float, tuple[float, float]]:
     """Forward-most intersection of the look-ahead circle with the path.
 
-    Scans the parameter interval around the closest point for sign changes of
-    ``distance - L1`` and bisects the forward-most one; a tangency (|d| within
-    tolerance of L1) falls back to the closest point itself.
+    Takes the path's own proven answer (``lookahead_parameter``) when it has
+    one.  Otherwise scans the parameter interval around the closest point for
+    sign changes of ``distance - L1`` and bisects the forward-most one; a
+    tangency (|d| within tolerance of L1) falls back to the closest point
+    itself.
 
     Raises LookaheadInfeasibleError when |d| > L1.
     """
@@ -115,6 +117,9 @@ def nlgl_virtual_target(
         raise LookaheadInfeasibleError(
             f"cross-track error {dist_min:.1f} m exceeds look-ahead {l1:.1f} m"
         )
+    s_t = path.lookahead_parameter(frame, p[0], p[1], l1)
+    if s_t is not None:
+        return s_t, path.point(s_t)
 
     def g(s: float) -> float:
         x, y = path.point(s)

@@ -56,6 +56,15 @@ PATH_KEYS = {
     "file": (str, ""),
 }
 
+# The [path] keys each kind takes besides ``kind``; any other key must stay
+# at its default.
+PATH_KIND_KEYS = {
+    "sinusoid": ("amplitude", "period", "s_min", "s_max"),
+    "line": ("x0", "y0", "heading", "s_min", "s_max"),
+    "circle": ("cx", "cy", "radius"),
+    "polyline": ("file",),
+}
+
 
 def _schema() -> dict[str, dict[str, tuple[Any, Any]]]:
     """Section -> key -> (type, default) for every INI key.
@@ -156,6 +165,11 @@ def dump_settings(settings: Settings) -> str:
 def build_path(settings: Settings) -> ReferencePath:
     sec = settings["path"]
     kind = sec["kind"]
+    if kind not in PATH_KIND_KEYS:
+        raise ConfigError(f"unknown path kind {kind!r}")
+    for key, (_, default) in PATH_KEYS.items():
+        if key != "kind" and key not in PATH_KIND_KEYS[kind] and sec[key] != default:
+            raise ConfigError(f"[path] {key} does not apply to kind = {kind}")
     if kind == "polyline" and not sec["file"]:
         raise ConfigError("polyline path needs [path] file = <csv>")
     bounds = {key: sec[key] for key in ("s_min", "s_max") if sec[key] is not None}
@@ -166,13 +180,11 @@ def build_path(settings: Settings) -> ReferencePath:
             return LinePath(sec["x0"], sec["y0"], sec["heading"], **bounds)
         if kind == "circle":
             return CirclePath(sec["cx"], sec["cy"], sec["radius"])
-        if kind == "polyline":
-            return load_polyline(sec["file"])
+        return load_polyline(sec["file"])
     except FileNotFoundError:
         raise ConfigError(f"polyline file not found: {sec['file']}") from None
     except ValueError as exc:
         raise ConfigError(f"invalid [path] parameters: {exc}") from None
-    raise ConfigError(f"unknown path kind {kind!r}")
 
 
 def build_scenario(settings: Settings, law: str = "switched") -> ScenarioConfig:

@@ -151,6 +151,16 @@ class ReferencePath:
         """
         return None
 
+    def lookahead_parameter(
+        self, frame: PathFrame, px: float, py: float, l1: float
+    ) -> Optional[float]:
+        """Forward-most parameter whose point lies at distance ``l1`` from p.
+
+        ``frame`` is the closest-point frame of p = (px, py).  None when the
+        path kind cannot prove its answer forward-most; the caller then scans.
+        """
+        return None
+
     def _refine(self, lo: float, hi: float, px: float, py: float) -> float:
         return _golden_section(
             lambda s: self._distance_sq(s, px, py), lo, hi, REFINE_TOL
@@ -316,12 +326,14 @@ class SinusoidPath(ReferencePath):
         self.s_max = 6.0 * self.period if s_max is None else float(s_max)
         if self.s_max <= self.s_min:
             raise ValueError("s_max must exceed s_min")
+        # Minimum radius of curvature, 1 / (A w^2).
+        aw = self.amplitude * self.omega
+        self.r_min = 1.0 / (aw * self.omega)
         # Certified radius of the warm start.  If some path point lies at
         # distance r from p, every s within r of px has |A sin(ws) - py| <=
         # (1 + 2Aw) r, so the squared distance has second derivative
         # >= 2 (1 - (1 + 2Aw) r Aw^2) there, positive for r below this radius.
-        aw = self.amplitude * self.omega
-        self.r_cert = 1.0 / (aw * self.omega * (1.0 + 2.0 * aw))
+        self.r_cert = self.r_min / (1.0 + 2.0 * aw)
 
     def point(self, s: float) -> tuple[float, float]:
         s = self._clip_parameter(s)
@@ -341,13 +353,21 @@ class SinusoidPath(ReferencePath):
         return (s - px) ** 2 + dy * dy
 
     def _newton(
-        self, s: float, lo: float, hi: float, px: float, py: float
+        self,
+        s: float,
+        lo: float,
+        hi: float,
+        px: float,
+        py: float,
+        radius: Optional[float] = None,
     ) -> Optional[float]:
-        """Newton iteration from ``s`` on the derivative of the squared distance.
+        """Newton iteration from ``s`` on the squared distance q(s) to p.
 
-        Returns the stationary point, or None when the curvature is not
-        positive, an iterate leaves [lo, hi] (or is not finite), or the
-        iteration does not converge within 12 steps.
+        With ``radius`` None it solves q'(s) = 0 (a stationary point, q'' as
+        the derivative); otherwise q(s) = radius^2 (a point at that distance,
+        q' as the derivative).  Returns the root, or None when the derivative
+        is not positive at an iterate, an iterate leaves [lo, hi] (or is not
+        finite), or the iteration does not converge within 12 steps.
         """
         a, w = self.amplitude, self.omega
         for _ in range(12):
@@ -356,10 +376,15 @@ class SinusoidPath(ReferencePath):
             dy = a * sin_ws - py
             slope = a * w * cos_ws
             grad = (s - px) + dy * slope
-            curv = 1.0 + slope * slope - dy * a * w * w * sin_ws
-            if curv <= 0.0:
+            if radius is None:
+                value = grad
+                deriv = 1.0 + slope * slope - dy * a * w * w * sin_ws
+            else:
+                value = 0.5 * ((s - px) ** 2 + dy * dy - radius * radius)
+                deriv = grad
+            if deriv <= 0.0:
                 return None
-            step = grad / curv
+            step = value / deriv
             s_next = s - step
             if not lo <= s_next <= hi:
                 return None
@@ -386,6 +411,30 @@ class SinusoidPath(ReferencePath):
             return None
         dy = self.amplitude * math.sin(self.omega * s) - py
         if (s - px) ** 2 + dy * dy < self.r_cert * self.r_cert:
+            return s
+        return None
+
+    def lookahead_parameter(
+        self, frame: PathFrame, px: float, py: float, l1: float
+    ) -> Optional[float]:
+        # Newton on h(s) = (s - px)^2 + (f(s) - py)^2 - l1^2, f = A sin(ws),
+        # from where the tangent line at the closest point meets the circle.
+        # Every root lies in [px - l1, px + l1].  A later root s' > s_t would
+        # put an interior maximum of h in (s_t, s'), where h'' <= 0 forces
+        # |f - py| >= r_min; as |f'| <= Aw, that is ruled out when
+        # |f(s_t) - py| + Aw (px + l1 - s_t) < r_min.
+        chord_sq = l1 * l1 - frame.d * frame.d
+        if px + l1 > self.s_max or chord_sq <= 0.0:
+            return None
+        s0 = frame.p_ref[0] + math.sqrt(chord_sq) * math.cos(frame.chi_p)
+        s = self._newton(s0, self.s_min, self.s_max, px, py, radius=l1)
+        if s is None:
+            return None
+        a, w = self.amplitude, self.omega
+        dy = a * math.sin(w * s) - py
+        if (s - px) + dy * a * w * math.cos(w * s) <= 0.0:
+            return None  # h' <= 0: not a crossing from inside the circle
+        if abs(dy) + a * w * (px + l1 - s) < self.r_min:
             return s
         return None
 

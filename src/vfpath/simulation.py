@@ -29,6 +29,7 @@ from .baselines import (
 )
 from .guidance import GuidanceParams, commanded_course
 from .paths import (
+    REFINE_TOL,
     PathFrame,
     ReferencePath,
     SinusoidPath,
@@ -188,7 +189,9 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     condition has held for a full dwell window (the recorded trajectory always
     contains that window); otherwise it runs to ``max_time``.  A trial whose
     guidance law reports infeasible geometry stops immediately and is marked
-    non-converged with the reason.
+    non-converged with the reason, and so is one that ends off a finite
+    path's end (closest point at ``s_min`` or ``s_max``, |d| above
+    ``d_threshold``).
     """
     wind = config.wind
     if wind is None:
@@ -286,6 +289,13 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
             break
 
         state = step_vehicle(state, chi_c, spec, wind, alpha, dt, method)
+
+    at_end = min(abs(frame.s_star - path.s_min), abs(frame.s_star - path.s_max))
+    if failure is None and not path.periodic and at_end <= REFINE_TOL and abs(frame.d) > d_thr:
+        failure = (
+            f"path end: the closest point is the path's end at s = {frame.s_star:g},"
+            f" {abs(frame.d):.1f} m away"
+        )
 
     traj = Trajectory(
         t=np.asarray(rec_t),

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vfpath.baselines import (
     BaselineParams,
@@ -12,7 +15,12 @@ from vfpath.baselines import (
     plos_command,
 )
 from vfpath.paths import CirclePath, LinePath, SinusoidPath
-from vfpath.simulation import SCENARIO_AMPLITUDE, SCENARIO_PERIOD
+from vfpath.simulation import (
+    SCENARIO_AMPLITUDE,
+    SCENARIO_PERIOD,
+    benchmark_scenario,
+    run_trial,
+)
 from vfpath.vehicle import VehicleState
 
 BP = BaselineParams()  # vf_k=0.02, vf_beta=pi/2, K1=15, K2=0.1, L1=110
@@ -148,3 +156,73 @@ class TestNLGL:
         line = LinePath(0, 0, 0)
         with pytest.raises(ValueError):
             nlgl_command(VehicleState(0, 0, 0), line, BP, 0.0, 1.65)
+
+
+class TestLookaheadParameter:
+    """The sinusoid's certified Newton look-ahead root against the scan."""
+
+    @staticmethod
+    def h(path, s, p, l1):
+        """Squared distance from p minus l1^2, and its derivative."""
+        a, w = path.amplitude, path.omega
+        s = np.asarray(s, dtype=float)
+        dy = a * np.sin(w * s) - p[1]
+        value = (s - p[0]) ** 2 + dy**2 - l1 * l1
+        deriv = 2.0 * ((s - p[0]) + dy * a * w * np.cos(w * s))
+        return value, deriv
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        amplitude=st.floats(5.0, 1000.0),
+        period=st.floats(50.0, 5000.0),
+        l1=st.floats(10.0, 500.0),
+        s_frac=st.floats(0.0, 1.0),
+        offset_frac=st.floats(-0.99, 0.99),
+    )
+    def test_certified_root_is_forward_most_crossing(
+        self, amplitude, period, l1, s_frac, offset_frac
+    ):
+        # The domain reaches past px + l1 for every drawn position.
+        path = SinusoidPath(amplitude, period, s_min=-period - 3 * l1, s_max=period + 3 * l1)
+        s0 = s_frac * period
+        x0, y0 = path.point(s0)
+        chi = path.tangent_angle(s0)
+        offset = offset_frac * l1
+        p = (x0 - offset * math.sin(chi), y0 + offset * math.cos(chi))
+        frame = path.closest_point(p)
+        s_t = path.lookahead_parameter(frame, p[0], p[1], l1)
+        if s_t is None:
+            return
+        x, y = path.point(s_t)
+        assert math.hypot(x - p[0], y - p[1]) == pytest.approx(l1, abs=1e-6)
+        assert self.h(path, s_t, p, l1)[1] > 0.0
+        # Roots lie in [px - l1, px + l1]; the grid skips a sliver at s_t,
+        # where h is below its own rounding error.
+        grid = np.linspace(s_t, p[0] + l1, 20001)[1:]
+        grid = grid[grid > s_t + 1e-6]
+        assert np.all(self.h(path, grid, p, l1)[0] > 0.0)
+
+    def test_matches_scan_along_benchmark_trial(self):
+        calls = []
+
+        class RecordingSinusoid(SinusoidPath):
+            def lookahead_parameter(self, frame, px, py, l1):
+                s_t = super().lookahead_parameter(frame, px, py, l1)
+                calls.append((frame, (px, py), l1, s_t))
+                return s_t
+
+        path = RecordingSinusoid(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
+        # The early-stop capture is certified throughout; tracking is not.
+        cfg = benchmark_scenario(
+            "nlgl", path=path, d0=80.0, stop_when_converged=False, max_time=60.0
+        )
+        traj, metrics = run_trial(cfg)
+        assert metrics.failure_reason is None
+        assert len(calls) == len(traj)
+        certified = [c for c in calls if c[3] is not None]
+        # Both the certified root and the scan fallback are exercised.
+        assert 0 < len(certified) < len(calls)
+        with mock.patch.object(RecordingSinusoid, "lookahead_parameter", lambda *a: None):
+            for frame, p, l1, s_t in certified:
+                s_scan, _ = nlgl_virtual_target(path, frame, p, l1)
+                assert s_t == pytest.approx(s_scan, abs=1e-4)

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -98,6 +102,23 @@ class TestConfig:
         poly.write_text("0,0\n100,0\n200,50\n")
         settings["path"]["file"] = str(poly)
         assert build_scenario(settings, "switched").path.s_max > 200.0
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("circle", "s_max", 10.0),
+            ("circle", "amplitude", -5.0),
+            ("sinusoid", "radius", 50.0),
+            ("line", "file", "p.csv"),
+            ("polyline", "heading", 1.0),
+        ],
+    )
+    def test_key_of_another_path_kind_named(self, kind, key, value):
+        settings = default_settings()
+        settings["path"].update(kind=kind, file="p.csv" if kind == "polyline" else "")
+        settings["path"][key] = value
+        with pytest.raises(ConfigError, match=f"{key}.*{kind}"):
+            build_scenario(settings, "switched")
 
     def test_kappa_max_zero_means_unbounded(self):
         settings = default_settings()
@@ -215,6 +236,25 @@ class TestCli:
         settings = load_settings(str(f))
         assert settings["sim"]["dt"] == 0.05
         assert dump_settings(settings) == text
+
+    def test_key_of_another_path_kind_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "circle.cfg"
+        cfg.write_text("[path]\nkind = circle\ns_max = 10\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "s_max" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vfpath", "--help"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert "montecarlo" in proc.stdout
 
     def test_montecarlo_small_campaign(self, tmp_path, capsys):
         out = tmp_path / "mc"

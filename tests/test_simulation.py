@@ -101,6 +101,22 @@ class TestRunTrial:
         assert "look-ahead infeasible" in metrics.failure_reason
         assert len(traj) == 1
 
+    def test_flying_off_path_end_marks_failure(self):
+        cfg = benchmark_scenario(
+            path=LinePath(0, 0, 0, s_max=500.0), stop_when_converged=False, max_time=300.0
+        )
+        traj, metrics = run_trial(cfg)
+        assert abs(traj.d[-1]) > 1000.0
+        assert not metrics.converged
+        assert metrics.failure_reason.startswith("path end")
+
+    def test_ending_within_threshold_of_path_end_is_not_a_failure(self):
+        # Tracking the line 5 m past its end: |d| stays below d_threshold.
+        cfg = line_config(path=LinePath(0, 0, 0, s_max=100.0), max_time=7.0)
+        traj, metrics = run_trial(cfg)
+        assert traj.x[-1] > 100.0
+        assert metrics.failure_reason is None
+
     def test_per_step_displacement_is_ground_speed(self):
         cfg = line_config(max_time=2.0)
         traj, _ = run_trial(cfg)
