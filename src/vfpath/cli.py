@@ -197,7 +197,9 @@ def cmd_montecarlo(args, settings) -> int:
 
 def cmd_validate(args, settings) -> int:
     config = build_scenario(settings, "switched")
-    v_g = config.airspeed.v_a
+    # Peak rates at the worst-case ground speed; the constraint's left side
+    # does not depend on it.
+    v_g = config.airspeed.v_a + config.max_wind_speed
     chi_p_dot_max = max_path_course_rate(config.path, v_g)
     report = validate_curvature_constraint(
         config.guidance, v_g, chi_p_dot_max, config.kappa_max

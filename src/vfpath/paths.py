@@ -122,15 +122,9 @@ class ReferencePath:
         ``window`` of ``near``.  Callers stepping a vehicle along the path use
         this with a window derived from the previous frame; the window must be
         wide enough to contain the global minimizer (see
-        :func:`tracking_window`).  Given ``near``, a path kind may first try a
-        local search started there (``_warm_start``) and return its result
-        when it is provably the global minimizer; otherwise the scan runs.
+        :func:`tracking_window`).
         """
         px, py = float(p[0]), float(p[1])
-        if near is not None:
-            s_star = self._warm_start(near, px, py)
-            if s_star is not None:
-                return s_star
         s_grid, gx, gy = self._coarse_grid()
         lo_i, hi_i = 0, len(s_grid)
         if near is not None and window is not None:
@@ -143,13 +137,6 @@ class ReferencePath:
         lo = s_grid[max(i - 1, 0)]
         hi = s_grid[min(i + 1, len(s_grid) - 1)]
         return self._refine(lo, hi, px, py)
-
-    def _warm_start(self, near: float, px: float, py: float) -> Optional[float]:
-        """Closest parameter found locally from ``near`` and proven global.
-
-        None when no such proof is available; the scan then runs.
-        """
-        return None
 
     def lookahead_parameter(
         self, frame: PathFrame, px: float, py: float, l1: float
@@ -220,6 +207,12 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
             m2 = a + GOLDEN_RATIO * (b - a)
             f2 = fun(m2)
     return 0.5 * (a + b)
+
+
+def _contains_angle(t_lo: float, t_hi: float, angle: float) -> bool:
+    """True when [t_lo, t_hi] holds angle + 2 pi k for some integer k."""
+    k = math.floor((t_hi - angle) / (2.0 * math.pi))
+    return angle + 2.0 * math.pi * k >= t_lo
 
 
 class LinePath(ReferencePath):
@@ -393,26 +386,120 @@ class SinusoidPath(ReferencePath):
                 return s
         return None
 
-    def _refine(self, lo: float, hi: float, px: float, py: float) -> float:
-        # Newton is quadratically convergent, so it replaces the generic
-        # golden-section refinement in this hot path; golden section is the
-        # fallback when Newton fails inside the bracket.
-        s = self._newton(0.5 * (lo + hi), lo, hi, px, py)
-        return super()._refine(lo, hi, px, py) if s is None else s
+    def closest_parameter(self, p, near=None, window=None) -> float:
+        """Global minimizer of the distance from ``p`` to the sinusoid.
 
-    def _warm_start(self, near: float, px: float, py: float) -> Optional[float]:
-        # A stationary point s_w at distance r < r_cert is the global
-        # minimizer: any closer point lies in I = [px - r, px + r], where the
-        # squared distance is strictly convex (see ``r_cert``).
-        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(near)):
-            return None
-        s = self._newton(near, self.s_min, self.s_max, px, py)
-        if s is None:
-            return None
-        dy = self.amplitude * math.sin(self.omega * s) - py
-        if (s - px) ** 2 + dy * dy < self.r_cert * self.r_cert:
+        An exact search with no grid, so ``window`` is ignored; ``near``, the
+        previous closest parameter when tracking, starts Newton's method.
+        Ties go to the smallest parameter.  README, "Tracking projection",
+        sketches why the result is the global minimizer.
+        """
+        px, py = float(p[0]), float(p[1])
+        if not (math.isfinite(px) and math.isfinite(py)):
+            raise ValueError("vehicle position must be finite")
+        s = None
+        if near is not None and math.isfinite(near):
+            s = self._newton(near, self.s_min, self.s_max, px, py)
+        stationary = s is not None
+        if not stationary:
+            s = min(max(px, self.s_min), self.s_max)
+        q = self._distance_sq(s, px, py)
+        if stationary and q < self.r_cert * self.r_cert:
             return s
-        return None
+        # Any point closer than s lies in [lo, hi], as q(v) >= (v - px)^2.
+        r = math.sqrt(q)
+        lo, hi = max(px - r, self.s_min), min(px + r, self.s_max)
+        # On [lo, hi], q''/2 = c + u (b - 2 (Aw)^2 u) with u = sin(ws): a
+        # concave quadratic in u, so positive over the range of u on [lo, hi]
+        # when positive at its two ends.  q is then strictly convex there,
+        # and the stationary s is its unique minimizer.
+        a, w = self.amplitude, self.omega
+        aw_sq = (a * w) ** 2
+        b, c = a * w * w * py, 1.0 + aw_sq
+        if stationary:
+            u_lo, u_hi = sorted((math.sin(w * lo), math.sin(w * hi)))
+            if _contains_angle(w * lo, w * hi, 0.5 * math.pi):
+                u_hi = 1.0  # a crest
+            if _contains_angle(w * lo, w * hi, -0.5 * math.pi):
+                u_lo = -1.0  # a trough
+            if (
+                c + u_lo * (b - 2.0 * aw_sq * u_lo) > 0.0
+                and c + u_hi * (b - 2.0 * aw_sq * u_hi) > 0.0
+            ):
+                return s
+        root = math.sqrt(b * b + 8.0 * aw_sq * c)
+        u_roots = ((b - root) / (4.0 * aw_sq), (b + root) / (4.0 * aw_sq))
+        return self._search_convex_pieces(px, py, lo, hi, u_roots, s)
+
+    def _grad(self, s: float, px: float, py: float) -> float:
+        """Half the derivative of the squared distance q at s."""
+        a, w = self.amplitude, self.omega
+        return (s - px) + (a * math.sin(w * s) - py) * a * w * math.cos(w * s)
+
+    def _search_convex_pieces(
+        self,
+        px: float,
+        py: float,
+        lo: float,
+        hi: float,
+        u_roots: tuple[float, float],
+        s: float,
+    ) -> float:
+        """Minimizer of q over the domain, given that no point outside
+        [lo, hi] is closer than s and that q'' = 0 where sin(ws) is in
+        ``u_roots``.
+
+        Those cuts split [lo, hi] into pieces on which q is strictly convex
+        or strictly concave.  A cut is no local minimum of q (q'' changes sign
+        there, so q' keeps its sign on both sides), and lo or hi is no closer
+        than s unless it is a domain end.  The minimizer is therefore s, a
+        domain end in [lo, hi], or the stationary point of a convex piece at
+        whose ends q' goes from - to +: Newton's method bracketed on the
+        piece finds it, or bisection when Newton leaves the piece.
+        """
+        w = self.omega
+        cuts = [lo, hi]
+        for u in u_roots:
+            if -1.0 < u < 1.0:
+                phase = math.asin(u)
+                for first in (phase, math.pi - phase):
+                    k = math.ceil((w * lo - first) / (2.0 * math.pi))
+                    cut = (first + 2.0 * math.pi * k) / w
+                    while cut < hi:
+                        if cut > lo:
+                            cuts.append(cut)
+                        k += 1
+                        cut = (first + 2.0 * math.pi * k) / w
+        cuts.sort()
+        candidates = [s] + [v for v in (self.s_min, self.s_max) if lo <= v <= hi]
+        grad_lo = self._grad(lo, px, py)
+        for c0, c1 in zip(cuts, cuts[1:]):
+            grad_hi = self._grad(c1, px, py)
+            # q' falls across a concave piece, so only a convex one passes.
+            if grad_lo < 0.0 <= grad_hi:
+                # Start where the chord of q' crosses zero.
+                start = c0 - grad_lo * (c1 - c0) / (grad_hi - grad_lo)
+                root = self._newton(start, c0, c1, px, py)
+                if root is None:
+                    root = self._bisect_grad(c0, c1, px, py)
+                candidates.append(root)
+            grad_lo = grad_hi
+        return min((self._distance_sq(v, px, py), v) for v in candidates)[1]
+
+    def _bisect_grad(self, lo: float, hi: float, px: float, py: float) -> float:
+        """Root of q' in [lo, hi], where it goes from - to +, by bisection.
+
+        Bisects on the sign of q' down to the float spacing; the distance
+        itself is too flat near its minimum to locate it that finely.
+        """
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return mid
+            if self._grad(mid, px, py) < 0.0:
+                lo = mid
+            else:
+                hi = mid
 
     def lookahead_parameter(
         self, frame: PathFrame, px: float, py: float, l1: float

@@ -110,12 +110,17 @@ class ScenarioConfig:
             raise ValueError("dwell must be non-negative")
         if self.integrator not in ("rk4", "euler"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        # A sampled wind (None) can reach the top of the sampling range.
-        wind = MC_WIND_SPEED_RANGE[1] if self.wind is None else self.wind.speed
+        wind = self.max_wind_speed
         if wind >= self.airspeed.v_a:
             raise ValueError(
                 f"wind speed {wind} m/s must be below the airspeed {self.airspeed.v_a} m/s"
             )
+
+    @property
+    def max_wind_speed(self) -> float:
+        """Speed of the fixed wind, or of the strongest wind a sampled one
+        (``wind`` None) can draw: the top of the sampling range."""
+        return MC_WIND_SPEED_RANGE[1] if self.wind is None else self.wind.speed
 
 
 def benchmark_scenario(law: str = "switched", **overrides) -> ScenarioConfig:
@@ -191,7 +196,8 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     guidance law reports infeasible geometry stops immediately and is marked
     non-converged with the reason, and so is one that ends off a finite
     path's end (closest point at ``s_min`` or ``s_max``, |d| above
-    ``d_threshold``).
+    ``d_threshold``).  A state that turns non-finite also stops the trial
+    with a named reason; the trajectory ends at the last finite state.
     """
     wind = config.wind
     if wind is None:
@@ -231,6 +237,14 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     rec_chi_p: list[float] = []
 
     for k in range(n_max + 1):
+        if not (
+            math.isfinite(state.x) and math.isfinite(state.y) and math.isfinite(state.chi)
+        ):
+            failure = (
+                f"non-finite state at t = {k * dt:g} s:"
+                f" x = {state.x}, y = {state.y}, chi = {state.chi}"
+            )
+            break
         p = (state.x, state.y)
         if prev_frame is None:
             s_star = path.closest_parameter(p)

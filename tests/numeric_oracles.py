@@ -1,9 +1,45 @@
 """Numeric oracles shared by the tests: independent checks of closed forms."""
 
-from typing import Optional
+import math
+from typing import Optional, Sequence
+
+import numpy as np
 
 from vfpath.guidance import GuidanceParams
-from vfpath.paths import _golden_section
+from vfpath.paths import ReferencePath, _golden_section
+
+
+def dense_closest_parameter(path: ReferencePath, p: Sequence[float], n: int) -> float:
+    """Closest parameter to ``p`` from ``n`` uniform samples of the domain.
+
+    The best sample's bracket is refined by bisection on the sign of the
+    distance's derivative, the displacement from ``p`` along the tangent;
+    the distance itself is too flat near its minimum to locate it to 1e-6.
+    The result is exact whenever the samples find the right basin.
+    """
+    px, py = float(p[0]), float(p[1])
+    s = np.linspace(path.s_min, path.s_max, n)
+    x, y = path.points_array(s)
+    i = int(np.argmin((x - px) ** 2 + (y - py) ** 2))
+    lo, hi = float(s[max(i - 1, 0)]), float(s[min(i + 1, n - 1)])
+
+    def slope(v: float) -> float:
+        (x_v, y_v), chi = path.point(v), path.tangent_angle(v)
+        return (x_v - px) * math.cos(chi) + (y_v - py) * math.sin(chi)
+
+    if slope(lo) >= 0.0:
+        return lo
+    if slope(hi) <= 0.0:
+        return hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def peak_field_rate_numeric(

@@ -19,7 +19,8 @@ from vfpath.config import (
     dump_settings,
     load_settings,
 )
-from vfpath.paths import CirclePath, LinePath, SinusoidPath
+from vfpath.guidance import validate_curvature_constraint
+from vfpath.paths import CirclePath, LinePath, SinusoidPath, max_path_course_rate
 from vfpath.simulation import GUIDANCE_LAWS, benchmark_scenario
 
 # Text that survives an INI line unchanged: no line breaks, no whitespace at
@@ -226,6 +227,25 @@ class TestCli:
         rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_validate_reports_rates_at_worst_case_ground_speed(self, tmp_path, capsys):
+        cfg = tmp_path / "windy.cfg"
+        cfg.write_text("[sim]\nwind_x = 3\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        windy = capsys.readouterr().out
+        assert main(["validate"]) == 0
+        calm = capsys.readouterr().out
+        config = benchmark_scenario()
+        v_g = 15.0 + 3.0
+        report = validate_curvature_constraint(
+            config.guidance, v_g, max_path_course_rate(config.path, v_g), config.kappa_max
+        )
+        assert f"near-branch peak rate : {report.k1_peak_rate:.9g} rad/s" in windy
+        assert f"far-branch peak rate  : {report.k3_peak_rate:.9g} rad/s" in windy
+        # The constraint's left side and the verdict do not depend on V_g.
+        lhs = [line for line in windy.splitlines() if line.startswith("constraint LHS")]
+        assert lhs == [line for line in calm.splitlines() if line.startswith("constraint LHS")]
+        assert "PASS" in windy
 
     def test_dump_effective_config_round_trips(self, tmp_path, capsys):
         rc = main(["run", "--dt", "0.05", "--dump-effective-config"])

@@ -1,16 +1,19 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numeric_oracles import dense_closest_parameter
 from vfpath.paths import (
     CirclePath,
     LinePath,
     PathDomainError,
     PolylinePath,
+    ReferencePath,
     SinusoidPath,
     load_polyline,
     max_path_course_rate,
@@ -129,11 +132,10 @@ class TestClosestPoint:
 
     def test_sinusoid_matches_dense_sampling_oracle(self):
         path = scenario_sinusoid()
-        s_dense = np.linspace(path.s_min, path.s_max, 1_000_000)
-        gx, gy = path.points_array(s_dense)
         for p in ((0.0, -200.0), (700.0, 400.0), (2000.0, -50.0)):
             frame = path.closest_point(p)
-            d_oracle = math.sqrt(np.min((gx - p[0]) ** 2 + (gy - p[1]) ** 2))
+            s_oracle = dense_closest_parameter(path, p, 1_000_000)
+            d_oracle = math.dist(path.point(s_oracle), p)
             assert abs(frame.d) == pytest.approx(d_oracle, abs=1e-3)
 
     def test_distance_is_global_minimum(self):
@@ -142,10 +144,35 @@ class TestClosestPoint:
             for _ in range(5):
                 p = rng.uniform(-400.0, 400.0, size=2)
                 frame = path.closest_point(p)
-                s_samples = rng.uniform(path.s_min, path.s_max, size=10_000)
-                gx, gy = path.points_array(s_samples)
-                dists = np.hypot(gx - p[0], gy - p[1])
-                assert np.all(dists >= abs(frame.d) - 1e-9)
+                s_oracle = dense_closest_parameter(path, p, 10_000)
+                assert math.dist(path.point(s_oracle), p) >= abs(frame.d) - 1e-9
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        amplitude=st.floats(5.0, 1000.0),
+        period=st.floats(50.0, 5000.0),
+        x_frac=st.floats(0.0, 1.0),
+        y_frac=st.floats(-1.0, 1.0),
+        near_frac=st.none() | st.floats(0.0, 1.0),
+    )
+    def test_sinusoid_projection_is_global(
+        self, amplitude, period, x_frac, y_frac, near_frac
+    ):
+        # Points up to 3 A off the axis and 0.2 periods past either domain end.
+        path = SinusoidPath(amplitude, period)
+        span = path.s_max - path.s_min
+        px = path.s_min - 0.2 * period + x_frac * (span + 0.4 * period)
+        p = (px, 3.0 * amplitude * y_frac)
+        near = None if near_frac is None else path.s_min + near_frac * span
+
+        def dist(s):
+            return math.dist(path.point(s), p)
+
+        d = dist(path.closest_parameter(p, near=near))
+        d_oracle = dist(dense_closest_parameter(path, p, 400_000))
+        assert d == pytest.approx(d_oracle, rel=1e-6, abs=1e-9)
+        d_scan = dist(ReferencePath.closest_parameter(path, p))
+        assert d <= d_scan + 1e-9 * max(1.0, d_scan)
 
     def test_perpendicularity_at_interior_minimum(self):
         path = scenario_sinusoid()
@@ -207,9 +234,14 @@ class TestWarmStart:
         scale = min(path.r_cert, period)
         px, py = self.offset_point(path, s0, offset_frac * scale)
         near = s0 + near_frac * scale
-        assert path._warm_start(near, px, py) is not None
+        s_newton = path._newton(near, path.s_min, path.s_max, px, py)
+        assert s_newton is not None
+        assert path._distance_sq(s_newton, px, py) < path.r_cert**2
         warm = path.closest_parameter((px, py), near=near)
-        assert warm == pytest.approx(path.closest_parameter((px, py)), abs=1e-6)
+        # The grid scan's golden section stops at REFINE_TOL, too coarse a
+        # reference at this tolerance; the dense oracle refines further.
+        full = dense_closest_parameter(path, (px, py), 400_000)
+        assert warm == pytest.approx(full, abs=1e-6)
 
     @settings(deadline=None)
     @given(
@@ -232,7 +264,7 @@ class TestWarmStart:
             return math.hypot(x - p[0], y - p[1])
 
         warm = dist(path.closest_parameter(p, near=s0 + near_offset))
-        full = dist(path.closest_parameter(p))
+        full = dist(ReferencePath.closest_parameter(path, p))
         assert warm <= full + 1e-9 * max(1.0, full)
 
     @pytest.mark.parametrize("law", GUIDANCE_LAWS)
@@ -241,23 +273,35 @@ class TestWarmStart:
 
         class RecordingSinusoid(SinusoidPath):
             def closest_parameter(self, p, near=None, window=None):
+                self.searched = False
                 s_star = super().closest_parameter(p, near, window)
-                calls.append((p, near, s_star))
+                calls.append((p, near, s_star, self.searched))
                 return s_star
+
+            def _search_convex_pieces(self, *args):
+                self.searched = True
+                return super()._search_convex_pieces(*args)
 
         path = RecordingSinusoid(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
         # nlgl starts inside its look-ahead distance, as ``vfpath compare`` runs it.
         d0 = 80.0 if law == "nlgl" else 200.0
         traj, _ = run_trial(benchmark_scenario(law, path=path, d0=d0))
-        tracked = [(p, near, s) for p, near, s in calls if near is not None]
+        tracked = [call for call in calls if call[1] is not None]
         assert len(tracked) == len(traj) - 1
-        certified = 0
-        for p, near, s_star in tracked:
-            full = SinusoidPath.closest_parameter(path, p)
+        branches = Counter()
+        for p, near, s_star, searched in tracked:
+            full = ReferencePath.closest_parameter(path, p)
             assert s_star == pytest.approx(full, abs=1e-5)
-            certified += path._warm_start(near, p[0], p[1]) is not None
-        # Both the warm start and the scan fallback are exercised.
-        assert 0 < certified < len(tracked)
+            s_newton = path._newton(near, path.s_min, path.s_max, p[0], p[1])
+            if searched:
+                branches["convex pieces"] += 1
+            elif path._distance_sq(s_newton, p[0], p[1]) < path.r_cert**2:
+                branches["r_cert"] += 1
+            else:
+                branches["convex interval"] += 1
+        if law == "switched":
+            # Every branch of the projection resolves some step of the capture.
+            assert set(branches) == {"r_cert", "convex interval", "convex pieces"}
 
 
 class TestPolyline:

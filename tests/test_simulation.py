@@ -17,7 +17,7 @@ from vfpath.simulation import (
     monte_carlo,
     run_trial,
 )
-from vfpath.vehicle import AirspeedSpec, WindModel
+from vfpath.vehicle import AirspeedSpec, VehicleState, WindModel
 
 
 def synthetic_trajectory(t, d, chi_dot=None, chi=None, chi_p=None, phase=None):
@@ -116,6 +116,24 @@ class TestRunTrial:
         traj, metrics = run_trial(cfg)
         assert traj.x[-1] > 100.0
         assert metrics.failure_reason is None
+
+    def test_non_finite_state_stops_with_a_named_failure(self, monkeypatch):
+        real_step = simulation.step_vehicle
+        steps = []
+
+        def step_then_nan(state, *args):
+            steps.append(state)
+            if len(steps) > 50:
+                return VehicleState(math.nan, state.y, state.chi)
+            return real_step(state, *args)
+
+        monkeypatch.setattr(simulation, "step_vehicle", step_then_nan)
+        traj, metrics = run_trial(benchmark_scenario(max_time=5.0))
+        assert metrics.failure_reason.startswith("non-finite state")
+        assert not metrics.converged
+        for name in ("d_rms", "chi_dot_rms", "chi_dot_max", "chattering_index"):
+            assert math.isfinite(getattr(metrics, name))
+        assert len(traj) == 51
 
     def test_per_step_displacement_is_ground_speed(self):
         cfg = line_config(max_time=2.0)
