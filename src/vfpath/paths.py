@@ -13,6 +13,7 @@ trajectories and the side indicator is simply ``rho = sign(d)``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,14 +21,17 @@ import numpy as np
 
 from .angles import wrap_angle
 
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Default coarse sampling used by the search-based closest-point routine and
-# by the curvature scan.  2048 samples keeps adjacent coarse minima well
-# separated for the sinusoid scenarios this library targets.
+# Coarse sampling used by the search-based closest-point routine and by the
+# curvature scan.  2048 samples keeps adjacent coarse minima well separated
+# for the sinusoid scenarios this library targets.
 COARSE_SAMPLES = 2048
 CURVATURE_SAMPLES = 8192
-REFINE_TOL = 1e-6
+
+# Polyline neighbour list: the skin is the larger of these, and the 1 mm
+# slack on the candidate radius covers the rounding of the distances.
+POLYLINE_SKIN_MIN = 5.0
+POLYLINE_SKIN_FRAC = 0.1
+POLYLINE_SLACK = 1e-3
 
 
 class PathDomainError(ValueError):
@@ -59,7 +63,7 @@ class ReferencePath:
     """Base class for planar reference paths.
 
     Subclasses define ``s_min``/``s_max``, ``point`` and ``tangent_angle``;
-    the generic closest-point search (coarse scan plus golden-section
+    the generic closest-point search (coarse scan plus bisection
     refinement) lives here and is overridden where an analytic projection
     exists.
     """
@@ -102,41 +106,32 @@ class ReferencePath:
             self._grid_cache = cached
         return cached
 
-    def _distance_sq(self, s: float, px: float, py: float) -> float:
-        x, y = self.point(s)
-        return (x - px) ** 2 + (y - py) ** 2
-
-    def closest_parameter(
-        self,
-        p: Sequence[float],
-        near: Optional[float] = None,
-        window: Optional[float] = None,
-    ) -> float:
+    def closest_parameter(self, p: Sequence[float], near: Optional[float] = None) -> float:
         """Global minimizer of the distance from ``p`` to the path.
 
-        Coarse uniform scan followed by local refinement of the bracketing
-        interval; ties are broken toward the smallest parameter (the coarse
-        argmin picks the first of equal minima).
-
-        ``near``/``window`` restrict the coarse scan to parameters within
-        ``window`` of ``near``.  Callers stepping a vehicle along the path use
-        this with a window derived from the previous frame; the window must be
-        wide enough to contain the global minimizer (see
-        :func:`tracking_window`).
+        Coarse uniform scan, then bisection of the best sample's bracket on
+        the sign of the displacement from ``p`` along the tangent (the
+        distance itself is too flat near its minimum to locate it finely).
+        Ties are broken toward the smallest parameter (the coarse argmin
+        picks the first of equal minima).  ``near``, the previous closest
+        parameter when tracking, is a hint that path kinds may use; the scan
+        ignores it.
         """
-        px, py = float(p[0]), float(p[1])
+        px, py = _finite_position(p)
         s_grid, gx, gy = self._coarse_grid()
-        lo_i, hi_i = 0, len(s_grid)
-        if near is not None and window is not None:
-            lo_i = int(np.searchsorted(s_grid, near - window, side="left"))
-            hi_i = int(np.searchsorted(s_grid, near + window, side="right"))
-            lo_i = max(lo_i - 1, 0)
-            hi_i = min(hi_i + 1, len(s_grid))
-        d2 = (gx[lo_i:hi_i] - px) ** 2 + (gy[lo_i:hi_i] - py) ** 2
-        i = lo_i + int(np.argmin(d2))
-        lo = s_grid[max(i - 1, 0)]
-        hi = s_grid[min(i + 1, len(s_grid) - 1)]
-        return self._refine(lo, hi, px, py)
+        i = int(np.argmin((gx - px) ** 2 + (gy - py) ** 2))
+        lo = float(s_grid[max(i - 1, 0)])
+        hi = float(s_grid[min(i + 1, len(s_grid) - 1)])
+
+        def slope(s: float) -> float:
+            (x, y), chi = self.point(s), self.tangent_angle(s)
+            return (x - px) * math.cos(chi) + (y - py) * math.sin(chi)
+
+        if slope(lo) >= 0.0:
+            return lo
+        if slope(hi) <= 0.0:
+            return hi
+        return _bisect_sign(slope, lo, hi)
 
     def lookahead_parameter(
         self, frame: PathFrame, px: float, py: float, l1: float
@@ -148,18 +143,10 @@ class ReferencePath:
         """
         return None
 
-    def _refine(self, lo: float, hi: float, px: float, py: float) -> float:
-        return _golden_section(
-            lambda s: self._distance_sq(s, px, py), lo, hi, REFINE_TOL
-        )
-
     def closest_point(self, p: Sequence[float]) -> PathFrame:
         """Path frame at the point of the path closest to ``p``."""
-        px, py = float(p[0]), float(p[1])
-        if not (math.isfinite(px) and math.isfinite(py)):
-            raise ValueError("vehicle position must be finite")
-        s_star = self.closest_parameter((px, py))
-        return self.frame_at(s_star, (px, py))
+        s_star = self.closest_parameter(p)
+        return self.frame_at(s_star, (float(p[0]), float(p[1])))
 
     def frame_at(self, s_star: float, p: Sequence[float]) -> PathFrame:
         rx, ry = self.point(s_star)
@@ -180,33 +167,25 @@ class ReferencePath:
         )
 
 
-def tracking_window(dist: float, travel: float) -> float:
-    """Safe half-width of the coarse-scan window for step-to-step tracking.
-
-    Between consecutive steps, the new global closest parameter cannot move
-    farther than roughly twice the previous distance plus the vehicle travel
-    (triangle inequality between chord and parameter distance); the factor 2
-    safety margin covers chord-versus-arc shortening on curved path kinds.
-    """
-    return 4.0 * (abs(dist) + travel) + 20.0
+def _finite_position(p: Sequence[float]) -> tuple[float, float]:
+    """``p`` as two floats; ValueError unless both are finite."""
+    px, py = float(p[0]), float(p[1])
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise ValueError("vehicle position must be finite")
+    return px, py
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimizer of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    m1 = b - GOLDEN_RATIO * (b - a)
-    m2 = a + GOLDEN_RATIO * (b - a)
-    f1, f2 = fun(m1), fun(m2)
-    while (b - a) > tol:
-        if f1 < f2:
-            b, m2, f2 = m2, m1, f1
-            m1 = b - GOLDEN_RATIO * (b - a)
-            f1 = fun(m1)
+def _bisect_sign(fun, lo: float, hi: float) -> float:
+    """Root of ``fun`` in [lo, hi], where it goes from - to +, by bisection
+    on its sign down to the float spacing."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if fun(mid) < 0.0:
+            lo = mid
         else:
-            a, m1, f1 = m1, m2, f2
-            m2 = a + GOLDEN_RATIO * (b - a)
-            f2 = fun(m2)
-    return 0.5 * (a + b)
+            hi = mid
 
 
 def _contains_angle(t_lo: float, t_hi: float, angle: float) -> bool:
@@ -246,8 +225,9 @@ class LinePath(ReferencePath):
         self._clip_parameter(s)
         return self.heading
 
-    def closest_parameter(self, p, near=None, window=None) -> float:
-        s = (p[0] - self.x0) * self._cos + (p[1] - self.y0) * self._sin
+    def closest_parameter(self, p, near=None) -> float:
+        px, py = _finite_position(p)
+        s = (px - self.x0) * self._cos + (py - self.y0) * self._sin
         return min(max(s, self.s_min), self.s_max)
 
 
@@ -286,8 +266,9 @@ class CirclePath(ReferencePath):
         theta = self._clip_parameter(s) / self.radius
         return wrap_angle(theta + 0.5 * math.pi)
 
-    def closest_parameter(self, p, near=None, window=None) -> float:
-        ux, uy = p[0] - self.cx, p[1] - self.cy
+    def closest_parameter(self, p, near=None) -> float:
+        px, py = _finite_position(p)
+        ux, uy = px - self.cx, py - self.cy
         if ux == 0.0 and uy == 0.0:
             # Center is equidistant from the whole circle; smallest parameter.
             return 0.0
@@ -386,17 +367,15 @@ class SinusoidPath(ReferencePath):
                 return s
         return None
 
-    def closest_parameter(self, p, near=None, window=None) -> float:
+    def closest_parameter(self, p, near=None) -> float:
         """Global minimizer of the distance from ``p`` to the sinusoid.
 
-        An exact search with no grid, so ``window`` is ignored; ``near``, the
-        previous closest parameter when tracking, starts Newton's method.
-        Ties go to the smallest parameter.  README, "Tracking projection",
-        sketches why the result is the global minimizer.
+        An exact search with no grid; ``near``, the previous closest
+        parameter when tracking, starts Newton's method.  Ties go to the
+        smallest parameter.  README, "Tracking projection", sketches why the
+        result is the global minimizer.
         """
-        px, py = float(p[0]), float(p[1])
-        if not (math.isfinite(px) and math.isfinite(py)):
-            raise ValueError("vehicle position must be finite")
+        px, py = _finite_position(p)
         s = None
         if near is not None and math.isfinite(near):
             s = self._newton(near, self.s_min, self.s_max, px, py)
@@ -481,25 +460,10 @@ class SinusoidPath(ReferencePath):
                 start = c0 - grad_lo * (c1 - c0) / (grad_hi - grad_lo)
                 root = self._newton(start, c0, c1, px, py)
                 if root is None:
-                    root = self._bisect_grad(c0, c1, px, py)
+                    root = _bisect_sign(lambda v: self._grad(v, px, py), c0, c1)
                 candidates.append(root)
             grad_lo = grad_hi
         return min((self._distance_sq(v, px, py), v) for v in candidates)[1]
-
-    def _bisect_grad(self, lo: float, hi: float, px: float, py: float) -> float:
-        """Root of q' in [lo, hi], where it goes from - to +, by bisection.
-
-        Bisects on the sign of q' down to the float spacing; the distance
-        itself is too flat near its minimum to locate it that finely.
-        """
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                return mid
-            if self._grad(mid, px, py) < 0.0:
-                lo = mid
-            else:
-                hi = mid
 
     def lookahead_parameter(
         self, frame: PathFrame, px: float, py: float, l1: float
@@ -527,7 +491,16 @@ class SinusoidPath(ReferencePath):
 
 
 class PolylinePath(ReferencePath):
-    """Piecewise-linear path through ordered 2-D points, parameterized by arc length."""
+    """Piecewise-linear path through ordered 2-D points, parameterized by arc length.
+
+    The projection keeps a neighbour list on the path object (L. Verlet,
+    Phys. Rev. 159, 98, 1967).  A rebuild at a point p0 projects onto every
+    segment, with best distance r0, and keeps the segments within
+    r0 + 2 skin, skin = max(5 m, 0.1 r0).  For any p within skin of p0, every
+    other segment is farther than r0 + skin and the best kept one is within
+    r0 + skin, so the minimum over the kept segments is the global minimum.
+    The list depends only on the geometry, so it serves every caller.
+    """
 
     def __init__(self, points: Sequence[Sequence[float]]):
         pts = np.asarray(points, dtype=float)
@@ -537,42 +510,85 @@ class PolylinePath(ReferencePath):
         lengths = np.hypot(seg[:, 0], seg[:, 1])
         if np.any(lengths == 0.0):
             raise ValueError("polyline has repeated consecutive points")
+        cum = np.concatenate(([0.0], np.cumsum(lengths)))
         self.points = pts
-        self._lengths = lengths
-        self._cum = np.concatenate(([0.0], np.cumsum(lengths)))
-        self._headings = np.arctan2(seg[:, 1], seg[:, 0])
         self.s_min = 0.0
-        self.s_max = float(self._cum[-1])
+        self.s_max = float(cum[-1])
+        self._seg = seg
+        self._len_sq = lengths**2
+        # Plain floats for the per-step arithmetic, which numpy would slow.
+        self._cum = cum.tolist()
+        self._headings = np.arctan2(seg[:, 1], seg[:, 0]).tolist()
+        self._segments = list(
+            zip(
+                *(col.tolist() for col in (pts[:-1, 0], pts[:-1, 1], seg[:, 0], seg[:, 1])),
+                self._len_sq.tolist(),
+                self._cum[:-1],
+                lengths.tolist(),
+            )
+        )
+        # (x0, y0, skin^2, segments kept) of the last rebuild; the negative
+        # skin^2 of the empty start makes the first call rebuild.
+        self._neighbours: tuple = (0.0, 0.0, -1.0, [])
 
     def _segment_index(self, s: float) -> int:
-        i = int(np.searchsorted(self._cum, s, side="right")) - 1
-        return min(max(i, 0), len(self._lengths) - 1)
+        i = bisect_right(self._cum, s) - 1
+        return min(max(i, 0), len(self._segments) - 1)
 
     def point(self, s: float) -> tuple[float, float]:
         s = self._clip_parameter(s)
-        i = self._segment_index(s)
-        f = (s - self._cum[i]) / self._lengths[i]
-        p = self.points[i] + f * (self.points[i + 1] - self.points[i])
-        return (float(p[0]), float(p[1]))
+        ax, ay, sx, sy, _, cum, length = self._segments[self._segment_index(s)]
+        f = (s - cum) / length
+        return (ax + f * sx, ay + f * sy)
 
     def tangent_angle(self, s: float) -> float:
         s = self._clip_parameter(s)
-        return float(self._headings[self._segment_index(s)])
+        return self._headings[self._segment_index(s)]
 
-    def closest_parameter(self, p, near=None, window=None) -> float:
-        # Exact per-segment projection; ties go to the smallest parameter.
-        px, py = float(p[0]), float(p[1])
-        a = self.points[:-1]
-        seg = self.points[1:] - a
-        t = ((px - a[:, 0]) * seg[:, 0] + (py - a[:, 1]) * seg[:, 1]) / (
-            self._lengths**2
-        )
+    def closest_parameter(self, p, near=None) -> float:
+        """Global minimizer of the distance from ``p`` to the polyline.
+
+        Exact per-segment projection over the neighbour list, rebuilt when
+        ``p`` is farther than the skin from its centre.  The arithmetic is
+        the full scan's, operation for operation, and the segments are
+        visited in index order with a strict comparison, so the result is
+        the full scan's to the bit and ties go to the smallest parameter.
+        """
+        px, py = _finite_position(p)
+        x0, y0, skin_sq, kept = self._neighbours
+        dx, dy = px - x0, py - y0
+        if dx * dx + dy * dy > skin_sq:
+            kept = self._rebuild_neighbours(px, py)
+        best = math.inf
+        for ax, ay, sx, sy, len_sq, cum, length in kept:
+            t = ((px - ax) * sx + (py - ay) * sy) / len_sq
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            dx = ax + t * sx - px
+            dy = ay + t * sy - py
+            d2 = dx * dx + dy * dy
+            if d2 < best:
+                best, s_best = d2, cum + t * length
+        return s_best
+
+    def _rebuild_neighbours(self, px: float, py: float) -> list:
+        """Project (px, py) onto every segment and keep, as the new list,
+        those that can hold the closest point of any position within the
+        skin."""
+        a, seg = self.points[:-1], self._seg
+        t = ((px - a[:, 0]) * seg[:, 0] + (py - a[:, 1]) * seg[:, 1]) / self._len_sq
         t = np.clip(t, 0.0, 1.0)
         qx = a[:, 0] + t * seg[:, 0]
         qy = a[:, 1] + t * seg[:, 1]
         d2 = (qx - px) ** 2 + (qy - py) ** 2
-        i = int(np.argmin(d2))
-        return float(self._cum[i] + t[i] * self._lengths[i])
+        r0 = math.sqrt(float(np.min(d2)))
+        skin = max(POLYLINE_SKIN_MIN, POLYLINE_SKIN_FRAC * r0)
+        reach = r0 + 2.0 * skin + POLYLINE_SLACK
+        kept = [self._segments[i] for i in np.flatnonzero(d2 <= reach * reach).tolist()]
+        self._neighbours = (px, py, skin * skin, kept)
+        return kept
 
 
 def load_polyline(path_file: str) -> PolylinePath:

@@ -28,14 +28,7 @@ from .baselines import (
     plos_command,
 )
 from .guidance import GuidanceParams, commanded_course
-from .paths import (
-    REFINE_TOL,
-    PathFrame,
-    ReferencePath,
-    SinusoidPath,
-    path_course_rate,
-    tracking_window,
-)
+from .paths import PathFrame, ReferencePath, SinusoidPath, path_course_rate
 from .vehicle import (
     AirspeedSpec,
     VehicleState,
@@ -66,6 +59,10 @@ MC_WIND_DIR_RANGE = (-2.5, -2.0)
 # Length (s) of the windows the chattering index counts turn-rate sign
 # changes in; the time step must be shorter.
 CHATTER_WINDOW = 1.0
+
+# A trial whose closest parameter ends within this distance (m) of a finite
+# path's end, off the path, has flown off that end.
+PATH_END_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -223,7 +220,6 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     streak = 0
     conv_idx = -1
     failure: Optional[str] = None
-    max_travel = (spec.v_a + wind.speed) * dt
 
     rec_t: list[float] = []
     rec_x: list[float] = []
@@ -249,8 +245,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         if prev_frame is None:
             s_star = path.closest_parameter(p)
         else:
-            window = tracking_window(prev_frame.d, max_travel)
-            s_star = path.closest_parameter(p, near=prev_frame.s_star, window=window)
+            s_star = path.closest_parameter(p, near=prev_frame.s_star)
         frame = path.frame_at(s_star, p)
         frame.chi_p_dot = path_course_rate(frame, prev_frame, dt)
         prev_frame = frame
@@ -305,7 +300,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         state = step_vehicle(state, chi_c, spec, wind, alpha, dt, method)
 
     at_end = min(abs(frame.s_star - path.s_min), abs(frame.s_star - path.s_max))
-    if failure is None and not path.periodic and at_end <= REFINE_TOL and abs(frame.d) > d_thr:
+    if failure is None and not path.periodic and at_end <= PATH_END_TOL and abs(frame.d) > d_thr:
         failure = (
             f"path end: the closest point is the path's end at s = {frame.s_star:g},"
             f" {abs(frame.d):.1f} m away"

@@ -6,7 +6,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from vfpath.guidance import GuidanceParams
-from vfpath.paths import ReferencePath, _golden_section
+from vfpath.paths import PolylinePath, ReferencePath
+
+GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def dense_closest_parameter(path: ReferencePath, p: Sequence[float], n: int) -> float:
@@ -40,6 +42,41 @@ def dense_closest_parameter(path: ReferencePath, p: Sequence[float], n: int) -> 
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def segment_scan_parameter(path: PolylinePath, p: Sequence[float]) -> float:
+    """Closest parameter to ``p`` on a polyline by projecting onto every
+    segment with numpy; ties go to the smallest parameter (first argmin)."""
+    px, py = float(p[0]), float(p[1])
+    a = path.points[:-1]
+    seg = path.points[1:] - a
+    lengths = np.hypot(seg[:, 0], seg[:, 1])
+    cum = np.concatenate(([0.0], np.cumsum(lengths)))
+    t = ((px - a[:, 0]) * seg[:, 0] + (py - a[:, 1]) * seg[:, 1]) / (lengths**2)
+    t = np.clip(t, 0.0, 1.0)
+    qx = a[:, 0] + t * seg[:, 0]
+    qy = a[:, 1] + t * seg[:, 1]
+    d2 = (qx - px) ** 2 + (qy - py) ** 2
+    i = int(np.argmin(d2))
+    return float(cum[i] + t[i] * lengths[i])
+
+
+def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
+    """Golden-section minimizer of a unimodal function on [lo, hi]."""
+    a, b = lo, hi
+    m1 = b - GOLDEN_RATIO * (b - a)
+    m2 = a + GOLDEN_RATIO * (b - a)
+    f1, f2 = fun(m1), fun(m2)
+    while (b - a) > tol:
+        if f1 < f2:
+            b, m2, f2 = m2, m1, f1
+            m1 = b - GOLDEN_RATIO * (b - a)
+            f1 = fun(m1)
+        else:
+            a, m1, f1 = m1, m2, f2
+            m2 = a + GOLDEN_RATIO * (b - a)
+            f2 = fun(m2)
+    return 0.5 * (a + b)
 
 
 def peak_field_rate_numeric(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numeric_oracles import dense_closest_parameter
+from numeric_oracles import dense_closest_parameter, segment_scan_parameter
 from vfpath.paths import (
     CirclePath,
     LinePath,
@@ -18,7 +18,6 @@ from vfpath.paths import (
     load_polyline,
     max_path_course_rate,
     path_course_rate,
-    tracking_window,
 )
 from vfpath.simulation import (
     GUIDANCE_LAWS,
@@ -182,24 +181,47 @@ class TestClosestPoint:
         dot = tx * ux + ty * uy
         assert abs(dot) < 1e-3 * max(1.0, abs(frame.d))
 
-    def test_windowed_search_matches_full_search(self):
+    def test_tracked_search_matches_untracked(self):
         path = scenario_sinusoid()
         rng = np.random.default_rng(3)
         p = np.array([100.0, 250.0])
         s_prev = path.closest_parameter(p)
         for _ in range(200):
             p = p + rng.uniform(-2.0, 2.0, size=2)
-            full = path.closest_parameter(p)
-            d_prev = math.hypot(*(p - np.asarray(path.point(s_prev))))
-            windowed = path.closest_parameter(
-                p, near=s_prev, window=tracking_window(d_prev, 3.0)
-            )
-            assert windowed == pytest.approx(full, abs=1e-5)
-            s_prev = full
+            untracked = path.closest_parameter(p)
+            tracked = path.closest_parameter(p, near=s_prev)
+            assert tracked == pytest.approx(untracked, abs=1e-9)
+            s_prev = tracked
 
     def test_non_finite_position_rejected(self):
         with pytest.raises(ValueError):
             LinePath(0, 0, 0).closest_point((math.nan, 0.0))
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            LinePath(0.0, 0.0, 0.3),
+            CirclePath(1.0, 2.0, 50.0),
+            PolylinePath([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)]),
+            SinusoidPath(5.0, 273.0),
+        ],
+        ids=["line", "circle", "polyline", "sinusoid"],
+    )
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, math.nan)])
+    def test_projection_rejects_non_finite_position(self, path, bad):
+        with pytest.raises(ValueError, match="finite"):
+            path.closest_parameter(bad)
+
+    def test_generic_refine_reaches_float_precision(self):
+        # A refine on the distance's value cannot place s* this finely (it was
+        # 1.4e-6 off here): the distance is too flat at its minimum.
+        path = SinusoidPath(5.0, 273.0)
+        for s0 in (100.0, 500.0, 1000.0):
+            x0, y0 = path.point(s0)
+            chi = path.tangent_angle(s0)
+            p = (x0 - 136.5 * math.sin(chi), y0 + 136.5 * math.cos(chi))
+            oracle = dense_closest_parameter(path, p, 400_000)
+            assert ReferencePath.closest_parameter(path, p) == pytest.approx(oracle, abs=1e-9)
 
 
 class TestWarmStart:
@@ -238,8 +260,6 @@ class TestWarmStart:
         assert s_newton is not None
         assert path._distance_sq(s_newton, px, py) < path.r_cert**2
         warm = path.closest_parameter((px, py), near=near)
-        # The grid scan's golden section stops at REFINE_TOL, too coarse a
-        # reference at this tolerance; the dense oracle refines further.
         full = dense_closest_parameter(path, (px, py), 400_000)
         assert warm == pytest.approx(full, abs=1e-6)
 
@@ -272,9 +292,9 @@ class TestWarmStart:
         calls = []
 
         class RecordingSinusoid(SinusoidPath):
-            def closest_parameter(self, p, near=None, window=None):
+            def closest_parameter(self, p, near=None):
                 self.searched = False
-                s_star = super().closest_parameter(p, near, window)
+                s_star = super().closest_parameter(p, near)
                 calls.append((p, near, s_star, self.searched))
                 return s_star
 
@@ -302,6 +322,42 @@ class TestWarmStart:
         if law == "switched":
             # Every branch of the projection resolves some step of the capture.
             assert set(branches) == {"r_cert", "convex interval", "convex pieces"}
+
+
+@st.composite
+def polylines(draw):
+    """Random polylines; either a random walk whose turns reach +-pi, or a
+    hairpin whose two legs, far apart in parameter, run ``gap`` apart."""
+    if draw(st.booleans()):
+        heading = draw(st.floats(-math.pi, math.pi))
+        pts = [(draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4)))]
+        for _ in range(draw(st.integers(1, 40))):
+            heading += draw(st.floats(-math.pi, math.pi))
+            length = draw(st.floats(0.5, 60.0))
+            x, y = pts[-1]
+            pts.append((x + length * math.cos(heading), y + length * math.sin(heading)))
+        return pts
+    n = draw(st.integers(1, 20))
+    seg = draw(st.sampled_from((1.0, 7.5, 20.0)))
+    gap = draw(st.sampled_from((0.25, 2.0, 10.0, 40.0)))
+    out = [(seg * k, 0.0) for k in range(n + 1)]
+    back = [(seg * k, gap) for k in range(n, -1, -1)]
+    return out + back
+
+
+@st.composite
+def walks(draw):
+    """(start parameter fraction, start offset, steps (length, heading)): steps
+    from 0 to several skins, the skin being at least 5 m."""
+    steps = st.tuples(
+        st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(0.0, 60.0)),
+        st.floats(-math.pi, math.pi),
+    )
+    return (
+        draw(st.floats(0.0, 1.0)),
+        (draw(st.floats(-150.0, 150.0)), draw(st.floats(-150.0, 150.0))),
+        draw(st.lists(steps, min_size=1, max_size=40)),
+    )
 
 
 class TestPolyline:
@@ -339,6 +395,59 @@ class TestPolyline:
             frame = poly.closest_point(p)
             d_oracle = np.min(np.hypot(gx - p[0], gy - p[1]))
             assert abs(frame.d) == pytest.approx(d_oracle, abs=1e-3)
+
+    @staticmethod
+    def hairpin(gap):
+        """Out along y = 0 for 1000 m, a turn of ``gap`` m, back along y = gap."""
+        pts = [(20.0 * k, 0.0) for k in range(51)]
+        return PolylinePath(pts + [(20.0 * k, gap) for k in range(50, -1, -1)])
+
+    def test_neighbour_list_used_past_skin_returns_wrong_segment(self):
+        path = self.hairpin(221.0)
+        # From (500, 100), r0 = 100 m and skin = 10 m: the list keeps what
+        # lies within 120 m, the lower leg only (the upper is 121 m off).
+        assert path.closest_parameter((500.0, 100.0)) == 500.0
+        x0, y0, skin_sq, kept = path._neighbours
+        assert (x0, y0, skin_sq) == (500.0, 100.0, 100.0)
+        # 1.3 skins on, the upper leg is the nearer, 108 m against 113 m.
+        p = (500.0, 113.0)
+        assert path.closest_parameter(p) == segment_scan_parameter(path, p) == 1721.0
+        # On the midline both legs tie; the smaller parameter wins.
+        assert path.closest_parameter((500.0, 110.5)) == 500.0
+        # The first list, kept past the skin, misses the upper leg.
+        path._neighbours = (x0, y0, math.inf, kept)
+        assert path.closest_parameter(p) == 500.0
+
+    def test_neighbour_list_holds_at_the_skin(self):
+        path = self.hairpin(218.0)
+        # From (500, 100) the upper leg, 118 m off, is kept although the
+        # lower leg, 100 m off, is the nearer.
+        assert path.closest_parameter((500.0, 100.0)) == 500.0
+        # Exactly one skin on, the list is reused, and the upper leg, now
+        # 108 m off against 110 m, is the nearest.
+        path._rebuild_neighbours = None
+        assert path.closest_parameter((500.0, 110.0)) == 1718.0
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        pts=polylines(),
+        walks=st.lists(walks(), min_size=1, max_size=2),
+    )
+    def test_neighbour_list_matches_full_scan(self, pts, walks):
+        # One or two callers stepping along their walks, interleaved on one
+        # path object; every result must be the full scan's, bit for bit.
+        path = PolylinePath(pts)
+        starts = []
+        for s_frac, offset, _ in walks:
+            x, y = path.point(s_frac * path.s_max)
+            starts.append([x + offset[0], y + offset[1]])
+        for k in range(max(len(w[2]) for w in walks)):
+            for p, (_, _, steps) in zip(starts, walks):
+                if k < len(steps):
+                    length, heading = steps[k]
+                    p[0] += length * math.cos(heading)
+                    p[1] += length * math.sin(heading)
+                    assert path.closest_parameter(p) == segment_scan_parameter(path, p)
 
     def test_load_polyline(self, tmp_path):
         f = tmp_path / "path.csv"
