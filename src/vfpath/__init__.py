@@ -9,8 +9,8 @@ from .baselines import (
     plos_command,
 )
 from .guidance import (
+    Command,
     CurvatureReport,
-    GuidanceOutput,
     GuidanceParams,
     GuidancePhase,
     case1_convergence_time,
@@ -35,6 +35,7 @@ from .paths import (
 )
 from .simulation import (
     GUIDANCE_LAWS,
+    LAWS,
     BoxStats,
     MonteCarloSummary,
     ScenarioConfig,

@@ -48,19 +48,12 @@ class BaselineParams:
                 raise ValueError(f"{name} must be positive")
 
 
-def basic_vf_command(
-    state: VehicleState,
-    frame: PathFrame,
-    params: BaselineParams,
-    v_g: float,
-) -> float:
+def basic_vf_command(frame: PathFrame, params: BaselineParams) -> float:
     """Unswitched vector-field command: chi_c = chi_p - beta*(2/pi)*atan(k*d).
 
     The desired field angle is commanded directly, so the course loop tracks
-    it proportionally with no feedforward (v_g is unused; the signature
-    matches the other laws).
+    it proportionally with no feedforward.
     """
-    del state, v_g
     offset = params.vf_beta * (2.0 / math.pi) * math.atan(params.vf_k * frame.d)
     return wrap_angle(frame.chi_p - offset)
 
@@ -172,11 +165,11 @@ def nlgl_virtual_target(
 
 def nlgl_command(
     state: VehicleState,
+    frame: PathFrame,
     path: ReferencePath,
     params: BaselineParams,
     v_g: float,
     alpha: float,
-    frame: Optional[PathFrame] = None,
 ) -> float:
     """Nonlinear lateral guidance command toward a virtual target on the path.
 
@@ -186,8 +179,6 @@ def nlgl_command(
     """
     if v_g <= 0.0 or alpha <= 0.0:
         raise ValueError("v_g and alpha must be positive")
-    if frame is None:
-        frame = path.closest_point((state.x, state.y))
     _, target = nlgl_virtual_target(path, frame, (state.x, state.y), params.nlgl_l1)
     dx, dy = target[0] - state.x, target[1] - state.y
     if math.hypot(dx, dy) < 1e-9:

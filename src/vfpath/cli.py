@@ -66,21 +66,8 @@ def write_summary_csv(summary: MonteCarloSummary, out_file: Path) -> None:
     for law in summary.laws:
         for metric in METRIC_COLUMNS:
             s = summary.stats[(law, metric)]
-            lines.append(
-                ",".join(
-                    (
-                        law,
-                        metric,
-                        str(s.count),
-                        _fmt(s.minimum),
-                        _fmt(s.q1),
-                        _fmt(s.median),
-                        _fmt(s.q3),
-                        _fmt(s.maximum),
-                        _fmt(s.mean),
-                    )
-                )
-            )
+            values = (s.minimum, s.q1, s.median, s.q3, s.maximum, s.mean)
+            lines.append(",".join((law, metric, str(s.count), *map(_fmt, values))))
         lines.append(
             f"{law},converged_fraction,{summary.n_trials},,,,,,"
             + _fmt(summary.n_converged[law] / summary.n_trials)
@@ -103,11 +90,13 @@ def _parse_laws(raw: Optional[str], default: tuple[str, ...]) -> list[str]:
     laws = [token.strip() for token in raw.split(",") if token.strip()]
     if not laws:
         raise ConfigError("at least one guidance law must be selected")
-    for law in laws:
+    for i, law in enumerate(laws):
         if law not in GUIDANCE_LAWS:
             raise ConfigError(
                 f"unknown guidance law {law!r} (choose from {', '.join(GUIDANCE_LAWS)})"
             )
+        if law in laws[:i]:
+            raise ConfigError(f"guidance law {law!r} is selected twice")
     return laws
 
 
@@ -214,26 +203,22 @@ def cmd_validate(args, settings) -> int:
         f"kappa_max             : {_fmt(report.kappa_max)} 1/m",
         f"result                : {'PASS' if report.passed else 'FAIL'}",
     ]
+    if not report.exact:
+        chi_inf = _fmt(config.guidance.chi_inf)
+        lines.append(f"note: chi_inf = {chi_inf} < pi/2, so the rates and curvatures are upper bounds")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "feasibility.txt").write_text(text, encoding="utf-8")
+        values = (
+            report.k1_peak_rate, report.k3_peak_rate, report.k1_curvature,
+            report.k3_curvature, chi_p_dot_max, report.lhs, report.kappa_max,
+        )
         csv_lines = [
             "k1_peak_rate,k3_peak_rate,k1_curvature,k3_curvature,chi_p_dot_max,lhs,kappa_max,passed",
-            ",".join(
-                (
-                    _fmt(report.k1_peak_rate),
-                    _fmt(report.k3_peak_rate),
-                    _fmt(report.k1_curvature),
-                    _fmt(report.k3_curvature),
-                    _fmt(chi_p_dot_max),
-                    _fmt(report.lhs),
-                    _fmt(report.kappa_max),
-                    "true" if report.passed else "false",
-                )
-            ),
+            ",".join((*map(_fmt, values), "true" if report.passed else "false")),
         ]
         (out_dir / "feasibility.csv").write_text(
             "\n".join(csv_lines) + "\n", encoding="utf-8"

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .angles import wrap_angle
 from .paths import PathFrame
@@ -109,12 +109,14 @@ class GuidanceParams:
         return cls(k1=k1, d_s=math.sqrt(k1 / k3), **kwargs)
 
 
-@dataclass(frozen=True)
-class GuidanceOutput:
-    chi_d: float
+class Command(NamedTuple):
+    """One guidance step: the commanded and desired course, the active phase
+    (0 for a law without phases), and why the law could not command, if so."""
+
     chi_c: float
-    phase: GuidancePhase
-    chi_tilde: float
+    chi_d: float
+    phase: int = 0
+    failure: Optional[str] = None
 
 
 def sat(x: float) -> float:
@@ -189,7 +191,7 @@ def commanded_course(
     params: GuidanceParams,
     prev_phase: Optional[GuidancePhase],
     v_g: float,
-) -> GuidanceOutput:
+) -> Command:
     """Commanded course chi_c realizing the switched field through the course loop.
 
     All three phases share the structure
@@ -227,7 +229,7 @@ def commanded_course(
             reaching = -beta * math.copysign(1.0, chi_tilde) if chi_tilde else 0.0
 
     chi_c = wrap_angle(chi + (feedforward + reaching) / params.alpha)
-    return GuidanceOutput(chi_d=chi_d, chi_c=chi_c, phase=phase, chi_tilde=chi_tilde)
+    return Command(chi_c, chi_d, phase)
 
 
 def case1_convergence_time(chi_tilde0: float, params: GuidanceParams) -> float:
@@ -245,7 +247,11 @@ def case1_convergence_time(chi_tilde0: float, params: GuidanceParams) -> float:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Result of the field-parameter curvature feasibility check."""
+    """Result of the field-parameter curvature feasibility check.
+
+    The peaks are the chi_inf = pi/2 closed forms.  ``exact`` is False below
+    pi/2, where the rates and curvatures bound the field's peaks from above.
+    """
 
     k1_peak_rate: float
     k3_peak_rate: float
@@ -256,6 +262,7 @@ class CurvatureReport:
     lhs: float
     kappa_max: float
     passed: bool
+    exact: bool
 
     @property
     def margin(self) -> float:
@@ -278,6 +285,10 @@ def validate_curvature_constraint(
 
     for the near and far branches respectively (chi_inf = pi/2).  Feasibility
     requires max(branch curvatures) - |chi_p_dot|_max / V_g <= kappa_max.
+
+    Below pi/2 they bound the peaks from above: with s = 2*chi_inf/pi and
+    theta the branch's arctangent, the rate carries s*sin(s*theta) in place
+    of sin(theta), and s*sin(s*theta) <= sin(theta) for theta in [0, pi/2].
     """
     if v_g <= 0.0 or kappa_max <= 0.0:
         raise ValueError("v_g and kappa_max must be positive")
@@ -297,4 +308,5 @@ def validate_curvature_constraint(
         lhs=lhs,
         kappa_max=kappa_max,
         passed=lhs <= kappa_max,
+        exact=params.chi_inf == HALF_PI,
     )

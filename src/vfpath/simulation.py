@@ -27,7 +27,7 @@ from .baselines import (
     nlgl_command,
     plos_command,
 )
-from .guidance import GuidanceParams, commanded_course
+from .guidance import Command, GuidanceParams, commanded_course
 from .paths import PathFrame, ReferencePath, SinusoidPath, path_course_rate
 from .vehicle import (
     AirspeedSpec,
@@ -37,8 +37,6 @@ from .vehicle import (
     step_vehicle,
     turn_rate,
 )
-
-GUIDANCE_LAWS = ("switched", "basic_vf", "plos", "nlgl")
 
 # Benchmark scenario constants: a 300 m amplitude sinusoid whose spatial
 # period makes the peak path course rate 0.1 rad/s at 15 m/s (the peak
@@ -120,6 +118,43 @@ class ScenarioConfig:
         return MC_WIND_SPEED_RANGE[1] if self.wind is None else self.wind.speed
 
 
+# Guidance steps (config, state, frame, v_g, prev Command or None) -> Command.
+# They look the law functions up in this module on each call, so a wrapper set
+# on ``vfpath.simulation`` sees every call.
+def _switched_step(config, state, frame, v_g, prev) -> Command:
+    prev_phase = None if prev is None else prev.phase
+    return commanded_course(state, frame, config.guidance, prev_phase, v_g)
+
+
+def _basic_vf_step(config, state, frame, v_g, prev) -> Command:
+    chi_c = basic_vf_command(frame, config.baselines)
+    return Command(chi_c, chi_c)
+
+
+def _plos_step(config, state, frame, v_g, prev) -> Command:
+    chi_c = plos_command(state, frame, config.baselines)
+    return Command(chi_c, chi_c)
+
+
+def _nlgl_step(config, state, frame, v_g, prev) -> Command:
+    try:
+        chi_c = nlgl_command(
+            state, frame, config.path, config.baselines, v_g, config.guidance.alpha
+        )
+    except LookaheadInfeasibleError as exc:
+        return Command(state.chi, state.chi, failure=f"look-ahead infeasible: {exc}")
+    return Command(chi_c, chi_c)
+
+
+LAWS = {
+    "switched": _switched_step,
+    "basic_vf": _basic_vf_step,
+    "plos": _plos_step,
+    "nlgl": _nlgl_step,
+}
+GUIDANCE_LAWS = tuple(LAWS)
+
+
 def benchmark_scenario(law: str = "switched", **overrides) -> ScenarioConfig:
     """Benchmark sinusoid scenario with all default parameters.
 
@@ -185,27 +220,26 @@ def sample_wind(rng: np.random.Generator) -> WindModel:
 def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialMetrics]:
     """Simulate one closed-loop trial and score it.
 
-    The loop evaluates the path frame and the guidance command, records all
-    channels, then integrates the vehicle one step.  When
-    ``stop_when_converged`` is set the trial ends as soon as the convergence
-    condition has held for a full dwell window (the recorded trajectory always
-    contains that window); otherwise it runs to ``max_time``.  A trial whose
-    guidance law reports infeasible geometry stops immediately and is marked
-    non-converged with the reason, and so is one that ends off a finite
-    path's end (closest point at ``s_min`` or ``s_max``, |d| above
-    ``d_threshold``).  A state that turns non-finite also stops the trial
-    with a named reason; the trajectory ends at the last finite state.
+    Each step evaluates the path frame, calls the law's step in ``LAWS``
+    with the previous ``Command``, records all channels, then integrates the
+    vehicle one step.  When ``stop_when_converged`` is set the trial ends as
+    soon as the convergence condition has held for a full dwell window (the
+    recorded trajectory always contains that window); otherwise it runs to
+    ``max_time``.  A step whose
+    ``Command`` names a failure (nlgl's infeasible look-ahead) is recorded and
+    stops the trial, marked non-converged with that reason, and so does ending
+    off a finite path's end (closest point at ``s_min`` or ``s_max``, |d|
+    above ``d_threshold``).  A state that turns non-finite also stops the
+    trial with a named reason; the trajectory ends at the last finite state.
     """
     wind = config.wind
     if wind is None:
         wind = sample_wind(np.random.default_rng(np.random.SeedSequence(seed)))
 
     path = config.path
-    gp = config.guidance
-    bp = config.baselines
+    law_step = LAWS[config.law]
     spec = config.airspeed
-    law = config.law
-    alpha = gp.alpha
+    alpha = config.guidance.alpha
     dt = config.dt
     d_thr = config.d_threshold
     align_thr = config.align_threshold
@@ -216,21 +250,12 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
 
     state = initial_state(config)
     prev_frame: Optional[PathFrame] = None
-    prev_phase = None
+    cmd: Optional[Command] = None
     streak = 0
     conv_idx = -1
     failure: Optional[str] = None
-
-    rec_t: list[float] = []
-    rec_x: list[float] = []
-    rec_y: list[float] = []
-    rec_chi: list[float] = []
-    rec_chi_c: list[float] = []
-    rec_chi_d: list[float] = []
-    rec_chi_dot: list[float] = []
-    rec_d: list[float] = []
-    rec_phase: list[int] = []
-    rec_chi_p: list[float] = []
+    # One (t, x, y, chi, chi_c, chi_d, chi_dot, d, phase, chi_p) row per step.
+    rows: list[tuple] = []
 
     for k in range(n_max + 1):
         if not (
@@ -251,39 +276,13 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         prev_frame = frame
         v_g = ground_speed(spec, wind, state.chi)
 
-        phase_val = 0
-        if law == "switched":
-            out = commanded_course(state, frame, gp, prev_phase, v_g)
-            chi_c, chi_d = out.chi_c, out.chi_d
-            prev_phase = out.phase
-            phase_val = int(out.phase)
-        elif law == "basic_vf":
-            chi_c = basic_vf_command(state, frame, bp, v_g)
-            chi_d = chi_c
-        elif law == "plos":
-            chi_c = plos_command(state, frame, bp)
-            chi_d = chi_c
-        else:  # nlgl
-            try:
-                chi_c = nlgl_command(state, path, bp, v_g, alpha, frame=frame)
-            except LookaheadInfeasibleError as exc:
-                failure = f"look-ahead infeasible: {exc}"
-                chi_c = state.chi
-            chi_d = chi_c
-
-        chi_dot = turn_rate(chi_c, state.chi, alpha)
-        rec_t.append(k * dt)
-        rec_x.append(state.x)
-        rec_y.append(state.y)
-        rec_chi.append(state.chi)
-        rec_chi_c.append(chi_c)
-        rec_chi_d.append(chi_d)
-        rec_chi_dot.append(chi_dot)
-        rec_d.append(frame.d)
-        rec_phase.append(phase_val)
-        rec_chi_p.append(frame.chi_p)
-
-        if failure is not None:
+        cmd = law_step(config, state, frame, v_g, cmd)
+        rows.append((
+            k * dt, state.x, state.y, state.chi, cmd.chi_c, cmd.chi_d,
+            turn_rate(cmd.chi_c, state.chi, alpha), frame.d, cmd.phase, frame.chi_p,
+        ))
+        if cmd.failure is not None:
+            failure = cmd.failure
             break
 
         if abs(frame.d) <= d_thr and abs(wrap_angle(state.chi - frame.chi_p)) <= align_thr:
@@ -297,7 +296,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         if k == n_max:
             break
 
-        state = step_vehicle(state, chi_c, spec, wind, alpha, dt, method)
+        state = step_vehicle(state, cmd.chi_c, spec, wind, alpha, dt, method)
 
     at_end = min(abs(frame.s_star - path.s_min), abs(frame.s_star - path.s_max))
     if failure is None and not path.periodic and at_end <= PATH_END_TOL and abs(frame.d) > d_thr:
@@ -306,17 +305,9 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
             f" {abs(frame.d):.1f} m away"
         )
 
+    *channels, phase, chi_p = zip(*rows)
     traj = Trajectory(
-        t=np.asarray(rec_t),
-        x=np.asarray(rec_x),
-        y=np.asarray(rec_y),
-        chi=np.asarray(rec_chi),
-        chi_c=np.asarray(rec_chi_c),
-        chi_d=np.asarray(rec_chi_d),
-        chi_dot=np.asarray(rec_chi_dot),
-        d=np.asarray(rec_d),
-        phase=np.asarray(rec_phase, dtype=np.int8),
-        chi_p=np.asarray(rec_chi_p),
+        *map(np.asarray, channels), np.asarray(phase, dtype=np.int8), np.asarray(chi_p)
     )
     metrics = compute_metrics(traj, config, failure_reason=failure)
     return traj, metrics
@@ -476,12 +467,12 @@ def monte_carlo(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    for law in laws:
-        if law not in GUIDANCE_LAWS:
-            raise ValueError(f"unknown guidance law {law!r}")
-    # Every trial draws its wind: check the top of the sampled range against
-    # the airspeed before any trial runs.
-    replace(base_config, wind=None)
+    for i, law in enumerate(laws):
+        if law in laws[:i]:
+            raise ValueError(f"guidance law {law!r} is selected twice")
+        # Every trial draws its wind: check the law's name and the top of the
+        # sampled range against the airspeed before any trial runs.
+        replace(base_config, law=law, wind=None)
 
     children = np.random.SeedSequence(master_seed).spawn(n_trials)
     draws = [_mc_draw(child) for child in children]

@@ -86,16 +86,19 @@ def peak_field_rate_numeric(
 
     Independent check of the closed forms in
     :func:`vfpath.guidance.validate_curvature_constraint`: evaluates the exact
-    rate expression for a vehicle riding the field (chi = chi_d(d),
-    chi_inf = pi/2) and maximizes it over d with a coarse scan plus
-    golden-section refinement.
+    rate expression for a vehicle riding the field (chi = chi_d(d)) at the
+    parameters' own ``chi_inf`` and maximizes it over d with a coarse scan
+    plus golden-section refinement.  With scale = 2*chi_inf/pi and theta the
+    branch's arctangent, the field turns at scale * dtheta/dd * d_dot and
+    |d_dot| = V_g * sin(scale * theta).
     """
+    scale = params.chi_inf * (2.0 / math.pi)
     if branch == "k1":
         k = params.k1
 
         def rate(d: float) -> float:
             u = k * d
-            return k * k * v_g * d / (1.0 + u * u) ** 1.5
+            return scale * math.sin(scale * math.atan(u)) * k * v_g / (1.0 + u * u)
 
         d_peak_guess = 1.0 / k
     elif branch == "k3":
@@ -103,7 +106,8 @@ def peak_field_rate_numeric(
 
         def rate(d: float) -> float:
             u = k * d**3
-            return 3.0 * k * k * v_g * d**5 / (1.0 + u * u) ** 1.5
+            turn = 3.0 * k * d * d / (1.0 + u * u)
+            return scale * math.sin(scale * math.atan(u)) * turn * v_g
 
         d_peak_guess = (1.0 / k) ** (1.0 / 3.0)
     else:

@@ -30,19 +30,19 @@ class TestBasicVF:
     def test_on_path_aligned_equilibrium(self):
         line = LinePath(0, 0, 0)
         frame = line.closest_point((5.0, 0.0))
-        cmd = basic_vf_command(VehicleState(5.0, 0.0, 0.0), frame, BP, 15.0)
+        cmd = basic_vf_command(frame, BP)
         assert cmd == pytest.approx(0.0, abs=1e-15)
 
     def test_far_field_limit(self):
         line = LinePath(0, 0, 0)
         frame = line.closest_point((0.0, 1e9))
-        cmd = basic_vf_command(VehicleState(0.0, 1e9, 0.0), frame, BP, 15.0)
+        cmd = basic_vf_command(frame, BP)
         assert cmd == pytest.approx(-math.pi / 2.0, abs=1e-6)
 
     def test_quarter_pi_at_fifty_meters(self):
         line = LinePath(0, 0, 0)
         frame = line.closest_point((0.0, 50.0))
-        cmd = basic_vf_command(VehicleState(0.0, 50.0, 0.3), frame, BP, 15.0)
+        cmd = basic_vf_command(frame, BP)
         assert cmd == pytest.approx(-math.pi / 4.0, abs=1e-12)
 
 
@@ -79,7 +79,7 @@ class TestNLGL:
     def test_on_path_aligned_equilibrium(self):
         line = LinePath(0, 0, 0)
         frame = line.closest_point((5.0, 0.0))
-        cmd = nlgl_command(VehicleState(5.0, 0.0, 0.0), line, BP, 15.0, 1.65, frame=frame)
+        cmd = nlgl_command(VehicleState(5.0, 0.0, 0.0), frame, line, BP, 15.0, 1.65)
         assert cmd == pytest.approx(0.0, abs=1e-9)
 
     def test_offset_equal_to_lookahead_targets_closest_point(self):
@@ -96,7 +96,7 @@ class TestNLGL:
         with pytest.raises(LookaheadInfeasibleError):
             nlgl_virtual_target(line, frame, p, BP.nlgl_l1)
         with pytest.raises(LookaheadInfeasibleError):
-            nlgl_command(VehicleState(p[0], p[1], 0.0), line, BP, 15.0, 1.65)
+            nlgl_command(VehicleState(p[0], p[1], 0.0), frame, line, BP, 15.0, 1.65)
 
     def test_forward_most_intersection_chosen(self):
         # straight line, offset d < L1: intersections at s* +- sqrt(L1^2-d^2)
@@ -144,7 +144,7 @@ class TestNLGL:
         frame = line.closest_point(p)
         state = VehicleState(p[0], p[1], -0.2)
         v_g, alpha = 15.0, 1.65
-        cmd = nlgl_command(state, line, BP, v_g, alpha, frame=frame)
+        cmd = nlgl_command(state, frame, line, BP, v_g, alpha)
         _, target = nlgl_virtual_target(line, frame, p, BP.nlgl_l1)
         eta = math.atan2(target[1] - p[1], target[0] - p[0]) - state.chi
         expected = state.chi + 2.0 * v_g / BP.nlgl_l1 * math.sin(eta) / alpha
@@ -155,7 +155,7 @@ class TestNLGL:
             BaselineParams(nlgl_l1=0.0)
         line = LinePath(0, 0, 0)
         with pytest.raises(ValueError):
-            nlgl_command(VehicleState(0, 0, 0), line, BP, 0.0, 1.65)
+            nlgl_command(VehicleState(0, 0, 0), line.closest_point((0, 0)), line, BP, 0.0, 1.65)
 
 
 class TestLookaheadParameter:

@@ -214,6 +214,31 @@ class TestCli:
         assert (tmp_path / "v" / "feasibility.txt").exists()
         assert (tmp_path / "v" / "feasibility.csv").exists()
 
+    def test_validate_notes_bound_below_half_pi(self, tmp_path, capsys):
+        assert main(["validate", "--out", str(tmp_path / "exact")]) == 0
+        exact = capsys.readouterr().out
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text("[guidance]\nchi_inf = 1.0\n")
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "bound")]) == 0
+        bound = capsys.readouterr().out
+        assert "note" not in exact
+        assert len(bound.splitlines()) == len(exact.splitlines()) + 1
+        assert bound.splitlines()[-1].startswith("note: chi_inf = 1 < pi/2")
+        assert "upper bounds" in bound.splitlines()[-1]
+        headers = [
+            (tmp_path / out / "feasibility.csv").read_text().splitlines()[0]
+            for out in ("exact", "bound")
+        ]
+        assert headers[0] == headers[1]
+
+    @pytest.mark.parametrize("command", ["compare", "montecarlo"])
+    def test_repeated_law_exits_2(self, command, tmp_path, capsys):
+        rc = main([command, "--law", "plos,switched,plos", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "'plos' is selected twice" in captured.err
+        assert captured.out == ""
+
     def test_validate_aggressive_gain_fails(self, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"
         cfg.write_text("[guidance]\nk1 = 0.2\n")

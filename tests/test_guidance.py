@@ -161,7 +161,7 @@ class TestCommandedCourse:
         state = VehicleState(5.0, 0.0, 0.0)
         out = commanded_course(state, frame, P, None, 15.0)
         assert out.phase is GuidancePhase.CASE3
-        assert out.chi_tilde == 0.0
+        assert wrap_angle(state.chi - out.chi_d) == 0.0
         assert out.chi_c == pytest.approx(0.0, abs=1e-15)
 
     def test_case1_command_formula(self):
@@ -227,6 +227,18 @@ class TestCurvatureConstraint:
         num_k3 = peak_field_rate_numeric(P, 15.0, "k3")
         assert report.k1_peak_rate == pytest.approx(num_k1, abs=1e-9)
         assert report.k3_peak_rate == pytest.approx(num_k3, abs=1e-9)
+
+    @pytest.mark.parametrize("chi_inf", [0.2, 0.7, 1.2, 1.55, math.pi / 2.0])
+    def test_closed_forms_bound_the_peaks(self, chi_inf):
+        # Exact at chi_inf = pi/2, upper bounds below it.
+        p = GuidanceParams(chi_inf=chi_inf)
+        report = validate_curvature_constraint(p, 15.0, 0.1, 0.7 / 15.0)
+        assert report.exact == (chi_inf == math.pi / 2.0)
+        for branch, rate in (("k1", report.k1_peak_rate), ("k3", report.k3_peak_rate)):
+            numeric = peak_field_rate_numeric(p, 15.0, branch)
+            assert numeric <= rate * (1.0 + 1e-12)
+            if report.exact:
+                assert numeric == pytest.approx(rate, abs=1e-9)
 
     def test_default_parameters_feasible(self):
         report = validate_curvature_constraint(P, 15.0, 0.1, 0.7 / 15.0)

@@ -6,8 +6,9 @@ import pytest
 
 from vfpath import simulation
 from vfpath.guidance import GuidanceParams
-from vfpath.paths import LinePath
+from vfpath.paths import CirclePath, LinePath
 from vfpath.simulation import (
+    GUIDANCE_LAWS,
     ScenarioConfig,
     Trajectory,
     benchmark_scenario,
@@ -50,6 +51,9 @@ def line_config(**overrides):
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
+
+
+LAW_FUNCTIONS = ("commanded_course", "basic_vf_command", "plos_command", "nlgl_command")
 
 
 class TestRunTrial:
@@ -134,6 +138,45 @@ class TestRunTrial:
         for name in ("d_rms", "chi_dot_rms", "chi_dot_max", "chattering_index"):
             assert math.isfinite(getattr(metrics, name))
         assert len(traj) == 51
+
+    @pytest.mark.parametrize(
+        "law, d0, name",
+        [
+            ("switched", 50.0, "commanded_course"),
+            ("basic_vf", 50.0, "basic_vf_command"),
+            ("plos", 50.0, "plos_command"),
+            ("nlgl", 50.0, "nlgl_command"),
+            ("nlgl", 150.0, "nlgl_command"),  # infeasible: one step, one raise
+        ],
+    )
+    def test_one_law_call_per_recorded_step(self, monkeypatch, law, d0, name):
+        # bench/tracer.py times the laws by wrapping these names in
+        # vfpath.simulation, so run_trial must call them there, once a step.
+        calls = dict.fromkeys(LAW_FUNCTIONS, 0)
+        for fn_name in LAW_FUNCTIONS:
+
+            def counted(*args, _real=getattr(simulation, fn_name), _name=fn_name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(simulation, fn_name, counted)
+        traj, _ = run_trial(line_config(law=law, d0=d0, chi0=0.5, max_time=2.0))
+        assert calls == {**dict.fromkeys(LAW_FUNCTIONS, 0), name: len(traj)}
+
+    def test_switched_step_gets_previous_phase(self, monkeypatch):
+        real = simulation.commanded_course
+        seen = []
+
+        def recording(state, frame, params, prev_phase, v_g):
+            out = real(state, frame, params, prev_phase, v_g)
+            seen.append((prev_phase, out.phase))
+            return out
+
+        monkeypatch.setattr(simulation, "commanded_course", recording)
+        run_trial(benchmark_scenario(max_time=25.0, stop_when_converged=False))
+        assert seen[0][0] is None
+        assert [prev for prev, _ in seen[1:]] == [out for _, out in seen[:-1]]
+        assert {out for _, out in seen} == {1, 2, 3}
 
     def test_per_step_displacement_is_ground_speed(self):
         cfg = line_config(max_time=2.0)
@@ -268,6 +311,8 @@ class TestMonteCarlo:
             monte_carlo(base, 0, 1)
         with pytest.raises(ValueError):
             monte_carlo(base, 1, 1, laws=("bogus",))
+        with pytest.raises(ValueError, match="'plos' is selected twice"):
+            monte_carlo(base, 1, 1, laws=("plos", "switched", "plos"), parallel=False)
 
     @pytest.mark.parametrize("parallel", [False, True])
     def test_sampled_wind_above_airspeed_rejected_before_trials(self, monkeypatch, parallel):
@@ -282,6 +327,64 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_trials)
         with pytest.raises(ValueError, match="must be below the airspeed"):
             monte_carlo(base, 2, 0, parallel=parallel, max_workers=2)
+
+
+def metric_values(metrics):
+    names = ("t_conv", "d_rms", "chi_dot_rms", "chi_dot_max", "chattering_index")
+    return [getattr(metrics, name) for name in names]
+
+
+# Start offsets (m), courses (rad) and winds (m/s) within the nlgl look-ahead.
+INVARIANCE_STARTS = [(60.0, 0.4, (1.0, 2.0)), (-60.0, 1.0, (2.0, 0.5)), (25.0, -2.0, (0.0, -1.5))]
+
+
+class TestInvariance:
+    """The laws see the path only through its frame, so a mirrored or rigidly
+    moved scenario flies the mirrored or moved trial."""
+
+    @pytest.mark.parametrize("law", GUIDANCE_LAWS)
+    def test_mirror_flips_d_and_keeps_metrics(self, law):
+        for d0, chi0, (w_x, w_y) in INVARIANCE_STARTS:
+            base = line_config(
+                law=law, d0=d0, chi0=chi0, wind=WindModel(w_x, w_y),
+                max_time=40.0, stop_when_converged=True,
+            )
+            mirror = replace(base, d0=-d0, chi0=-chi0, wind=WindModel(w_x, -w_y))
+            traj, metrics = run_trial(base)
+            traj_m, metrics_m = run_trial(mirror)
+            assert metrics.converged
+            assert np.array_equal(traj_m.d, -traj.d)
+            assert metrics_m == metrics
+
+    @pytest.mark.parametrize("law", GUIDANCE_LAWS)
+    @pytest.mark.parametrize("kind", ["line", "circle"])
+    def test_rigid_motion_keeps_metrics(self, law, kind):
+        theta, t_x, t_y = 2.3, 250.0, -120.0
+        c, s = math.cos(theta), math.sin(theta)
+
+        def moved(x, y):
+            return c * x - s * y + t_x, s * x + c * y + t_y
+
+        if kind == "line":
+            path, moved_path = LinePath(0, 0, 0), LinePath(t_x, t_y, theta)
+        else:
+            path, moved_path = CirclePath(0, 0, 300.0), CirclePath(t_x, t_y, 300.0)
+        for d0, chi0, (w_x, w_y) in INVARIANCE_STARTS:
+            x0, y0 = (0.0, d0) if kind == "line" else (300.0 + d0, 0.0)
+            base = line_config(
+                path=path, law=law, x_init=x0, y_init=y0, chi0=chi0,
+                wind=WindModel(w_x, w_y), max_time=40.0, stop_when_converged=True,
+            )
+            x1, y1 = moved(x0, y0)
+            wind = WindModel(c * w_x - s * w_y, s * w_x + c * w_y)
+            motion = replace(
+                base, path=moved_path, x_init=x1, y_init=y1, chi0=chi0 + theta, wind=wind
+            )
+            traj, metrics = run_trial(base)
+            traj_r, metrics_r = run_trial(motion)
+            assert metrics.converged and metrics_r.converged
+            assert len(traj_r) == len(traj)
+            assert metric_values(metrics_r) == pytest.approx(metric_values(metrics), rel=1e-9)
 
 
 class TestScenarioConfig:
