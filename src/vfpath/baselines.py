@@ -19,6 +19,9 @@ from .vehicle import VehicleState
 
 HALF_PI = 0.5 * math.pi
 
+# Width (in the path parameter) at which the scan's look-ahead bisection stops.
+NLGL_BISECT_TOL = 1e-4
+
 
 class LookaheadInfeasibleError(RuntimeError):
     """The look-ahead circle does not intersect the path (|d| > L1)."""
@@ -93,7 +96,6 @@ def nlgl_virtual_target(
     frame: PathFrame,
     p: tuple[float, float],
     l1: float,
-    tol: float = 1e-4,
 ) -> tuple[float, tuple[float, float]]:
     """Forward-most intersection of the look-ahead circle with the path.
 
@@ -152,7 +154,7 @@ def nlgl_virtual_target(
     if a == b:
         return a, path.point(a)
     ga = g(a)
-    while b - a > tol:
+    while b - a > NLGL_BISECT_TOL:
         mid = 0.5 * (a + b)
         gm = g(mid)
         if ga * gm <= 0.0:

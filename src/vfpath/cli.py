@@ -208,21 +208,18 @@ def cmd_validate(args, settings) -> int:
         lines.append(f"note: chi_inf = {chi_inf} < pi/2, so the rates and curvatures are upper bounds")
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "feasibility.txt").write_text(text, encoding="utf-8")
-        values = (
-            report.k1_peak_rate, report.k3_peak_rate, report.k1_curvature,
-            report.k3_curvature, chi_p_dot_max, report.lhs, report.kappa_max,
-        )
-        csv_lines = [
-            "k1_peak_rate,k3_peak_rate,k1_curvature,k3_curvature,chi_p_dot_max,lhs,kappa_max,passed",
-            ",".join((*map(_fmt, values), "true" if report.passed else "false")),
-        ]
-        (out_dir / "feasibility.csv").write_text(
-            "\n".join(csv_lines) + "\n", encoding="utf-8"
-        )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "feasibility.txt").write_text(text, encoding="utf-8")
+    values = (
+        report.k1_peak_rate, report.k3_peak_rate, report.k1_curvature,
+        report.k3_curvature, chi_p_dot_max, report.lhs, report.kappa_max,
+    )
+    csv_lines = [
+        "k1_peak_rate,k3_peak_rate,k1_curvature,k3_curvature,chi_p_dot_max,lhs,kappa_max,passed",
+        ",".join((*map(_fmt, values), "true" if report.passed else "false")),
+    ]
+    (out_dir / "feasibility.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
     return 0 if report.passed else 1
 
 

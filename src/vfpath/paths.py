@@ -506,6 +506,10 @@ class PolylinePath(ReferencePath):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("polyline needs at least two (x, y) points")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"polyline vertex {i} ({pts[i, 0]}, {pts[i, 1]}) is not finite")
         seg = np.diff(pts, axis=0)
         lengths = np.hypot(seg[:, 0], seg[:, 1])
         if np.any(lengths == 0.0):
@@ -633,17 +637,15 @@ def path_course_rate(
     return wrap_angle(frame_now.chi_p - frame_prev.chi_p) / dt
 
 
-def max_path_course_rate(
-    path: ReferencePath, v_g: float, samples: int = CURVATURE_SAMPLES
-) -> float:
+def max_path_course_rate(path: ReferencePath, v_g: float) -> float:
     """Upper estimate of |chi_p_dot| when the path is traversed at speed v_g.
 
     Path curvature is estimated by finite differences of the tangent angle on
-    a uniform parameter grid of ``samples`` points over the domain.
+    a uniform parameter grid of ``CURVATURE_SAMPLES`` points over the domain.
     """
     if v_g <= 0.0:
         raise ValueError("v_g must be positive")
-    s = np.linspace(path.s_min, path.s_max, samples)
+    s = np.linspace(path.s_min, path.s_max, CURVATURE_SAMPLES)
     chi = np.array([path.tangent_angle(v) for v in s])
     xy = np.array([path.point(v) for v in s])
     arc = np.hypot(np.diff(xy[:, 0]), np.diff(xy[:, 1]))

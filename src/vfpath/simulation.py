@@ -28,7 +28,7 @@ from .baselines import (
     plos_command,
 )
 from .guidance import Command, GuidanceParams, commanded_course
-from .paths import PathFrame, ReferencePath, SinusoidPath, path_course_rate
+from .paths import PathDomainError, PathFrame, ReferencePath, SinusoidPath, path_course_rate
 from .vehicle import (
     AirspeedSpec,
     VehicleState,
@@ -80,7 +80,6 @@ class ScenarioConfig:
     y_init: Optional[float] = None
     dt: float = 0.01
     max_time: float = 300.0
-    integrator: str = "rk4"
     d_threshold: float = 15.0
     align_threshold: float = 0.2
     dwell: float = 5.0
@@ -103,13 +102,23 @@ class ScenarioConfig:
             raise ValueError("convergence thresholds must be positive")
         if self.dwell < 0.0:
             raise ValueError("dwell must be non-negative")
-        if self.integrator not in ("rk4", "euler"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         wind = self.max_wind_speed
         if wind >= self.airspeed.v_a:
             raise ValueError(
                 f"wind speed {wind} m/s must be below the airspeed {self.airspeed.v_a} m/s"
             )
+        if (self.x_init is None) != (self.y_init is None):
+            raise ValueError("x_init and y_init give an explicit start: set both or neither")
+        if self.x_init is None:
+            try:
+                px, py = self.path.point(self.s0)
+            except PathDomainError as exc:
+                raise ValueError(f"s0: {exc}") from None
+            # The start lies |d0| from point(s0), so this bounds it without
+            # the tangent: building a scenario runs no traced path method.
+            reach = abs(self.d0)
+            if not (math.isfinite(abs(px) + reach) and math.isfinite(abs(py) + reach)):
+                raise ValueError(f"the start, {reach} m from ({px}, {py}), is not finite")
 
     @property
     def max_wind_speed(self) -> float:
@@ -200,7 +209,7 @@ class TrialMetrics:
 
 def initial_state(config: ScenarioConfig) -> VehicleState:
     """Vehicle start pose: explicit (x, y) or a perpendicular offset d0 at s0."""
-    if config.x_init is not None and config.y_init is not None:
+    if config.x_init is not None:
         return VehicleState(config.x_init, config.y_init, wrap_angle(config.chi0))
     px, py = config.path.point(config.s0)
     chi_p = config.path.tangent_angle(config.s0)
@@ -246,7 +255,6 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     need = int(round(config.dwell / dt))
     n_max = int(round(config.max_time / dt))
     stop_early = config.stop_when_converged
-    method = config.integrator
 
     state = initial_state(config)
     prev_frame: Optional[PathFrame] = None
@@ -296,7 +304,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         if k == n_max:
             break
 
-        state = step_vehicle(state, cmd.chi_c, spec, wind, alpha, dt, method)
+        state = step_vehicle(state, cmd.chi_c, spec, wind, alpha, dt)
 
     at_end = min(abs(frame.s_star - path.s_min), abs(frame.s_star - path.s_max))
     if failure is None and not path.periodic and at_end <= PATH_END_TOL and abs(frame.d) > d_thr:
@@ -441,11 +449,11 @@ def _mc_draw(seed_seq: np.random.SeedSequence) -> tuple[float, float, WindModel]
 
 def _mc_job(
     base_config: ScenarioConfig, job: tuple[str, int, float, float, WindModel]
-) -> tuple[str, int, TrialMetrics]:
+) -> TrialMetrics:
     law, index, d0, chi0, wind = job
     config = replace(base_config, law=law, d0=d0, chi0=chi0, wind=wind)
     _, metrics = run_trial(config, seed=index)
-    return law, index, metrics
+    return metrics
 
 
 def monte_carlo(
@@ -461,9 +469,9 @@ def monte_carlo(
     Per-trial seeds are spawned deterministically from the master seed; trial
     ``i`` draws its initial offset, initial course and wind once and every law
     is run on that same draw, so the laws are compared on paired conditions.
-    Results are collected by trial index, making the summary independent of
-    worker scheduling.  Non-converged trials are excluded from the t_conv
-    statistics and reported through ``n_converged``.
+    Results come back in job order (law, then trial index), making the
+    summary independent of worker scheduling.  Non-converged trials are
+    excluded from the t_conv statistics and reported through ``n_converged``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -482,9 +490,6 @@ def monte_carlo(
         for i, (d0, chi0, wind) in enumerate(draws)
     ]
 
-    results: dict[str, list[Optional[TrialMetrics]]] = {
-        law: [None] * n_trials for law in laws
-    }
     run_job = partial(_mc_job, base_config)
     workers = max_workers or os.cpu_count() or 1
     if parallel and workers > 1 and n_trials * len(laws) > 1:
@@ -492,11 +497,11 @@ def monte_carlo(
             chunk = max(1, len(jobs) // (workers * 8))
             outcomes = list(pool.map(run_job, jobs, chunksize=chunk))
     else:
-        outcomes = map(run_job, jobs)
-    for law, index, metrics in outcomes:
-        results[law][index] = metrics
-
-    trials = {law: [m for m in results[law] if m is not None] for law in laws}
+        outcomes = list(map(run_job, jobs))
+    # Both maps return results in job order: law-major, then trial index.
+    trials = {
+        law: outcomes[k * n_trials : (k + 1) * n_trials] for k, law in enumerate(laws)
+    }
     stats: dict[tuple[str, str], BoxStats] = {}
     n_converged: dict[str, int] = {}
     for law in laws:

@@ -7,7 +7,7 @@ State is (x, y, chi) with
 where chi is the ground-track course.  The airspeed magnitude and the wind
 vector are constant; the ground speed V_g is re-solved from the crab-angle
 geometry whenever chi changes, so the constant-airspeed constraint is honored
-exactly under wind.
+exactly under wind.  Classical RK4 is the one integrator.
 """
 
 from __future__ import annotations
@@ -56,6 +56,21 @@ class AirspeedSpec:
             raise ValueError("airspeed must be positive and finite")
 
 
+def _check_wind(spec: AirspeedSpec, wind: WindModel) -> None:
+    if wind.speed >= spec.v_a:
+        raise WindInfeasibleError(
+            f"wind speed {wind.speed:.3f} m/s >= airspeed {spec.v_a:.3f} m/s"
+        )
+
+
+def _ground_speed(v_a: float, w_x: float, w_y: float, cos_c: float, sin_c: float) -> float:
+    """V_g = sqrt(V_a^2 - W_perp^2) + W_along along the course (cos_c, sin_c)."""
+    if w_x == 0.0 and w_y == 0.0:
+        return v_a
+    w_perp = -w_x * sin_c + w_y * cos_c
+    return math.sqrt(v_a * v_a - w_perp * w_perp) + w_x * cos_c + w_y * sin_c
+
+
 def ground_speed(spec: AirspeedSpec, wind: WindModel, chi: float) -> float:
     """Ground speed while holding course ``chi`` at constant airspeed under wind.
 
@@ -65,14 +80,8 @@ def ground_speed(spec: AirspeedSpec, wind: WindModel, chi: float) -> float:
 
         V_g = sqrt(V_a^2 - W_perp^2) + W_along.
     """
-    if wind.speed >= spec.v_a:
-        raise WindInfeasibleError(
-            f"wind speed {wind.speed:.3f} m/s >= airspeed {spec.v_a:.3f} m/s"
-        )
-    cos_c, sin_c = math.cos(chi), math.sin(chi)
-    w_along = wind.w_x * cos_c + wind.w_y * sin_c
-    w_perp = -wind.w_x * sin_c + wind.w_y * cos_c
-    return math.sqrt(spec.v_a**2 - w_perp**2) + w_along
+    _check_wind(spec, wind)
+    return _ground_speed(spec.v_a, wind.w_x, wind.w_y, math.cos(chi), math.sin(chi))
 
 
 def turn_rate(chi_c: float, chi: float, alpha: float) -> float:
@@ -89,43 +98,26 @@ def step_vehicle(
     wind: WindModel,
     alpha: float,
     dt: float,
-    method: str = "rk4",
 ) -> VehicleState:
-    """Integrate the three-state dynamics one step with the command held fixed.
+    """Integrate the three-state dynamics one classical RK4 step with the
+    command held fixed.
 
-    ``method`` is ``"rk4"`` (default) or ``"euler"``.  The course difference
-    chi_c - chi is wrapped inside every derivative evaluation and the returned
+    Every stage takes its ground speed from the crab geometry of
+    :func:`ground_speed` and its course rate from :func:`turn_rate`, so the
+    course difference chi_c - chi is wrapped in each stage.  The returned
     course is wrapped to (-pi, pi].
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-
-    v_a = spec.v_a
-    w_x, w_y = wind.w_x, wind.w_y
-    if wind.speed >= v_a:
-        raise WindInfeasibleError(
-            f"wind speed {wind.speed:.3f} m/s >= airspeed {v_a:.3f} m/s"
-        )
-    windless = w_x == 0.0 and w_y == 0.0
+    _check_wind(spec, wind)
+    v_a, w_x, w_y = spec.v_a, wind.w_x, wind.w_y
 
     def deriv(chi: float) -> tuple[float, float, float]:
         cos_c, sin_c = math.cos(chi), math.sin(chi)
-        if windless:
-            v_g = v_a
-        else:
-            w_perp = -w_x * sin_c + w_y * cos_c
-            v_g = math.sqrt(v_a * v_a - w_perp * w_perp) + w_x * cos_c + w_y * sin_c
-        return (v_g * cos_c, v_g * sin_c, alpha * wrap_angle(chi_c - chi))
+        v_g = _ground_speed(v_a, w_x, w_y, cos_c, sin_c)
+        return (v_g * cos_c, v_g * sin_c, turn_rate(chi_c, chi, alpha))
 
     x, y, chi = state.x, state.y, state.chi
-    if method == "euler":
-        dx, dy, dchi = deriv(chi)
-        return VehicleState(x + dt * dx, y + dt * dy, wrap_angle(chi + dt * dchi))
-    if method != "rk4":
-        raise ValueError(f"unknown integrator {method!r}")
-
     k1 = deriv(chi)
     k2 = deriv(chi + 0.5 * dt * k1[2])
     k3 = deriv(chi + 0.5 * dt * k2[2])

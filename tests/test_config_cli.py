@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,15 @@ class TestConfig:
         f = tmp_path_factory.getbasetemp() / "round_trip.cfg"
         f.write_text(text, encoding="utf-8")
         assert dump_settings(load_settings(str(f))) == text
+
+    def test_readme_config_block_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        sections = dict(re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", block, re.M | re.S))
+        assert list(sections) == list(SCHEMA)
+        for section, keys in SCHEMA.items():
+            for key in keys:
+                assert re.search(rf"\b{key}\b", sections[section]), f"[{section}] {key}"
 
     @pytest.mark.parametrize("law", GUIDANCE_LAWS)
     def test_defaults_are_the_benchmark_scenario(self, law):
@@ -338,6 +348,14 @@ class TestCli:
             (["run"], "[vehicle]\nairspeed = 2.5\n\n[sim]\nwind_sampled = true\n", "airspeed"),
             (["montecarlo", "--trials", "1"], "[vehicle]\nairspeed = 2.5\n", "airspeed"),
             (["run", "--dump-effective-config", "--dt", "-1"], "", "dt"),
+            (["run"], "[sim]\ns0 = 10000\n", "s0"),
+            (["run"], "[sim]\nx_init = 500\n", "x_init"),
+            (
+                ["run"],
+                "[path]\nkind = line\nx0 = 1e308\ns_min = -1e308\ns_max = 1e308\n\n"
+                "[sim]\ns0 = 1e308\n",
+                "start",
+            ),
         ],
     )
     def test_bad_scenario_value_exits_2(self, command, config, key, tmp_path, capsys):
@@ -347,6 +365,18 @@ class TestCli:
         assert rc == 2
         captured = capsys.readouterr()
         assert key in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_polyline_vertex_exits_2(self, bad, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text(f"x,y\n0,0\n100,{bad}\n200,0\n")
+        cfg = tmp_path / "poly.cfg"
+        cfg.write_text(f"[path]\nkind = polyline\nfile = {points}\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "vertex 1" in captured.err
         assert captured.out == ""
 
     def test_montecarlo_bad_trials_exits_2(self, tmp_path):

@@ -366,6 +366,10 @@ class TestPolyline:
             PolylinePath([(0.0, 0.0)])
         with pytest.raises(ValueError):
             PolylinePath([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match="vertex 1"):
+            PolylinePath([(0.0, 0.0), (math.nan, 5.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match="vertex 2"):
+            PolylinePath([(0.0, 0.0), (1.0, 0.0), (1.0, math.inf)])
 
     def test_point_and_tangent(self):
         poly = PolylinePath([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)])

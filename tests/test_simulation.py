@@ -395,8 +395,14 @@ class TestScenarioConfig:
             line_config(law="magic")
         with pytest.raises(ValueError):
             line_config(d_threshold=0.0)
-        with pytest.raises(ValueError):
-            line_config(integrator="verlet")
+        with pytest.raises(ValueError, match="s0"):
+            line_config(path=LinePath(0, 0, 0, s_min=0.0, s_max=100.0), s0=150.0)
+        with pytest.raises(ValueError, match="x_init"):
+            line_config(x_init=500.0)
+        with pytest.raises(ValueError, match="y_init"):
+            line_config(y_init=500.0)
+        with pytest.raises(ValueError, match="start"):
+            line_config(path=LinePath(1e308, 0, 0, s_min=-1e308, s_max=1e308), s0=1e308)
 
     def test_guidance_params_threaded_through(self):
         cfg = line_config(guidance=GuidanceParams(eta=1.0))

@@ -80,7 +80,7 @@ class TestTurnRate:
 class TestStep:
     def test_straight_flight_euler(self):
         state = VehicleState(0.0, 0.0, 0.0)
-        out = step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, 1.0, "euler")
+        out = step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, 1.0)
         assert (out.x, out.y, out.chi) == pytest.approx((15.0, 0.0, 0.0))
 
     def test_initial_turn_rate(self):
@@ -119,16 +119,6 @@ class TestStep:
         step_len = math.hypot(out.x - state.x, out.y - state.y)
         assert step_len == pytest.approx(v_g * 0.01, abs=1e-9)
 
-    def test_rk4_euler_agree_for_small_dt(self):
-        spec, wind = AirspeedSpec(15.0), WindModel(0.5, 0.5)
-        a = VehicleState(0.0, 0.0, 0.0)
-        b = VehicleState(0.0, 0.0, 0.0)
-        for _ in range(1000):
-            a = step_vehicle(a, 1.0, spec, wind, 1.65, 1e-3, "rk4")
-            b = step_vehicle(b, 1.0, spec, wind, 1.65, 1e-3, "euler")
-        assert a.chi == pytest.approx(b.chi, abs=1e-3)
-        assert a.x == pytest.approx(b.x, abs=0.05)
-
     def test_determinism(self):
         spec, wind = AirspeedSpec(15.0), WindModel(1.2, -0.4)
         runs = []
@@ -147,5 +137,3 @@ class TestStep:
         assert -math.pi < out.chi <= math.pi
         with pytest.raises(ValueError):
             step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, -0.1)
-        with pytest.raises(ValueError):
-            step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, 0.1, "rk2")
