@@ -16,6 +16,12 @@ def wrap_angle(angle: float) -> float:
 
 
 def wrap_angle_array(angles: np.ndarray) -> np.ndarray:
-    """Wrap an array of angles to (-pi, pi]."""
-    wrapped = np.mod(np.asarray(angles, dtype=float) + np.pi, TAU) - np.pi
-    return np.where(wrapped == -np.pi, np.pi, wrapped)
+    """Wrap an array of angles to (-pi, pi], each to the bit as :func:`wrap_angle`.
+
+    ``fmod`` is exact, and so is the one shift by TAU after it (the operands
+    are within a factor of two), so both functions return the exact
+    representative of the angle modulo TAU.
+    """
+    wrapped = np.fmod(np.asarray(angles, dtype=float), TAU)
+    wrapped = np.where(wrapped > math.pi, wrapped - TAU, wrapped)
+    return np.where(wrapped <= -math.pi, wrapped + TAU, wrapped)

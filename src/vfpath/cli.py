@@ -34,11 +34,14 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+# One trajectory row: the float channels as _fmt writes them, then the phase.
+TRAJECTORY_ROW = ",".join(["%.9g"] * 8 + ["%d"])
+
+
 def write_trajectory_csv(traj: Trajectory, out_file: Path) -> None:
     columns = (traj.t, traj.x, traj.y, traj.chi, traj.chi_c, traj.chi_d, traj.chi_dot, traj.d)
-    lines = [TRAJECTORY_HEADER]
-    for *values, phase in zip(*(c.tolist() for c in columns), traj.phase.tolist()):
-        lines.append(",".join([_fmt(v) for v in values] + [str(phase)]))
+    rows = zip(*(c.tolist() for c in columns), traj.phase.tolist())
+    lines = [TRAJECTORY_HEADER, *(TRAJECTORY_ROW % row for row in rows)]
     out_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

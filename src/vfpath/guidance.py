@@ -24,7 +24,7 @@ closed loop realizes the intended course-error dynamics exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple, Optional
 
@@ -46,8 +46,9 @@ class GuidanceParams:
     """Tunables of the switched guidance law.
 
     The near/far branch gains are kept consistent by construction: ``k1`` and
-    the switching distance ``d_s`` are stored and ``k3 = k1 / d_s**2`` is
-    derived, which is exactly the continuity condition d_s = sqrt(k1/k3).
+    the switching distance ``d_s`` are stored and the far-field gain
+    ``k3 = k1 / d_s**2`` (1/m^3) is derived once, at construction, which is
+    exactly the continuity condition d_s = sqrt(k1/k3).
 
     Attributes:
         chi_inf: asymptotic approach angle relative to the path tangent,
@@ -74,6 +75,7 @@ class GuidanceParams:
     epsilon: float = 0.05
     delta_hys: float = 0.05
     reaching: str = "sat"
+    k3: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.chi_inf <= HALF_PI:
@@ -95,11 +97,7 @@ class GuidanceParams:
             raise ValueError("n, m must be odd co-prime integers with 0 < n < m")
         if self.reaching not in ("sat", "sign"):
             raise ValueError("reaching must be 'sat' or 'sign'")
-
-    @property
-    def k3(self) -> float:
-        """Far-field gain (1/m^3), tied to k1 by the continuity condition."""
-        return self.k1 / (self.d_s * self.d_s)
+        object.__setattr__(self, "k3", self.k1 / (self.d_s * self.d_s))
 
     @classmethod
     def from_branch_gains(cls, k1: float, k3: float, **kwargs) -> "GuidanceParams":

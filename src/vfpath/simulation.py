@@ -33,9 +33,9 @@ from .vehicle import (
     AirspeedSpec,
     VehicleState,
     WindModel,
+    check_wind_speed,
     ground_speed,
     step_vehicle,
-    turn_rate,
 )
 
 # Benchmark scenario constants: a 300 m amplitude sinusoid whose spatial
@@ -102,11 +102,7 @@ class ScenarioConfig:
             raise ValueError("convergence thresholds must be positive")
         if self.dwell < 0.0:
             raise ValueError("dwell must be non-negative")
-        wind = self.max_wind_speed
-        if wind >= self.airspeed.v_a:
-            raise ValueError(
-                f"wind speed {wind} m/s must be below the airspeed {self.airspeed.v_a} m/s"
-            )
+        check_wind_speed(self.max_wind_speed, self.airspeed.v_a)
         if (self.x_init is None) != (self.y_init is None):
             raise ValueError("x_init and y_init give an explicit start: set both or neither")
         if self.x_init is None:
@@ -266,15 +262,11 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     rows: list[tuple] = []
 
     for k in range(n_max + 1):
-        if not (
-            math.isfinite(state.x) and math.isfinite(state.y) and math.isfinite(state.chi)
-        ):
-            failure = (
-                f"non-finite state at t = {k * dt:g} s:"
-                f" x = {state.x}, y = {state.y}, chi = {state.chi}"
-            )
+        x, y, chi = state
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(chi)):
+            failure = f"non-finite state at t = {k * dt:g} s: x = {x}, y = {y}, chi = {chi}"
             break
-        p = (state.x, state.y)
+        p = (x, y)
         if prev_frame is None:
             s_star = path.closest_parameter(p)
         else:
@@ -282,18 +274,19 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         frame = path.frame_at(s_star, p)
         frame.chi_p_dot = path_course_rate(frame, prev_frame, dt)
         prev_frame = frame
-        v_g = ground_speed(spec, wind, state.chi)
+        v_g = ground_speed(spec, wind, chi)
 
         cmd = law_step(config, state, frame, v_g, cmd)
+        # turn_rate(cmd.chi_c, chi, alpha); GuidanceParams proved alpha > 0.
+        chi_dot = alpha * wrap_angle(cmd.chi_c - chi)
         rows.append((
-            k * dt, state.x, state.y, state.chi, cmd.chi_c, cmd.chi_d,
-            turn_rate(cmd.chi_c, state.chi, alpha), frame.d, cmd.phase, frame.chi_p,
+            k * dt, x, y, chi, cmd.chi_c, cmd.chi_d, chi_dot, frame.d, cmd.phase, frame.chi_p,
         ))
         if cmd.failure is not None:
             failure = cmd.failure
             break
 
-        if abs(frame.d) <= d_thr and abs(wrap_angle(state.chi - frame.chi_p)) <= align_thr:
+        if abs(frame.d) <= d_thr and abs(wrap_angle(chi - frame.chi_p)) <= align_thr:
             streak += 1
         else:
             streak = 0
@@ -304,7 +297,8 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         if k == n_max:
             break
 
-        state = step_vehicle(state, cmd.chi_c, spec, wind, alpha, dt)
+        # v_g and chi_dot are the first RK4 stage at this state.
+        state = step_vehicle(state, cmd.chi_c, spec, wind, alpha, dt, v_g, chi_dot)
 
     at_end = min(abs(frame.s_star - path.s_min), abs(frame.s_star - path.s_max))
     if failure is None and not path.periodic and at_end <= PATH_END_TOL and abs(frame.d) > d_thr:

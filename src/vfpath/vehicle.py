@@ -13,7 +13,8 @@ exactly under wind.  Classical RK4 is the one integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .angles import wrap_angle
 
@@ -22,8 +23,15 @@ class WindInfeasibleError(ValueError):
     """Wind speed at or above airspeed: the course cannot be held in all directions."""
 
 
-@dataclass(frozen=True)
-class VehicleState:
+def check_wind_speed(speed: float, v_a: float) -> None:
+    """Reject a wind as fast as the airspeed or faster."""
+    if speed >= v_a:
+        raise WindInfeasibleError(
+            f"wind speed {speed} m/s must be below the airspeed {v_a} m/s"
+        )
+
+
+class VehicleState(NamedTuple):
     x: float
     y: float
     chi: float
@@ -31,18 +39,16 @@ class VehicleState:
 
 @dataclass(frozen=True)
 class WindModel:
-    """Constant wind vector (m/s), fixed over a trial."""
+    """Constant wind vector (m/s), fixed over a trial; ``speed`` is its norm."""
 
     w_x: float = 0.0
     w_y: float = 0.0
+    speed: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.w_x) and math.isfinite(self.w_y)):
             raise ValueError("wind components must be finite")
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.w_x, self.w_y)
+        object.__setattr__(self, "speed", math.hypot(self.w_x, self.w_y))
 
 
 @dataclass(frozen=True)
@@ -54,13 +60,6 @@ class AirspeedSpec:
     def __post_init__(self):
         if not (self.v_a > 0.0 and math.isfinite(self.v_a)):
             raise ValueError("airspeed must be positive and finite")
-
-
-def _check_wind(spec: AirspeedSpec, wind: WindModel) -> None:
-    if wind.speed >= spec.v_a:
-        raise WindInfeasibleError(
-            f"wind speed {wind.speed:.3f} m/s >= airspeed {spec.v_a:.3f} m/s"
-        )
 
 
 def _ground_speed(v_a: float, w_x: float, w_y: float, cos_c: float, sin_c: float) -> float:
@@ -80,7 +79,7 @@ def ground_speed(spec: AirspeedSpec, wind: WindModel, chi: float) -> float:
 
         V_g = sqrt(V_a^2 - W_perp^2) + W_along.
     """
-    _check_wind(spec, wind)
+    check_wind_speed(wind.speed, spec.v_a)
     return _ground_speed(spec.v_a, wind.w_x, wind.w_y, math.cos(chi), math.sin(chi))
 
 
@@ -98,33 +97,48 @@ def step_vehicle(
     wind: WindModel,
     alpha: float,
     dt: float,
+    v_g: Optional[float] = None,
+    chi_dot: Optional[float] = None,
 ) -> VehicleState:
     """Integrate the three-state dynamics one classical RK4 step with the
     command held fixed.
 
     Every stage takes its ground speed from the crab geometry of
     :func:`ground_speed` and its course rate from :func:`turn_rate`, so the
-    course difference chi_c - chi is wrapped in each stage.  The returned
-    course is wrapped to (-pi, pi].
+    course difference chi_c - chi is wrapped in each stage.  A caller that
+    already holds ``ground_speed(spec, wind, state.chi)`` and ``turn_rate(chi_c,
+    state.chi, alpha)`` passes them as ``v_g`` and ``chi_dot``: they are the
+    first stage, which is then not evaluated again.  The returned course is
+    wrapped to (-pi, pi].
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    _check_wind(spec, wind)
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
     v_a, w_x, w_y = spec.v_a, wind.w_x, wind.w_y
-
-    def deriv(chi: float) -> tuple[float, float, float]:
-        cos_c, sin_c = math.cos(chi), math.sin(chi)
-        v_g = _ground_speed(v_a, w_x, w_y, cos_c, sin_c)
-        return (v_g * cos_c, v_g * sin_c, turn_rate(chi_c, chi, alpha))
-
-    x, y, chi = state.x, state.y, state.chi
-    k1 = deriv(chi)
-    k2 = deriv(chi + 0.5 * dt * k1[2])
-    k3 = deriv(chi + 0.5 * dt * k2[2])
-    k4 = deriv(chi + dt * k3[2])
+    check_wind_speed(wind.speed, v_a)
+    x, y, chi = state
+    cos, sin = math.cos, math.sin
+    c1, s1 = cos(chi), sin(chi)
+    if v_g is None:
+        v_g = _ground_speed(v_a, w_x, w_y, c1, s1)
+        chi_dot = alpha * wrap_angle(chi_c - chi)
+    half = 0.5 * dt
+    chi2 = chi + half * chi_dot
+    c2, s2 = cos(chi2), sin(chi2)
+    v2 = _ground_speed(v_a, w_x, w_y, c2, s2)
+    r2 = alpha * wrap_angle(chi_c - chi2)
+    chi3 = chi + half * r2
+    c3, s3 = cos(chi3), sin(chi3)
+    v3 = _ground_speed(v_a, w_x, w_y, c3, s3)
+    r3 = alpha * wrap_angle(chi_c - chi3)
+    chi4 = chi + dt * r3
+    c4, s4 = cos(chi4), sin(chi4)
+    v4 = _ground_speed(v_a, w_x, w_y, c4, s4)
+    r4 = alpha * wrap_angle(chi_c - chi4)
     sixth = dt / 6.0
     return VehicleState(
-        x + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        y + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        wrap_angle(chi + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])),
+        x + sixth * (v_g * c1 + 2.0 * (v2 * c2) + 2.0 * (v3 * c3) + v4 * c4),
+        y + sixth * (v_g * s1 + 2.0 * (v2 * s2) + 2.0 * (v3 * s3) + v4 * s4),
+        wrap_angle(chi + sixth * (chi_dot + 2.0 * r2 + 2.0 * r3 + r4)),
     )

@@ -7,11 +7,12 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vfpath.cli import main
+from vfpath.cli import TRAJECTORY_HEADER, _fmt, main, write_trajectory_csv
 from vfpath.config import (
     SCHEMA,
     ConfigError,
@@ -22,7 +23,7 @@ from vfpath.config import (
 )
 from vfpath.guidance import validate_curvature_constraint
 from vfpath.paths import CirclePath, LinePath, SinusoidPath, max_path_course_rate
-from vfpath.simulation import GUIDANCE_LAWS, benchmark_scenario
+from vfpath.simulation import GUIDANCE_LAWS, Trajectory, benchmark_scenario
 
 # Text that survives an INI line unchanged: no line breaks, no whitespace at
 # the ends (the parser strips it).
@@ -183,6 +184,26 @@ class TestCli:
         assert main(args) == 0
         assert (out / "trajectory_switched.csv").read_bytes() == traj
         assert (out / "metrics_switched.csv").read_bytes() == mets
+
+    def test_trajectory_csv_formats_each_value_like_fmt(self, tmp_path):
+        # The row template must write what per-value _fmt and str(phase) wrote.
+        specials = [math.nan, -0.0, 1e-300, 1e300, -math.inf, 0.1, -123456.789012345]
+        n = len(specials)
+        channels = {
+            name: np.roll(specials, k)
+            for k, name in enumerate(("t", "x", "y", "chi", "chi_c", "chi_d", "chi_dot", "d"))
+        }
+        traj = Trajectory(
+            **channels, phase=np.arange(n, dtype=np.int8) % 4, chi_p=np.zeros(n)
+        )
+        out = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, out)
+        columns = [channels[name].tolist() for name in TRAJECTORY_HEADER.split(",")[:-1]]
+        expected = [TRAJECTORY_HEADER] + [
+            ",".join([_fmt(v) for v in values] + [str(phase)])
+            for *values, phase in zip(*columns, traj.phase.tolist())
+        ]
+        assert out.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
     def test_run_nlgl_far_offset_exits_1(self, tmp_path, capsys):
         # default d0 = 200 m exceeds the 110 m look-ahead

@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vfpath import simulation
 from vfpath.guidance import GuidanceParams
-from vfpath.paths import CirclePath, LinePath
+from vfpath.paths import CirclePath, LinePath, PolylinePath, SinusoidPath
 from vfpath.simulation import (
     GUIDANCE_LAWS,
     ScenarioConfig,
@@ -18,7 +20,7 @@ from vfpath.simulation import (
     monte_carlo,
     run_trial,
 )
-from vfpath.vehicle import AirspeedSpec, VehicleState, WindModel
+from vfpath.vehicle import AirspeedSpec, VehicleState, WindModel, step_vehicle, turn_rate
 
 
 def synthetic_trajectory(t, d, chi_dot=None, chi=None, chi_p=None, phase=None):
@@ -54,6 +56,7 @@ def line_config(**overrides):
 
 
 LAW_FUNCTIONS = ("commanded_course", "basic_vf_command", "plos_command", "nlgl_command")
+VEHICLE_FUNCTIONS = ("ground_speed", "step_vehicle")
 
 
 class TestRunTrial:
@@ -150,10 +153,13 @@ class TestRunTrial:
         ],
     )
     def test_one_law_call_per_recorded_step(self, monkeypatch, law, d0, name):
-        # bench/tracer.py times the laws by wrapping these names in
-        # vfpath.simulation, so run_trial must call them there, once a step.
-        calls = dict.fromkeys(LAW_FUNCTIONS, 0)
-        for fn_name in LAW_FUNCTIONS:
+        # bench/tracer.py times the laws and the vehicle by wrapping these
+        # names in vfpath.simulation, so run_trial must call them there: the
+        # law and ground_speed once a recorded step, step_vehicle once an
+        # integrated one (every recorded step but the last).
+        counted_names = LAW_FUNCTIONS + VEHICLE_FUNCTIONS
+        calls = dict.fromkeys(counted_names, 0)
+        for fn_name in counted_names:
 
             def counted(*args, _real=getattr(simulation, fn_name), _name=fn_name):
                 calls[_name] += 1
@@ -161,7 +167,50 @@ class TestRunTrial:
 
             monkeypatch.setattr(simulation, fn_name, counted)
         traj, _ = run_trial(line_config(law=law, d0=d0, chi0=0.5, max_time=2.0))
-        assert calls == {**dict.fromkeys(LAW_FUNCTIONS, 0), name: len(traj)}
+        assert calls == {
+            **dict.fromkeys(LAW_FUNCTIONS, 0),
+            name: len(traj),
+            "ground_speed": len(traj),
+            "step_vehicle": len(traj) - 1,
+        }
+
+    def test_course_error_on_the_threshold_scores_as_the_trial_stopped(self):
+        # The course error starts at align_threshold exactly; the trial stops
+        # after the dwell, so its metrics must call it converged.
+        traj, metrics = run_trial(
+            line_config(law="basic_vf", chi0=0.2, max_time=40.0, stop_when_converged=True)
+        )
+        assert len(traj) == 501
+        assert metrics.converged and metrics.t_conv == 0.0
+
+    @pytest.mark.parametrize("law", GUIDANCE_LAWS)
+    @pytest.mark.parametrize("kind", ["line", "circle", "sinusoid", "polyline"])
+    def test_windy_step_matches_public_vehicle_functions(self, kind, law):
+        # run_trial hands its v_g and recorded chi_dot to step_vehicle as the
+        # first RK4 stage; the results must be the public functions' to the bit.
+        paths = {
+            "line": LinePath(0, 0, 0.3),
+            "circle": CirclePath(0, 0, 300.0),
+            "sinusoid": SinusoidPath(simulation.SCENARIO_AMPLITUDE, simulation.SCENARIO_PERIOD),
+            "polyline": PolylinePath(
+                [(20.0 * i, 40.0 * math.sin(0.05 * i)) for i in range(60)]
+            ),
+        }
+        cfg = line_config(
+            path=paths[kind], law=law, d0=40.0, s0=300.0, chi0=-0.3,
+            wind=WindModel(2.0, -1.5), max_time=8.0,
+        )
+        traj, metrics = run_trial(cfg)
+        assert metrics.failure_reason is None
+        assert len(traj) == 801
+        spec, wind, alpha, dt = cfg.airspeed, cfg.wind, cfg.guidance.alpha, cfg.dt
+        for k in range(len(traj)):
+            chi_c, chi = float(traj.chi_c[k]), float(traj.chi[k])
+            assert traj.chi_dot[k] == turn_rate(chi_c, chi, alpha)
+            if k + 1 < len(traj):
+                state = VehicleState(float(traj.x[k]), float(traj.y[k]), chi)
+                step = step_vehicle(state, chi_c, spec, wind, alpha, dt)
+                assert step == (traj.x[k + 1], traj.y[k + 1], traj.chi[k + 1])
 
     def test_switched_step_gets_previous_phase(self, monkeypatch):
         real = simulation.commanded_course
@@ -355,6 +404,28 @@ class TestInvariance:
             assert metrics.converged
             assert np.array_equal(traj_m.d, -traj.d)
             assert metrics_m == metrics
+
+    @pytest.mark.parametrize("law", GUIDANCE_LAWS)
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(
+        d0=st.floats(-60.0, 60.0),
+        chi0=st.floats(-1.2, 1.2),
+        w_x=st.floats(-2.0, 2.0),
+        w_y=st.floats(-2.0, 2.0),
+    )
+    def test_mirror_flips_d_and_keeps_metrics_drawn(self, law, d0, chi0, w_x, w_y):
+        # Drawn starts within nlgl's look-ahead, heading within 1.2 rad of the
+        # path, so nlgl's loop back to the path stays inside L1.
+        base = line_config(
+            law=law, d0=d0, chi0=chi0, wind=WindModel(w_x, w_y),
+            max_time=40.0, stop_when_converged=True,
+        )
+        mirror = replace(base, d0=-d0, chi0=-chi0, wind=WindModel(w_x, -w_y))
+        traj, metrics = run_trial(base)
+        traj_m, metrics_m = run_trial(mirror)
+        assert metrics.converged
+        assert np.array_equal(traj_m.d, -traj.d)
+        assert metrics_m == metrics
 
     @pytest.mark.parametrize("law", GUIDANCE_LAWS)
     @pytest.mark.parametrize("kind", ["line", "circle"])

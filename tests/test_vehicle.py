@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vfpath.angles import wrap_angle_array
+from vfpath.angles import TAU, wrap_angle, wrap_angle_array
 from vfpath.vehicle import (
     AirspeedSpec,
     VehicleState,
@@ -26,6 +28,18 @@ def crab_oracle(v_a: float, wind: WindModel, chi: float) -> float:
     # keeps the ground speed positive and maximal
     near = err < err.min() + 1e-9
     return float(np.max(candidates[near]))
+
+
+class TestWrapAngle:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([math.pi, -math.pi, TAU, -TAU, -0.0])))
+    def test_array_matches_scalar_to_the_bit(self, angles):
+        # run_trial's streak and compute_metrics must agree on an angle that
+        # sits exactly on a threshold.
+        wrapped = wrap_angle_array(angles)
+        expected = np.array([wrap_angle(a) for a in angles], dtype=float)
+        assert wrapped.tobytes() == expected.tobytes()
+        assert np.all((-math.pi < wrapped) & (wrapped <= math.pi))
 
 
 class TestGroundSpeed:
@@ -137,3 +151,11 @@ class TestStep:
         assert -math.pi < out.chi <= math.pi
         with pytest.raises(ValueError):
             step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, -0.1)
+        # A given first stage skips none of the checks.
+        for stage in ((), (15.0, 0.0)):
+            with pytest.raises(WindInfeasibleError):
+                step_vehicle(state, 0.0, AirspeedSpec(5.0), WindModel(4.0, 4.0), 1.65, 0.1, *stage)
+            with pytest.raises(ValueError, match="alpha"):
+                step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 0.0, 0.1, *stage)
+            with pytest.raises(ValueError, match="dt"):
+                step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, 0.0, *stage)
