@@ -99,11 +99,15 @@ def nlgl_virtual_target(
 ) -> tuple[float, tuple[float, float]]:
     """Forward-most intersection of the look-ahead circle with the path.
 
-    Takes the path's own proven answer (``lookahead_parameter``) when it has
-    one.  Otherwise scans the parameter interval around the closest point for
-    sign changes of ``distance - L1`` and bisects the forward-most one; a
-    tangency (|d| within tolerance of L1) falls back to the closest point
-    itself.
+    Takes the path's own exact answer (``lookahead_parameter``) when it has
+    one: the sinusoid answers whenever |d| < L1 and px + L1 is inside its
+    domain, from the convexity of the squared distance on (s*, px + L1] or
+    a right-to-left walk of its convex and concave pieces (README,
+    "Look-ahead target").  Otherwise, for the line, circle, polyline and any
+    other path kind, a sinusoid whose px + L1 is past its end, or tangency,
+    scans the parameter interval around the closest point for sign changes
+    of ``distance - L1`` and bisects the forward-most one; a tangency (|d|
+    within tolerance of L1) falls back to the closest point itself.
 
     Raises LookaheadInfeasibleError when |d| > L1.
     """

@@ -300,14 +300,18 @@ class SinusoidPath(ReferencePath):
         self.s_max = 6.0 * self.period if s_max is None else float(s_max)
         if self.s_max <= self.s_min:
             raise ValueError("s_max must exceed s_min")
-        # Minimum radius of curvature, 1 / (A w^2).
         aw = self.amplitude * self.omega
-        self.r_min = 1.0 / (aw * self.omega)
+        # Peak curvature A w^2 (one over the minimum radius of curvature) and
+        # squared peak slope (Aw)^2.  With u = sin(ws), the squared distance q
+        # to a point p has q''/2 = c + u (b - 2 (Aw)^2 u), b = A w^2 py and
+        # c = 1 + (Aw)^2: a concave quadratic in u, whatever px.
+        self._kappa_max = aw * self.omega
+        self._slope_sq = aw**2
         # Certified radius of the warm start.  If some path point lies at
         # distance r from p, every s within r of px has |A sin(ws) - py| <=
-        # (1 + 2Aw) r, so the squared distance has second derivative
-        # >= 2 (1 - (1 + 2Aw) r Aw^2) there, positive for r below this radius.
-        self.r_cert = self.r_min / (1.0 + 2.0 * aw)
+        # (1 + 2Aw) r, so q'' >= 2 (1 - (1 + 2Aw) r Aw^2) there, positive for
+        # r below this radius.
+        self.r_cert = 1.0 / self._kappa_max / (1.0 + 2.0 * aw)
 
     def point(self, s: float) -> tuple[float, float]:
         s = self._clip_parameter(s)
@@ -388,57 +392,44 @@ class SinusoidPath(ReferencePath):
         # Any point closer than s lies in [lo, hi], as q(v) >= (v - px)^2.
         r = math.sqrt(q)
         lo, hi = max(px - r, self.s_min), min(px + r, self.s_max)
-        # On [lo, hi], q''/2 = c + u (b - 2 (Aw)^2 u) with u = sin(ws): a
-        # concave quadratic in u, so positive over the range of u on [lo, hi]
-        # when positive at its two ends.  q is then strictly convex there,
-        # and the stationary s is its unique minimizer.
-        a, w = self.amplitude, self.omega
-        aw_sq = (a * w) ** 2
-        b, c = a * w * w * py, 1.0 + aw_sq
-        if stationary:
-            u_lo, u_hi = sorted((math.sin(w * lo), math.sin(w * hi)))
-            if _contains_angle(w * lo, w * hi, 0.5 * math.pi):
-                u_hi = 1.0  # a crest
-            if _contains_angle(w * lo, w * hi, -0.5 * math.pi):
-                u_lo = -1.0  # a trough
-            if (
-                c + u_lo * (b - 2.0 * aw_sq * u_lo) > 0.0
-                and c + u_hi * (b - 2.0 * aw_sq * u_hi) > 0.0
-            ):
-                return s
-        root = math.sqrt(b * b + 8.0 * aw_sq * c)
-        u_roots = ((b - root) / (4.0 * aw_sq), (b + root) / (4.0 * aw_sq))
-        return self._search_convex_pieces(px, py, lo, hi, u_roots, s)
+        # q strictly convex on [lo, hi]: the stationary s is its unique
+        # minimizer there.
+        if stationary and self._convex_on(lo, hi, py):
+            return s
+        return self._search_convex_pieces(px, py, lo, hi, s)
 
-    def _grad(self, s: float, px: float, py: float) -> float:
-        """Half the derivative of the squared distance q at s."""
-        a, w = self.amplitude, self.omega
-        return (s - px) + (a * math.sin(w * s) - py) * a * w * math.cos(w * s)
+    def _convex_on(self, lo: float, hi: float, py: float) -> bool:
+        """True when q is strictly convex on [lo, hi].
 
-    def _search_convex_pieces(
-        self,
-        px: float,
-        py: float,
-        lo: float,
-        hi: float,
-        u_roots: tuple[float, float],
-        s: float,
-    ) -> float:
-        """Minimizer of q over the domain, given that no point outside
-        [lo, hi] is closer than s and that q'' = 0 where sin(ws) is in
-        ``u_roots``.
-
-        Those cuts split [lo, hi] into pieces on which q is strictly convex
-        or strictly concave.  A cut is no local minimum of q (q'' changes sign
-        there, so q' keeps its sign on both sides), and lo or hi is no closer
-        than s unless it is a domain end.  The minimizer is therefore s, a
-        domain end in [lo, hi], or the stationary point of a convex piece at
-        whose ends q' goes from - to +: Newton's method bracketed on the
-        piece finds it, or bisection when Newton leaves the piece.
+        The concave quadratic q''/2 in u = sin(ws) (see ``__init__``) is
+        positive over the range of u on [lo, hi] when it is positive at the
+        two ends of that range: sin at lo and hi, widened to 1 over a crest
+        and to -1 over a trough.
         """
-        w = self.omega
+        w, aw_sq = self.omega, self._slope_sq
+        b, c = self._kappa_max * py, 1.0 + aw_sq
+        u_lo, u_hi = sorted((math.sin(w * lo), math.sin(w * hi)))
+        if _contains_angle(w * lo, w * hi, 0.5 * math.pi):
+            u_hi = 1.0  # a crest
+        if _contains_angle(w * lo, w * hi, -0.5 * math.pi):
+            u_lo = -1.0  # a trough
+        return (
+            c + u_lo * (b - 2.0 * aw_sq * u_lo) > 0.0
+            and c + u_hi * (b - 2.0 * aw_sq * u_hi) > 0.0
+        )
+
+    def _convexity_cuts(self, lo: float, hi: float, py: float) -> list[float]:
+        """lo, hi and, sorted between them, the points where q'' = 0.
+
+        q'' vanishes where sin(ws) is a root of its quadratic in u (at most
+        four cuts per period), so q is strictly convex or strictly concave
+        on each piece between consecutive cuts.
+        """
+        w, aw_sq = self.omega, self._slope_sq
+        b, c = self._kappa_max * py, 1.0 + aw_sq
+        root = math.sqrt(b * b + 8.0 * aw_sq * c)
         cuts = [lo, hi]
-        for u in u_roots:
+        for u in ((b - root) / (4.0 * aw_sq), (b + root) / (4.0 * aw_sq)):
             if -1.0 < u < 1.0:
                 phase = math.asin(u)
                 for first in (phase, math.pi - phase):
@@ -450,44 +441,105 @@ class SinusoidPath(ReferencePath):
                         k += 1
                         cut = (first + 2.0 * math.pi * k) / w
         cuts.sort()
+        return cuts
+
+    def _grad(self, s: float, px: float, py: float) -> float:
+        """Half the derivative of the squared distance q at s."""
+        a, w = self.amplitude, self.omega
+        return (s - px) + (a * math.sin(w * s) - py) * a * w * math.cos(w * s)
+
+    def _piece_minimizer(
+        self, c0: float, c1: float, grad_lo: float, grad_hi: float, px: float, py: float
+    ) -> float:
+        """Stationary point of q on a convex piece [c0, c1] at whose ends q'
+        goes from - (``grad_lo``) to + (``grad_hi``): Newton's method from
+        where the chord of q' crosses zero, or bisection when Newton leaves
+        the piece."""
+        start = c0 - grad_lo * (c1 - c0) / (grad_hi - grad_lo)
+        root = self._newton(start, c0, c1, px, py)
+        if root is None:
+            root = _bisect_sign(lambda v: self._grad(v, px, py), c0, c1)
+        return root
+
+    def _search_convex_pieces(
+        self, px: float, py: float, lo: float, hi: float, s: float
+    ) -> float:
+        """Minimizer of q over the domain, given that no point outside
+        [lo, hi] is closer than s.
+
+        A cut is no local minimum of q (q'' changes sign there, so q' keeps
+        its sign on both sides), a concave piece has its minimum at an end,
+        and lo or hi is no closer than s unless it is a domain end.  The
+        minimizer is therefore s, a domain end in [lo, hi], or the
+        stationary point of a convex piece at whose ends q' goes from - to +.
+        """
+        cuts = self._convexity_cuts(lo, hi, py)
         candidates = [s] + [v for v in (self.s_min, self.s_max) if lo <= v <= hi]
         grad_lo = self._grad(lo, px, py)
         for c0, c1 in zip(cuts, cuts[1:]):
             grad_hi = self._grad(c1, px, py)
             # q' falls across a concave piece, so only a convex one passes.
             if grad_lo < 0.0 <= grad_hi:
-                # Start where the chord of q' crosses zero.
-                start = c0 - grad_lo * (c1 - c0) / (grad_hi - grad_lo)
-                root = self._newton(start, c0, c1, px, py)
-                if root is None:
-                    root = _bisect_sign(lambda v: self._grad(v, px, py), c0, c1)
-                candidates.append(root)
+                candidates.append(self._piece_minimizer(c0, c1, grad_lo, grad_hi, px, py))
             grad_lo = grad_hi
         return min((self._distance_sq(v, px, py), v) for v in candidates)[1]
 
     def lookahead_parameter(
         self, frame: PathFrame, px: float, py: float, l1: float
     ) -> Optional[float]:
-        # Newton on h(s) = (s - px)^2 + (f(s) - py)^2 - l1^2, f = A sin(ws),
-        # from where the tangent line at the closest point meets the circle.
-        # Every root lies in [px - l1, px + l1].  A later root s' > s_t would
-        # put an interior maximum of h in (s_t, s'), where h'' <= 0 forces
-        # |f - py| >= r_min; as |f'| <= Aw, that is ruled out when
-        # |f(s_t) - py| + Aw (px + l1 - s_t) < r_min.
-        chord_sq = l1 * l1 - frame.d * frame.d
-        if px + l1 > self.s_max or chord_sq <= 0.0:
+        """Forward-most parameter whose point lies at distance ``l1`` from p.
+
+        Every root of h = q - l1^2 lies in [px - l1, px + l1], as
+        q(s) >= (s - px)^2, and h(s*) = d^2 - l1^2 < 0 <= h(px + l1), so the
+        forward-most root lies in (s*, px + l1].  None when |d| >= l1 (the
+        scan handles tangency) or px + l1 is past the end of the domain.
+        README, "Look-ahead target", sketches the search.
+        """
+        lo, hi = frame.s_star, px + l1
+        if hi > self.s_max or abs(frame.d) >= l1:
             return None
-        s0 = frame.p_ref[0] + math.sqrt(chord_sq) * math.cos(frame.chi_p)
-        s = self._newton(s0, self.s_min, self.s_max, px, py, radius=l1)
+        # A strictly convex h below zero at lo crosses zero once in (lo, hi].
+        if self._convex_on(lo, hi, py):
+            return self._crossing(lo, hi, px, py, l1)
+        return self._forward_crossing_in_pieces(lo, hi, px, py, l1)
+
+    def _crossing(self, lo: float, hi: float, px: float, py: float, l1: float) -> float:
+        """The one root of h = q - l1^2 in (lo, hi], where h(lo) < 0 <= h(hi):
+        Newton's method from hi, or bisection on the sign of h when Newton
+        leaves [lo, hi]."""
+        s = self._newton(hi, lo, hi, px, py, radius=l1)
         if s is None:
-            return None
-        a, w = self.amplitude, self.omega
-        dy = a * math.sin(w * s) - py
-        if (s - px) + dy * a * w * math.cos(w * s) <= 0.0:
-            return None  # h' <= 0: not a crossing from inside the circle
-        if abs(dy) + a * w * (px + l1 - s) < self.r_min:
-            return s
-        return None
+            r_sq = l1 * l1
+            s = _bisect_sign(lambda v: self._distance_sq(v, px, py) - r_sq, lo, hi)
+        return s
+
+    def _forward_crossing_in_pieces(
+        self, lo: float, hi: float, px: float, py: float, l1: float
+    ) -> float:
+        """Forward-most root of h = q - l1^2 in (lo, hi], given h(lo) < 0 <=
+        h(hi), by walking the convex and concave pieces of q from the right.
+
+        On a piece whose right end has h >= 0, h changes sign once when its
+        left end has h < 0 (h is convex or concave there); otherwise h dips
+        below zero only on a convex piece whose stationary point does, and
+        then crosses once between that point and the right end.  A piece
+        with neither has h >= 0 throughout, and the walk moves left.
+        """
+        cuts = self._convexity_cuts(lo, hi, py)
+        r_sq = l1 * l1
+        grad_hi = self._grad(hi, px, py)
+        # h(lo) < 0, so the walk ends at the first piece at the latest.
+        for i in range(len(cuts) - 2, 0, -1):
+            c0, c1 = cuts[i], cuts[i + 1]
+            if self._distance_sq(c0, px, py) < r_sq:
+                return self._crossing(c0, c1, px, py, l1)
+            grad_lo = self._grad(c0, px, py)
+            if grad_lo < 0.0 <= grad_hi:
+                m = self._piece_minimizer(c0, c1, grad_lo, grad_hi, px, py)
+                if self._distance_sq(m, px, py) < r_sq:
+                    return self._crossing(m, c1, px, py, l1)
+            grad_hi = grad_lo
+        return self._crossing(lo, cuts[1], px, py, l1)
 
 
 class PolylinePath(ReferencePath):

@@ -57,6 +57,9 @@ MC_WIND_DIR_RANGE = (-2.5, -2.0)
 # Length (s) of the windows the chattering index counts turn-rate sign
 # changes in; the time step must be shorter.
 CHATTER_WINDOW = 1.0
+# Turn rates (rad/s) below this count as zero in the chattering index, so
+# rounding noise around a zero rate is no sign change.
+CHATTER_RATE_FLOOR = 1e-9
 
 # A trial whose closest parameter ends within this distance (m) of a finite
 # path's end, off the path, has flown off that end.
@@ -364,7 +367,8 @@ def compute_metrics(
 def chattering_index(traj: Trajectory, window: float = CHATTER_WINDOW) -> float:
     """Worst-case turn-rate sign-change rate (changes per second).
 
-    Counts strict sign changes of chi_dot inside windows of the given length
+    Counts strict sign changes of chi_dot (rates below
+    ``CHATTER_RATE_FLOOR`` count as zero) inside windows of the given length
     centered on each phase transition and returns the maximum count divided
     by the window length.  A trajectory with no phase transitions (baseline
     laws, or no switching) is scanned with a sliding window over its whole
@@ -376,7 +380,8 @@ def chattering_index(traj: Trajectory, window: float = CHATTER_WINDOW) -> float:
     dt = float(traj.t[1] - traj.t[0])
     if window <= dt:
         raise ValueError("window must exceed the sample interval")
-    changes = (traj.chi_dot[:-1] * traj.chi_dot[1:] < 0.0).astype(np.int64)
+    rate = np.where(np.abs(traj.chi_dot) < CHATTER_RATE_FLOOR, 0.0, traj.chi_dot)
+    changes = (rate[:-1] * rate[1:] < 0.0).astype(np.int64)
     half = int(round(0.5 * window / dt))
     transitions = np.nonzero(np.diff(traj.phase) != 0)[0] + 1
     if transitions.size:

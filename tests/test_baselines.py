@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -159,7 +160,7 @@ class TestNLGL:
 
 
 class TestLookaheadParameter:
-    """The sinusoid's certified Newton look-ahead root against the scan."""
+    """The sinusoid's exact look-ahead root against dense sampling and the scan."""
 
     @staticmethod
     def h(path, s, p, l1):
@@ -170,6 +171,32 @@ class TestLookaheadParameter:
         value = (s - p[0]) ** 2 + dy**2 - l1 * l1
         deriv = 2.0 * ((s - p[0]) + dy * a * w * np.cos(w * s))
         return value, deriv
+
+    @staticmethod
+    def offset_geometry(path_cls, amplitude, period, l1, s_frac, offset_frac):
+        """A sinusoid whose domain reaches past px + l1, and a point offset
+        from it by ``offset_frac * l1`` along the normal at ``s_frac``
+        periods."""
+        path = path_cls(amplitude, period, s_min=-period - 3 * l1, s_max=period + 3 * l1)
+        x0, y0 = path.point(s_frac * period)
+        chi = path.tangent_angle(s_frac * period)
+        offset = offset_frac * l1
+        return path, (x0 - offset * math.sin(chi), y0 + offset * math.cos(chi))
+
+    def assert_forward_most_crossing(self, path, p, l1):
+        frame = path.closest_point(p)
+        assert abs(frame.d) < l1 and p[0] + l1 <= path.s_max
+        s_t = path.lookahead_parameter(frame, p[0], p[1], l1)
+        assert s_t is not None
+        x, y = path.point(s_t)
+        assert math.hypot(x - p[0], y - p[1]) == pytest.approx(l1, abs=1e-6)
+        assert self.h(path, s_t, p, l1)[1] > 0.0
+        # Roots lie in [px - l1, px + l1]; the grid skips a sliver at s_t,
+        # where h is below its own rounding error.
+        grid = np.linspace(s_t, p[0] + l1, 20001)[1:]
+        grid = grid[grid > s_t + 1e-6]
+        assert np.all(self.h(path, grid, p, l1)[0] > 0.0)
+        return frame, s_t
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -182,25 +209,44 @@ class TestLookaheadParameter:
     def test_certified_root_is_forward_most_crossing(
         self, amplitude, period, l1, s_frac, offset_frac
     ):
-        # The domain reaches past px + l1 for every drawn position.
-        path = SinusoidPath(amplitude, period, s_min=-period - 3 * l1, s_max=period + 3 * l1)
-        s0 = s_frac * period
-        x0, y0 = path.point(s0)
-        chi = path.tangent_angle(s0)
-        offset = offset_frac * l1
-        p = (x0 - offset * math.sin(chi), y0 + offset * math.cos(chi))
-        frame = path.closest_point(p)
-        s_t = path.lookahead_parameter(frame, p[0], p[1], l1)
-        if s_t is None:
-            return
-        x, y = path.point(s_t)
-        assert math.hypot(x - p[0], y - p[1]) == pytest.approx(l1, abs=1e-6)
-        assert self.h(path, s_t, p, l1)[1] > 0.0
-        # Roots lie in [px - l1, px + l1]; the grid skips a sliver at s_t,
-        # where h is below its own rounding error.
-        grid = np.linspace(s_t, p[0] + l1, 20001)[1:]
-        grid = grid[grid > s_t + 1e-6]
-        assert np.all(self.h(path, grid, p, l1)[0] > 0.0)
+        path, p = self.offset_geometry(SinusoidPath, amplitude, period, l1, s_frac, offset_frac)
+        self.assert_forward_most_crossing(path, p, l1)
+
+    def test_piece_search_reaches_each_branch(self):
+        class RecordingSinusoid(SinusoidPath):
+            walked = False
+
+            def _forward_crossing_in_pieces(self, *args):
+                self.walked = True
+                return super()._forward_crossing_in_pieces(*args)
+
+            def _crossing(self, lo, *args):
+                self.crossing_lo = lo
+                return super()._crossing(lo, *args)
+
+        rng = np.random.default_rng(1)
+        branches = Counter()
+        for _ in range(300):
+            amplitude, period = rng.uniform(5.0, 1000.0), rng.uniform(50.0, 5000.0)
+            l1, s_frac = rng.uniform(10.0, 500.0), rng.random()
+            offset_frac = rng.uniform(-0.99, 0.99)
+            path, p = self.offset_geometry(
+                RecordingSinusoid, amplitude, period, l1, s_frac, offset_frac
+            )
+            frame, _ = self.assert_forward_most_crossing(path, p, l1)
+            if not path.walked:
+                branches["convex"] += 1
+            elif path.crossing_lo == frame.s_star:
+                branches["first piece"] += 1
+            elif path.crossing_lo in path._convexity_cuts(frame.s_star, p[0] + l1, p[1]):
+                branches["sign change at a cut"] += 1
+            else:
+                branches["dip at a stationary point"] += 1
+        # The convex interval and every exit of the right-to-left piece walk
+        # each answer some draw.
+        assert set(branches) == {
+            "convex", "first piece", "sign change at a cut", "dip at a stationary point"
+        }
 
     def test_matches_scan_along_benchmark_trial(self):
         calls = []
@@ -212,17 +258,15 @@ class TestLookaheadParameter:
                 return s_t
 
         path = RecordingSinusoid(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
-        # The early-stop capture is certified throughout; tracking is not.
         cfg = benchmark_scenario(
             "nlgl", path=path, d0=80.0, stop_when_converged=False, max_time=60.0
         )
         traj, metrics = run_trial(cfg)
         assert metrics.failure_reason is None
-        assert len(calls) == len(traj)
-        certified = [c for c in calls if c[3] is not None]
-        # Both the certified root and the scan fallback are exercised.
-        assert 0 < len(certified) < len(calls)
+        assert len(calls) == len(traj) == 6001
+        # Every step is answered, so the scan never runs on the sinusoid.
+        assert all(s_t is not None for *_, s_t in calls)
         with mock.patch.object(RecordingSinusoid, "lookahead_parameter", lambda *a: None):
-            for frame, p, l1, s_t in certified:
+            for frame, p, l1, s_t in calls:
                 s_scan, _ = nlgl_virtual_target(path, frame, p, l1)
                 assert s_t == pytest.approx(s_scan, abs=1e-4)

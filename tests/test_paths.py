@@ -276,7 +276,8 @@ class TestWarmStart:
         self, amplitude, period, s_frac, offset_frac, side, near_offset
     ):
         path = SinusoidPath(amplitude, period)
-        s0 = path.s_min + s_frac * (path.s_max - path.s_min)
+        # s_frac = 1 can round one ulp past s_max.
+        s0 = min(path.s_min + s_frac * (path.s_max - path.s_min), path.s_max)
         p = self.offset_point(path, s0, side * offset_frac * path.r_cert)
 
         def dist(s):

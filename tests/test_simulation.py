@@ -296,6 +296,16 @@ class TestChatteringIndex:
         traj = synthetic_trajectory(t, np.zeros_like(t), chi_dot=np.ones_like(t))
         assert chattering_index(traj, 1.0) == 0.0
 
+    def test_rounding_noise_is_no_sign_change(self):
+        # An on-path start can record a turn rate of rounding size before the
+        # real one; rotating the scenario flips that rate's sign.
+        dt = 0.01
+        t = np.arange(0.0, 3.0, dt)
+        for first in (-2.2e-14, 2.2e-14):
+            chi_dot = np.concatenate(([first], np.full(len(t) - 1, 0.0125)))
+            traj = synthetic_trajectory(t, np.zeros_like(t), chi_dot=chi_dot)
+            assert chattering_index(traj, 1.0) == 0.0
+
     def test_alternating_sign_counts_per_window(self):
         dt = 0.01
         t = np.arange(0.0, 3.0, dt)
@@ -427,35 +437,64 @@ class TestInvariance:
         assert np.array_equal(traj_m.d, -traj.d)
         assert metrics_m == metrics
 
+    @staticmethod
+    def assert_rigid_motion_keeps_metrics(
+        law, kind, theta, t_x, t_y, d0, chi0, w_x, w_y, abs_tol=1e-12
+    ):
+        """Rotate by ``theta`` and translate by (t_x, t_y) a trial that starts
+        ``d0`` off the line or the 300 m circle at course ``chi0``."""
+        c, s = math.cos(theta), math.sin(theta)
+        if kind == "line":
+            path, moved_path = LinePath(0, 0, 0), LinePath(t_x, t_y, theta)
+            x0, y0 = 0.0, d0
+        else:
+            path, moved_path = CirclePath(0, 0, 300.0), CirclePath(t_x, t_y, 300.0)
+            x0, y0 = 300.0 + d0, 0.0
+        base = line_config(
+            path=path, law=law, x_init=x0, y_init=y0, chi0=chi0,
+            wind=WindModel(w_x, w_y), max_time=40.0, stop_when_converged=True,
+        )
+        wind = WindModel(c * w_x - s * w_y, s * w_x + c * w_y)
+        motion = replace(
+            base, path=moved_path, chi0=chi0 + theta, wind=wind,
+            x_init=c * x0 - s * y0 + t_x, y_init=s * x0 + c * y0 + t_y,
+        )
+        traj, metrics = run_trial(base)
+        traj_r, metrics_r = run_trial(motion)
+        assert metrics.converged and metrics_r.converged
+        assert len(traj_r) == len(traj)
+        expected = pytest.approx(metric_values(metrics), rel=1e-9, abs=abs_tol)
+        assert metric_values(metrics_r) == expected
+
     @pytest.mark.parametrize("law", GUIDANCE_LAWS)
     @pytest.mark.parametrize("kind", ["line", "circle"])
     def test_rigid_motion_keeps_metrics(self, law, kind):
-        theta, t_x, t_y = 2.3, 250.0, -120.0
-        c, s = math.cos(theta), math.sin(theta)
-
-        def moved(x, y):
-            return c * x - s * y + t_x, s * x + c * y + t_y
-
-        if kind == "line":
-            path, moved_path = LinePath(0, 0, 0), LinePath(t_x, t_y, theta)
-        else:
-            path, moved_path = CirclePath(0, 0, 300.0), CirclePath(t_x, t_y, 300.0)
         for d0, chi0, (w_x, w_y) in INVARIANCE_STARTS:
-            x0, y0 = (0.0, d0) if kind == "line" else (300.0 + d0, 0.0)
-            base = line_config(
-                path=path, law=law, x_init=x0, y_init=y0, chi0=chi0,
-                wind=WindModel(w_x, w_y), max_time=40.0, stop_when_converged=True,
-            )
-            x1, y1 = moved(x0, y0)
-            wind = WindModel(c * w_x - s * w_y, s * w_x + c * w_y)
-            motion = replace(
-                base, path=moved_path, x_init=x1, y_init=y1, chi0=chi0 + theta, wind=wind
-            )
-            traj, metrics = run_trial(base)
-            traj_r, metrics_r = run_trial(motion)
-            assert metrics.converged and metrics_r.converged
-            assert len(traj_r) == len(traj)
-            assert metric_values(metrics_r) == pytest.approx(metric_values(metrics), rel=1e-9)
+            self.assert_rigid_motion_keeps_metrics(law, kind, 2.3, 250.0, -120.0, d0, chi0, w_x, w_y)
+
+    @pytest.mark.parametrize("law", GUIDANCE_LAWS)
+    @pytest.mark.parametrize("kind", ["line", "circle"])
+    @settings(derandomize=True, max_examples=5, deadline=None)
+    @given(
+        theta=st.floats(-math.pi, math.pi),
+        t_x=st.floats(-1000.0, 1000.0),
+        t_y=st.floats(-1000.0, 1000.0),
+        d0=st.floats(-60.0, 60.0),
+        chi_offset=st.floats(-1.2, 1.2),
+        w_x=st.floats(-2.0, 2.0),
+        w_y=st.floats(-2.0, 2.0),
+    )
+    def test_rigid_motion_keeps_metrics_drawn(
+        self, law, kind, theta, t_x, t_y, d0, chi_offset, w_x, w_y
+    ):
+        # Drawn starts within nlgl's look-ahead, heading within 1.2 rad of the
+        # path tangent (0 on the line, pi/2 where the circle starts).  Moved
+        # coordinates reach 1.4 km, where one rounding is about 1e-13 m, and
+        # an on-path start has metrics made of that noise: 1e-9 absolute.
+        chi0 = chi_offset + (0.0 if kind == "line" else 0.5 * math.pi)
+        self.assert_rigid_motion_keeps_metrics(
+            law, kind, theta, t_x, t_y, d0, chi0, w_x, w_y, abs_tol=1e-9
+        )
 
 
 class TestScenarioConfig:
