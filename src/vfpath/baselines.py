@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from .angles import wrap_angle
 from .paths import PathFrame, ReferencePath
@@ -19,12 +16,10 @@ from .vehicle import VehicleState
 
 HALF_PI = 0.5 * math.pi
 
-# Width (in the path parameter) at which the scan's look-ahead bisection stops.
-NLGL_BISECT_TOL = 1e-4
-
 
 class LookaheadInfeasibleError(RuntimeError):
-    """The look-ahead circle does not intersect the path (|d| > L1)."""
+    """The look-ahead circle does not meet the path: |d| > L1, or no point of
+    the path lies at distance L1."""
 
 
 @dataclass(frozen=True)
@@ -99,73 +94,25 @@ def nlgl_virtual_target(
 ) -> tuple[float, tuple[float, float]]:
     """Forward-most intersection of the look-ahead circle with the path.
 
-    Takes the path's own exact answer (``lookahead_parameter``) when it has
-    one: the sinusoid answers whenever |d| < L1 and px + L1 is inside its
-    domain, from the convexity of the squared distance on (s*, px + L1] or
-    a right-to-left walk of its convex and concave pieces (README,
-    "Look-ahead target").  Otherwise, for the line, circle, polyline and any
-    other path kind, a sinusoid whose px + L1 is past its end, or tangency,
-    scans the parameter interval around the closest point for sign changes
-    of ``distance - L1`` and bisects the forward-most one; a tangency (|d|
-    within tolerance of L1) falls back to the closest point itself.
+    At tangency (|d| = L1) the target is the closest point itself;
+    otherwise the path kind answers exactly through its own
+    ``lookahead_parameter`` (README, "Look-ahead target").
 
-    Raises LookaheadInfeasibleError when |d| > L1.
+    Raises LookaheadInfeasibleError when |d| > L1 or the circle meets the
+    path nowhere.
     """
     dist_min = abs(frame.d)
     if dist_min > l1:
         raise LookaheadInfeasibleError(
             f"cross-track error {dist_min:.1f} m exceeds look-ahead {l1:.1f} m"
         )
+    if dist_min == l1:
+        return frame.s_star, frame.p_ref
     s_t = path.lookahead_parameter(frame, p[0], p[1], l1)
-    if s_t is not None:
-        return s_t, path.point(s_t)
-
-    def g(s: float) -> float:
-        x, y = path.point(s)
-        return math.hypot(x - p[0], y - p[1]) - l1
-
-    # Intersections lie within about half the circle circumference of arc
-    # length from the closest point; scan a generous window.
-    span = 2.5 * l1
-    lo = frame.s_star - span
-    hi = frame.s_star + span
-    if not path.periodic:
-        lo = max(lo, path.s_min)
-        hi = min(hi, path.s_max)
-    steps = 256
-    grid = np.linspace(lo, hi, steps + 1)
-    gx, gy = path.points_array(grid)
-    gv = np.hypot(gx - p[0], gy - p[1]) - l1
-    crossing: Optional[tuple[float, float]] = None
-    signs = gv[:-1] * gv[1:]
-    hits = np.nonzero(signs < 0.0)[0]
-    zeros = np.nonzero(gv == 0.0)[0]
-    if hits.size:
-        i = int(hits[-1])  # forward-most crossing
-        crossing = (float(grid[i]), float(grid[i + 1]))
-    if zeros.size:
-        z = float(grid[int(zeros[-1])])
-        if crossing is None or z > crossing[1]:
-            crossing = (z, z)
-    if crossing is None:
-        # Tangency: the circle grazes the path at the closest point.
-        if abs(dist_min - l1) <= 1e-6 * max(l1, 1.0) + 1e-9:
-            return frame.s_star, frame.p_ref
+    if s_t is None:
         raise LookaheadInfeasibleError(
             f"no look-ahead intersection found (|d| = {dist_min:.3f} m, L1 = {l1:.1f} m)"
         )
-    a, b = crossing
-    if a == b:
-        return a, path.point(a)
-    ga = g(a)
-    while b - a > NLGL_BISECT_TOL:
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if ga * gm <= 0.0:
-            b = mid
-        else:
-            a, ga = mid, gm
-    s_t = 0.5 * (a + b)
     return s_t, path.point(s_t)
 
 

@@ -1,7 +1,10 @@
 """Planar reference paths and the moving path frame used by all guidance laws.
 
 Every path kind exposes ``point(s)`` and ``tangent_angle(s)`` over a stated
-parameter domain plus a closest-point search that fills a :class:`PathFrame`.
+parameter domain and answers two geometric queries exactly: the closest
+parameter to a point (``closest_parameter``, which fills a :class:`PathFrame`)
+and the forward-most parameter at a given distance from it
+(``lookahead_parameter``, the NLGL look-ahead target).
 
 Sign convention: the cross-track error ``d`` is the component of the
 displacement (vehicle minus closest point) along the path tangent rotated by
@@ -21,10 +24,7 @@ import numpy as np
 
 from .angles import wrap_angle
 
-# Coarse sampling used by the search-based closest-point routine and by the
-# curvature scan.  2048 samples keeps adjacent coarse minima well separated
-# for the sinusoid scenarios this library targets.
-COARSE_SAMPLES = 2048
+# Uniform samples of the domain in the curvature scan.
 CURVATURE_SAMPLES = 8192
 
 # Polyline neighbour list: the skin is the larger of these, and the 1 mm
@@ -62,10 +62,9 @@ class PathFrame:
 class ReferencePath:
     """Base class for planar reference paths.
 
-    Subclasses define ``s_min``/``s_max``, ``point`` and ``tangent_angle``;
-    the generic closest-point search (coarse scan plus bisection
-    refinement) lives here and is overridden where an analytic projection
-    exists.
+    A path kind defines ``s_min``/``s_max``, ``point`` and ``tangent_angle``,
+    and answers both geometric queries exactly: ``closest_parameter`` and
+    ``lookahead_parameter``.  The base class has no answer of its own.
     """
 
     s_min: float
@@ -94,54 +93,23 @@ class ReferencePath:
             )
         return s
 
-    # -- closest point -----------------------------------------------------
-
-    def _coarse_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached uniform parameter grid with precomputed path points."""
-        cached = getattr(self, "_grid_cache", None)
-        if cached is None:
-            s = np.linspace(self.s_min, self.s_max, COARSE_SAMPLES)
-            xy = np.array([self.point(v) for v in s], dtype=float)
-            cached = (s, xy[:, 0].copy(), xy[:, 1].copy())
-            self._grid_cache = cached
-        return cached
-
     def closest_parameter(self, p: Sequence[float], near: Optional[float] = None) -> float:
-        """Global minimizer of the distance from ``p`` to the path.
-
-        Coarse uniform scan, then bisection of the best sample's bracket on
-        the sign of the displacement from ``p`` along the tangent (the
-        distance itself is too flat near its minimum to locate it finely).
-        Ties are broken toward the smallest parameter (the coarse argmin
-        picks the first of equal minima).  ``near``, the previous closest
-        parameter when tracking, is a hint that path kinds may use; the scan
-        ignores it.
-        """
-        px, py = _finite_position(p)
-        s_grid, gx, gy = self._coarse_grid()
-        i = int(np.argmin((gx - px) ** 2 + (gy - py) ** 2))
-        lo = float(s_grid[max(i - 1, 0)])
-        hi = float(s_grid[min(i + 1, len(s_grid) - 1)])
-
-        def slope(s: float) -> float:
-            (x, y), chi = self.point(s), self.tangent_angle(s)
-            return (x - px) * math.cos(chi) + (y - py) * math.sin(chi)
-
-        if slope(lo) >= 0.0:
-            return lo
-        if slope(hi) <= 0.0:
-            return hi
-        return _bisect_sign(slope, lo, hi)
+        """Global minimizer of the distance from ``p`` to the path; ties go
+        to the smallest parameter.  ``near``, the previous closest parameter
+        when tracking, is a hint that a path kind may use.  ValueError unless
+        ``p`` is finite."""
+        raise NotImplementedError
 
     def lookahead_parameter(
         self, frame: PathFrame, px: float, py: float, l1: float
     ) -> Optional[float]:
-        """Forward-most parameter whose point lies at distance ``l1`` from p.
+        """Forward-most (largest) parameter whose point lies at distance
+        ``l1`` from p = (px, py), or None when no such point exists.
 
-        ``frame`` is the closest-point frame of p = (px, py).  None when the
-        path kind cannot prove its answer forward-most; the caller then scans.
+        ``frame`` is the closest-point frame of p, with |d| < l1:
+        ``nlgl_virtual_target`` handles tangency and |d| > l1 itself.
         """
-        return None
+        raise NotImplementedError
 
     def closest_point(self, p: Sequence[float]) -> PathFrame:
         """Path frame at the point of the path closest to ``p``."""
@@ -230,6 +198,20 @@ class LinePath(ReferencePath):
         s = (px - self.x0) * self._cos + (py - self.y0) * self._sin
         return min(max(s, self.s_min), self.s_max)
 
+    def lookahead_parameter(self, frame, px, py, l1):
+        """Largest root u +- sqrt(l1^2 - e^2) inside the domain, with u the
+        along-track coordinate of p and e its offset from the unbounded line
+        (the frame's s* and d are clamped at a domain end).  It depends on e
+        through e^2 alone, so mirrored points get the same answer."""
+        dx, dy = px - self.x0, py - self.y0
+        u = dx * self._cos + dy * self._sin
+        e = dy * self._cos - dx * self._sin
+        half = math.sqrt(max(l1 * l1 - e * e, 0.0))
+        for s in (u + half, u - half):
+            if self.s_min <= s <= self.s_max:
+                return s
+        return None
+
 
 class CirclePath(ReferencePath):
     """Circle of given center and radius, traversed counter-clockwise.
@@ -274,6 +256,21 @@ class CirclePath(ReferencePath):
             return 0.0
         theta = math.atan2(uy, ux) % (2.0 * math.pi)
         return theta * self.radius
+
+    def lookahead_parameter(self, frame, px, py, l1):
+        """s* + R acos((R^2 + r^2 - l1^2) / (2 R r)), with r the distance of p
+        from the centre: the crossing of the look-ahead circle within one lap
+        ahead of s*.  On a small circle (circumference below 5 l1) a window
+        of +-2.5 l1 around s* also holds crossings of the next lap; this
+        answer stays within the lap.  None when the circles do not meet:
+        r = 0, or the cosine outside [-1, 1] (as when r + R < l1)."""
+        r = math.hypot(px - self.cx, py - self.cy)
+        if r == 0.0:
+            return None
+        cos_angle = (self.radius**2 + r * r - l1 * l1) / (2.0 * self.radius * r)
+        if not -1.0 <= cos_angle <= 1.0:
+            return None
+        return frame.s_star + self.radius * math.acos(cos_angle)
 
 
 class SinusoidPath(ReferencePath):
@@ -338,13 +335,15 @@ class SinusoidPath(ReferencePath):
         px: float,
         py: float,
         radius: Optional[float] = None,
+        sign: float = 1.0,
     ) -> Optional[float]:
         """Newton iteration from ``s`` on the squared distance q(s) to p.
 
         With ``radius`` None it solves q'(s) = 0 (a stationary point, q'' as
         the derivative); otherwise q(s) = radius^2 (a point at that distance,
         q' as the derivative).  Returns the root, or None when the derivative
-        is not positive at an iterate, an iterate leaves [lo, hi] (or is not
+        times ``sign`` is not positive at an iterate (so -1 seeks a maximum
+        or a falling crossing), an iterate leaves [lo, hi] (or is not
         finite), or the iteration does not converge within 12 steps.
         """
         a, w = self.amplitude, self.omega
@@ -360,7 +359,7 @@ class SinusoidPath(ReferencePath):
             else:
                 value = 0.5 * ((s - px) ** 2 + dy * dy - radius * radius)
                 deriv = grad
-            if deriv <= 0.0:
+            if deriv * sign <= 0.0:
                 return None
             step = value / deriv
             s_next = s - step
@@ -448,17 +447,25 @@ class SinusoidPath(ReferencePath):
         a, w = self.amplitude, self.omega
         return (s - px) + (a * math.sin(w * s) - py) * a * w * math.cos(w * s)
 
-    def _piece_minimizer(
-        self, c0: float, c1: float, grad_lo: float, grad_hi: float, px: float, py: float
+    def _piece_extremum(
+        self,
+        c0: float,
+        c1: float,
+        grad_lo: float,
+        grad_hi: float,
+        px: float,
+        py: float,
+        sign: float = 1.0,
     ) -> float:
-        """Stationary point of q on a convex piece [c0, c1] at whose ends q'
-        goes from - (``grad_lo``) to + (``grad_hi``): Newton's method from
-        where the chord of q' crosses zero, or bisection when Newton leaves
-        the piece."""
+        """Stationary point of q on a piece [c0, c1] at whose ends q' goes
+        from - (``grad_lo``) to + (``grad_hi``), a minimum on a convex piece,
+        or with ``sign`` -1 from + to -, a maximum on a concave piece:
+        Newton's method from where the chord of q' crosses zero, or
+        bisection when Newton leaves the piece."""
         start = c0 - grad_lo * (c1 - c0) / (grad_hi - grad_lo)
-        root = self._newton(start, c0, c1, px, py)
+        root = self._newton(start, c0, c1, px, py, sign=sign)
         if root is None:
-            root = _bisect_sign(lambda v: self._grad(v, px, py), c0, c1)
+            root = _bisect_sign(lambda v: sign * self._grad(v, px, py), c0, c1)
         return root
 
     def _search_convex_pieces(
@@ -480,7 +487,7 @@ class SinusoidPath(ReferencePath):
             grad_hi = self._grad(c1, px, py)
             # q' falls across a concave piece, so only a convex one passes.
             if grad_lo < 0.0 <= grad_hi:
-                candidates.append(self._piece_minimizer(c0, c1, grad_lo, grad_hi, px, py))
+                candidates.append(self._piece_extremum(c0, c1, grad_lo, grad_hi, px, py))
             grad_lo = grad_hi
         return min((self._distance_sq(v, px, py), v) for v in candidates)[1]
 
@@ -490,56 +497,72 @@ class SinusoidPath(ReferencePath):
         """Forward-most parameter whose point lies at distance ``l1`` from p.
 
         Every root of h = q - l1^2 lies in [px - l1, px + l1], as
-        q(s) >= (s - px)^2, and h(s*) = d^2 - l1^2 < 0 <= h(px + l1), so the
-        forward-most root lies in (s*, px + l1].  None when |d| >= l1 (the
-        scan handles tangency) or px + l1 is past the end of the domain.
-        README, "Look-ahead target", sketches the search.
+        q(s) >= (s - px)^2, and h(s*) = d^2 - l1^2 < 0.  Let hi be px + l1,
+        or s_max when that is past the end of the domain.  When h(hi) >= 0,
+        as it always is at px + l1, the forward-most root lies in (s*, hi].
+        Otherwise h < 0 at both s* and s_max, and the last root is a falling
+        crossing in [max(px - l1, s_min), s_max], behind s* or ahead of it,
+        or there is none.  README, "Look-ahead target", sketches the search.
         """
         lo, hi = frame.s_star, px + l1
-        if hi > self.s_max or abs(frame.d) >= l1:
-            return None
+        if hi > self.s_max:
+            hi = self.s_max
+            if self._distance_sq(hi, px, py) < l1 * l1:
+                return self._forward_crossing_in_pieces(
+                    max(px - l1, self.s_min), hi, px, py, l1, sign=-1.0
+                )
         # A strictly convex h below zero at lo crosses zero once in (lo, hi].
         if self._convex_on(lo, hi, py):
             return self._crossing(lo, hi, px, py, l1)
         return self._forward_crossing_in_pieces(lo, hi, px, py, l1)
 
-    def _crossing(self, lo: float, hi: float, px: float, py: float, l1: float) -> float:
-        """The one root of h = q - l1^2 in (lo, hi], where h(lo) < 0 <= h(hi):
-        Newton's method from hi, or bisection on the sign of h when Newton
-        leaves [lo, hi]."""
-        s = self._newton(hi, lo, hi, px, py, radius=l1)
+    def _crossing(
+        self, lo: float, hi: float, px: float, py: float, l1: float, sign: float = 1.0
+    ) -> float:
+        """The one root of h = q - l1^2 in [lo, hi], where h rises from below
+        zero at lo to h(hi) >= 0, or with ``sign`` -1 falls from h(lo) >= 0
+        to below zero at hi: Newton's method from hi, or bisection on the
+        sign of sign * h when Newton leaves [lo, hi]."""
+        s = self._newton(hi, lo, hi, px, py, radius=l1, sign=sign)
         if s is None:
             r_sq = l1 * l1
-            s = _bisect_sign(lambda v: self._distance_sq(v, px, py) - r_sq, lo, hi)
+            s = _bisect_sign(lambda v: sign * (self._distance_sq(v, px, py) - r_sq), lo, hi)
         return s
 
     def _forward_crossing_in_pieces(
-        self, lo: float, hi: float, px: float, py: float, l1: float
-    ) -> float:
-        """Forward-most root of h = q - l1^2 in (lo, hi], given h(lo) < 0 <=
-        h(hi), by walking the convex and concave pieces of q from the right.
+        self, lo: float, hi: float, px: float, py: float, l1: float, sign: float = 1.0
+    ) -> Optional[float]:
+        """Forward-most root of h = q - l1^2 in [lo, hi], or None when there
+        is none, by walking the convex and concave pieces of q from the right.
 
-        On a piece whose right end has h >= 0, h changes sign once when its
-        left end has h < 0 (h is convex or concave there); otherwise h dips
-        below zero only on a convex piece whose stationary point does, and
-        then crosses once between that point and the right end.  A piece
-        with neither has h >= 0 throughout, and the walk moves left.
+        ``sign`` is 1 when h(hi) >= 0 and -1 when h(hi) < 0; the caller
+        knows which, where rounding could blur h(hi) = 0.  The root sought
+        is where h last crosses into the side of zero that h(hi) is on:
+        rising into h >= 0, or falling into h < 0.  On a piece whose right
+        end is on that side, h crosses once when its left end is on the
+        other side (h is convex or concave there).  Otherwise h reaches the
+        other side only at an extremum inside the piece, the minimum of a
+        convex piece when rising or the maximum of a concave one when
+        falling, and then crosses once between that point and the right end.
+        A piece with neither stays on hi's side throughout, and the walk
+        moves left.  When h(lo) is on the other side, as h(s*) < 0 is for a
+        rising crossing, the walk ends at the first piece at the latest.
         """
         cuts = self._convexity_cuts(lo, hi, py)
         r_sq = l1 * l1
+        rising = sign > 0.0
         grad_hi = self._grad(hi, px, py)
-        # h(lo) < 0, so the walk ends at the first piece at the latest.
-        for i in range(len(cuts) - 2, 0, -1):
+        for i in range(len(cuts) - 2, -1, -1):
             c0, c1 = cuts[i], cuts[i + 1]
-            if self._distance_sq(c0, px, py) < r_sq:
-                return self._crossing(c0, c1, px, py, l1)
+            if (self._distance_sq(c0, px, py) < r_sq) == rising:
+                return self._crossing(c0, c1, px, py, l1, sign)
             grad_lo = self._grad(c0, px, py)
-            if grad_lo < 0.0 <= grad_hi:
-                m = self._piece_minimizer(c0, c1, grad_lo, grad_hi, px, py)
-                if self._distance_sq(m, px, py) < r_sq:
-                    return self._crossing(m, c1, px, py, l1)
+            if sign * grad_lo < 0.0 <= sign * grad_hi:
+                m = self._piece_extremum(c0, c1, grad_lo, grad_hi, px, py, sign)
+                if (self._distance_sq(m, px, py) < r_sq) == rising:
+                    return self._crossing(m, c1, px, py, l1, sign)
             grad_hi = grad_lo
-        return self._crossing(lo, cuts[1], px, py, l1)
+        return None
 
 
 class PolylinePath(ReferencePath):
@@ -629,6 +652,30 @@ class PolylinePath(ReferencePath):
                 best, s_best = d2, cum + t * length
         return s_best
 
+    def lookahead_parameter(self, frame, px, py, l1):
+        """Largest root of |point(s) - p| = l1 in the window [s* - 2.5 l1,
+        s* + 2.5 l1] of the domain, from the segment-circle quadratic on each
+        segment that overlaps the window, the last segment first.  The
+        window keeps the target on the stretch near s*: a polyline that
+        comes back near p has roots far ahead in parameter."""
+        span = 2.5 * l1
+        lo = max(frame.s_star - span, self.s_min)
+        hi = min(frame.s_star + span, self.s_max)
+        r_sq = l1 * l1
+        for i in range(self._segment_index(hi), self._segment_index(lo) - 1, -1):
+            ax, ay, sx, sy, len_sq, cum, length = self._segments[i]
+            wx, wy = ax - px, ay - py
+            b = wx * sx + wy * sy
+            disc = b * b - len_sq * (wx * wx + wy * wy - r_sq)
+            if disc < 0.0:
+                continue
+            root = math.sqrt(disc)
+            for t in ((root - b) / len_sq, (-root - b) / len_sq):
+                s = cum + t * length
+                if 0.0 <= t <= 1.0 and lo <= s <= hi:
+                    return s
+        return None
+
     def _rebuild_neighbours(self, px: float, py: float) -> list:
         """Project (px, py) onto every segment and keep, as the new list,
         those that can hold the closest point of any position within the
@@ -690,10 +737,14 @@ def path_course_rate(
 
 
 def max_path_course_rate(path: ReferencePath, v_g: float) -> float:
-    """Upper estimate of |chi_p_dot| when the path is traversed at speed v_g.
+    """Sampled estimate of the peak |chi_p_dot| when the path is traversed
+    at speed v_g.
 
     Path curvature is estimated by finite differences of the tangent angle on
     a uniform parameter grid of ``CURVATURE_SAMPLES`` points over the domain.
+    The samples can miss the peak, so the estimate can fall below it: on the
+    benchmark sinusoid at 15 m/s it is 0.09999948 rad/s, where the exact
+    peak A w^2 V is 0.1 rad/s.
     """
     if v_g <= 0.0:
         raise ValueError("v_g must be positive")

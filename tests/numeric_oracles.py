@@ -5,10 +5,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from vfpath.baselines import LookaheadInfeasibleError
 from vfpath.guidance import GuidanceParams
-from vfpath.paths import PolylinePath, ReferencePath
+from vfpath.paths import PathFrame, PolylinePath, ReferencePath
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Width (in the path parameter) at which the look-ahead scan's bisection stops.
+NLGL_BISECT_TOL = 1e-4
 
 
 def dense_closest_parameter(path: ReferencePath, p: Sequence[float], n: int) -> float:
@@ -42,6 +46,98 @@ def dense_closest_parameter(path: ReferencePath, p: Sequence[float], n: int) -> 
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def scan_lookahead_parameter(
+    path: ReferencePath, frame: PathFrame, p: Sequence[float], l1: float
+) -> float:
+    """Forward-most parameter at distance ``l1`` from ``p`` by a 257-point
+    scan of the window [s* - 2.5 l1, s* + 2.5 l1] (within the domain unless
+    the path is periodic) for sign changes of ``distance - l1``, and
+    bisection of the forward-most one to ``NLGL_BISECT_TOL``.
+
+    A tangency (|d| within tolerance of l1) with no sign change gives s*;
+    LookaheadInfeasibleError when there is no crossing otherwise.  On a
+    circle shorter than the window the forward-most crossing can be one a
+    lap on.
+    """
+    dist_min = abs(frame.d)
+
+    def g(s: float) -> float:
+        x, y = path.point(s)
+        return math.hypot(x - p[0], y - p[1]) - l1
+
+    # Intersections lie within about half the circle circumference of arc
+    # length from the closest point; scan a generous window.
+    span = 2.5 * l1
+    lo = frame.s_star - span
+    hi = frame.s_star + span
+    if not path.periodic:
+        lo = max(lo, path.s_min)
+        hi = min(hi, path.s_max)
+    steps = 256
+    grid = np.linspace(lo, hi, steps + 1)
+    gx, gy = path.points_array(grid)
+    gv = np.hypot(gx - p[0], gy - p[1]) - l1
+    crossing: Optional[tuple[float, float]] = None
+    signs = gv[:-1] * gv[1:]
+    hits = np.nonzero(signs < 0.0)[0]
+    zeros = np.nonzero(gv == 0.0)[0]
+    if hits.size:
+        i = int(hits[-1])  # forward-most crossing
+        crossing = (float(grid[i]), float(grid[i + 1]))
+    if zeros.size:
+        z = float(grid[int(zeros[-1])])
+        if crossing is None or z > crossing[1]:
+            crossing = (z, z)
+    if crossing is None:
+        # Tangency: the circle grazes the path at the closest point.
+        if abs(dist_min - l1) <= 1e-6 * max(l1, 1.0) + 1e-9:
+            return frame.s_star
+        raise LookaheadInfeasibleError(
+            f"no look-ahead intersection found (|d| = {dist_min:.3f} m, L1 = {l1:.1f} m)"
+        )
+    a, b = crossing
+    if a == b:
+        return a
+    ga = g(a)
+    while b - a > NLGL_BISECT_TOL:
+        mid = 0.5 * (a + b)
+        gm = g(mid)
+        if ga * gm <= 0.0:
+            b = mid
+        else:
+            a, ga = mid, gm
+    return 0.5 * (a + b)
+
+
+def dense_lookahead_parameter(
+    path: ReferencePath, p: Sequence[float], l1: float, lo: float, hi: float, n: int
+) -> Optional[float]:
+    """Largest parameter in [lo, hi] at distance ``l1`` from ``p``, from ``n``
+    uniform samples: the last sample pair across which ``distance - l1``
+    changes side of zero (< 0 against >= 0), refined by bisection to the
+    float spacing.  None when no pair does.  The result is exact whenever
+    no two roots fall between adjacent samples.
+    """
+    s = np.linspace(lo, hi, n)
+    x, y = path.points_array(s)
+    below = np.hypot(x - p[0], y - p[1]) < l1
+    hits = np.nonzero(below[:-1] != below[1:])[0]
+    if not hits.size:
+        return None
+    i = int(hits[-1])
+    a, b = float(s[i]), float(s[i + 1])
+    below_a = bool(below[i])
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return mid
+        x_m, y_m = path.point(mid)
+        if (math.hypot(x_m - p[0], y_m - p[1]) < l1) == below_a:
+            a = mid
+        else:
+            b = mid
 
 
 def segment_scan_parameter(path: PolylinePath, p: Sequence[float]) -> float:

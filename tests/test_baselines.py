@@ -1,12 +1,12 @@
 import math
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numeric_oracles import scan_lookahead_parameter
 from vfpath.baselines import (
     BaselineParams,
     LookaheadInfeasibleError,
@@ -264,9 +264,6 @@ class TestLookaheadParameter:
         traj, metrics = run_trial(cfg)
         assert metrics.failure_reason is None
         assert len(calls) == len(traj) == 6001
-        # Every step is answered, so the scan never runs on the sinusoid.
         assert all(s_t is not None for *_, s_t in calls)
-        with mock.patch.object(RecordingSinusoid, "lookahead_parameter", lambda *a: None):
-            for frame, p, l1, s_t in calls:
-                s_scan, _ = nlgl_virtual_target(path, frame, p, l1)
-                assert s_t == pytest.approx(s_scan, abs=1e-4)
+        for frame, p, l1, s_t in calls:
+            assert s_t == pytest.approx(scan_lookahead_parameter(path, frame, p, l1), abs=1e-4)

@@ -4,10 +4,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from numeric_oracles import dense_closest_parameter, segment_scan_parameter
+from numeric_oracles import (
+    dense_closest_parameter,
+    dense_lookahead_parameter,
+    scan_lookahead_parameter,
+    segment_scan_parameter,
+)
+from vfpath.baselines import LookaheadInfeasibleError, nlgl_virtual_target
 from vfpath.paths import (
     CirclePath,
     LinePath,
@@ -170,7 +176,7 @@ class TestClosestPoint:
         d = dist(path.closest_parameter(p, near=near))
         d_oracle = dist(dense_closest_parameter(path, p, 400_000))
         assert d == pytest.approx(d_oracle, rel=1e-6, abs=1e-9)
-        d_scan = dist(ReferencePath.closest_parameter(path, p))
+        d_scan = dist(dense_closest_parameter(path, p, 2048))
         assert d <= d_scan + 1e-9 * max(1.0, d_scan)
 
     def test_perpendicularity_at_interior_minimum(self):
@@ -214,14 +220,16 @@ class TestClosestPoint:
 
     def test_generic_refine_reaches_float_precision(self):
         # A refine on the distance's value cannot place s* this finely (it was
-        # 1.4e-6 off here): the distance is too flat at its minimum.
+        # 1.4e-6 off here): the distance is too flat at its minimum.  The
+        # oracle's refine on the tangent displacement places it from 2048
+        # samples as well as from 400 000.
         path = SinusoidPath(5.0, 273.0)
         for s0 in (100.0, 500.0, 1000.0):
             x0, y0 = path.point(s0)
             chi = path.tangent_angle(s0)
             p = (x0 - 136.5 * math.sin(chi), y0 + 136.5 * math.cos(chi))
             oracle = dense_closest_parameter(path, p, 400_000)
-            assert ReferencePath.closest_parameter(path, p) == pytest.approx(oracle, abs=1e-9)
+            assert dense_closest_parameter(path, p, 2048) == pytest.approx(oracle, abs=1e-9)
 
 
 class TestWarmStart:
@@ -285,7 +293,7 @@ class TestWarmStart:
             return math.hypot(x - p[0], y - p[1])
 
         warm = dist(path.closest_parameter(p, near=s0 + near_offset))
-        full = dist(ReferencePath.closest_parameter(path, p))
+        full = dist(dense_closest_parameter(path, p, 2048))
         assert warm <= full + 1e-9 * max(1.0, full)
 
     @pytest.mark.parametrize("law", GUIDANCE_LAWS)
@@ -311,7 +319,7 @@ class TestWarmStart:
         assert len(tracked) == len(traj) - 1
         branches = Counter()
         for p, near, s_star, searched in tracked:
-            full = ReferencePath.closest_parameter(path, p)
+            full = dense_closest_parameter(path, p, 2048)
             assert s_star == pytest.approx(full, abs=1e-5)
             s_newton = path._newton(near, path.s_min, path.s_max, p[0], p[1])
             if searched:
@@ -466,6 +474,270 @@ class TestPolyline:
         f3.write_text("0,0\nnope,5\n")
         with pytest.raises(ValueError):
             load_polyline(str(f3))
+
+
+# The default nlgl look-ahead distance (m).
+L1 = 110.0
+
+
+def lookahead(path, p, l1=L1):
+    """Closest-point frame of p and the path's look-ahead answer for it."""
+    frame = path.closest_point(p)
+    return frame, path.lookahead_parameter(frame, p[0], p[1], l1)
+
+
+def scan_or_none(path, frame, p, l1=L1):
+    try:
+        return scan_lookahead_parameter(path, frame, p, l1)
+    except LookaheadInfeasibleError:
+        return None
+
+
+class TestLookahead:
+    """Each path kind's exact look-ahead root against a dense sign-change
+    oracle and the 257-point scan, with the cases where the scan differs."""
+
+    @staticmethod
+    def window(path, frame, l1=L1):
+        """The scan's window [s* - 2.5 l1, s* + 2.5 l1] within the domain."""
+        span = 2.5 * l1
+        return max(frame.s_star - span, path.s_min), min(frame.s_star + span, path.s_max)
+
+    @staticmethod
+    def assert_matches_oracle(path, p, lo, hi, l1=L1):
+        frame, s_t = lookahead(path, p, l1)
+        oracle = dense_lookahead_parameter(path, p, l1, lo, hi, 20001)
+        if oracle is None:
+            assert s_t is None
+        else:
+            assert s_t == pytest.approx(oracle, abs=1e-6)
+        return frame, s_t
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        heading=st.floats(-math.pi, math.pi),
+        s_min=st.floats(-500.0, 0.0),
+        length=st.floats(10.0, 1000.0),
+        u_frac=st.floats(0.0, 1.0),
+        e=st.floats(-109.0, 109.0),
+    )
+    def test_line_matches_oracle_and_scan(self, heading, s_min, length, u_frac, e):
+        # Points up to L1 past either end of the domain.
+        line = LinePath(3.0, -2.0, heading, s_min=s_min, s_max=s_min + length)
+        u = s_min - L1 + u_frac * (length + 2.0 * L1)
+        c, s = math.cos(line.heading), math.sin(line.heading)
+        p = (3.0 + u * c - e * s, -2.0 + u * s + e * c)
+        frame = line.closest_point(p)
+        assume(abs(frame.d) < L1)
+        _, s_t = self.assert_matches_oracle(line, p, *self.window(line, frame))
+        s_scan = scan_or_none(line, frame, p)
+        assert (s_t is None) == (s_scan is None)
+        if s_t is not None:
+            assert s_t == pytest.approx(s_scan, abs=1e-4)
+
+    def test_line_past_either_end_takes_largest_root_in_domain(self):
+        # The roots are u +- sqrt(L1^2 - e^2) with u unclamped; the clamped
+        # s* + sqrt(L1^2 - d^2) would be 193.3 here, off the path.
+        line = LinePath(0.0, 0.0, 0.0, s_min=0.0, s_max=100.0)
+        p = (150.0, 30.0)
+        frame, s_t = lookahead(line, p)
+        assert frame.s_star == 100.0
+        assert s_t == 150.0 - math.sqrt(L1**2 - 30.0**2)
+        assert s_t == pytest.approx(44.17, abs=5e-3)
+        assert s_t == pytest.approx(scan_lookahead_parameter(line, frame, p, L1), abs=1e-4)
+        frame, s_t = lookahead(line, (-40.0, 20.0))
+        assert frame.s_star == 0.0
+        assert s_t == -40.0 + math.sqrt(L1**2 - 20.0**2)
+        # A domain the look-ahead circle holds whole has no root.
+        assert lookahead(LinePath(0.0, 0.0, 0.0, s_min=0.0, s_max=10.0), (5.0, 1.0))[1] is None
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        radius=st.floats(5.0 * L1 / (2.0 * math.pi), 1000.0),
+        theta=st.floats(-math.pi, math.pi),
+        r_frac=st.floats(0.0, 1.0),
+    )
+    def test_circle_matches_oracle_and_scan(self, radius, theta, r_frac):
+        # One lap around s* holds both crossings; the largest is the hook's.
+        # Near tangency the two merge and move as the square root of a
+        # rounding, so the draws keep |d| 1 m below L1.
+        circle = CirclePath(40.0, -70.0, radius)
+        r = max(radius - L1, 0.0) + r_frac * (min(radius, L1) + L1)
+        p = (40.0 + r * math.cos(theta), -70.0 + r * math.sin(theta))
+        frame = circle.closest_point(p)
+        assume(abs(frame.d) < L1 - 1.0)
+        lap = circle.s_max
+        _, s_t = self.assert_matches_oracle(
+            circle, p, frame.s_star - 0.5 * lap, frame.s_star + 0.5 * lap
+        )
+        s_scan = scan_or_none(circle, frame, p)
+        if s_scan is None:
+            # The scan misses only what lies beyond its window.
+            assert s_t is None or s_t - frame.s_star > 2.5 * L1
+        else:
+            assert s_t == pytest.approx(s_scan, abs=1e-4)
+
+    def test_circle_answers_within_the_lap(self):
+        # R = 70 m: the window, longer than the lap, also holds the backward
+        # crossing one lap on, which the scan takes; the hook stays in the lap.
+        circle = CirclePath(0.0, 0.0, 70.0)
+        p = (45.0 * math.cos(1.0), 45.0 * math.sin(1.0))
+        frame, s_t = lookahead(circle, p)
+        arc = 70.0 * math.acos((70.0**2 + 45.0**2 - L1**2) / (2.0 * 70.0 * 45.0))
+        lap = circle.s_max
+        assert s_t == pytest.approx(frame.s_star + arc, abs=1e-9)
+        oracle = dense_lookahead_parameter(
+            circle, p, L1, frame.s_star - 0.5 * lap, frame.s_star + 0.5 * lap, 20001
+        )
+        assert s_t == pytest.approx(oracle, abs=1e-6)
+        scan = scan_lookahead_parameter(circle, frame, p, L1)
+        assert scan == pytest.approx(frame.s_star - arc + lap, abs=1e-4)
+        # R = 100 m, 10.5 m from the centre: the crossing is 281 m of arc
+        # ahead, beyond the window, and the scan finds none.
+        circle = CirclePath(0.0, 0.0, 100.0)
+        p = (10.5, 0.0)
+        frame, s_t = lookahead(circle, p)
+        arc = 100.0 * math.acos((100.0**2 + 10.5**2 - L1**2) / (2.0 * 100.0 * 10.5))
+        assert s_t == pytest.approx(arc, abs=1e-9) and arc > 2.5 * L1
+        with pytest.raises(LookaheadInfeasibleError):
+            scan_lookahead_parameter(circle, frame, p, L1)
+
+    @pytest.mark.parametrize("p", [(30.0, 0.0), (0.0, 0.0)], ids=["r_plus_R_below_L1", "centre"])
+    def test_circle_inside_lookahead_is_infeasible(self, p):
+        circle = CirclePath(0.0, 0.0, 50.0)
+        frame, s_t = lookahead(circle, p)
+        assert s_t is None
+        with pytest.raises(LookaheadInfeasibleError, match="no look-ahead intersection found"):
+            nlgl_virtual_target(circle, frame, p, L1)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        pts=polylines(),
+        s_frac=st.floats(0.0, 1.0),
+        offset=st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
+    )
+    def test_polyline_matches_oracle(self, pts, s_frac, offset):
+        path = PolylinePath(pts)
+        x, y = path.point(s_frac * path.s_max)
+        p = (x + offset[0], y + offset[1])
+        frame = path.closest_point(p)
+        assume(abs(frame.d) < L1)
+        self.assert_matches_oracle(path, p, *self.window(path, frame))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        heading=st.floats(-math.pi, math.pi),
+        legs=st.lists(
+            st.tuples(st.floats(20.0, 200.0), st.floats(-0.5, 0.5)), min_size=1, max_size=20
+        ),
+        s_frac=st.floats(0.0, 1.0),
+        offset=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+    )
+    def test_gentle_polyline_matches_scan(self, heading, legs, s_frac, offset):
+        # Turns of at most 0.5 rad keep roots apart beyond the scan's step.
+        pts = [(0.0, 0.0)]
+        for length, turn in legs:
+            heading += turn
+            x, y = pts[-1]
+            pts.append((x + length * math.cos(heading), y + length * math.sin(heading)))
+        path = PolylinePath(pts)
+        x, y = path.point(s_frac * path.s_max)
+        p = (x + offset[0], y + offset[1])
+        frame, s_t = lookahead(path, p)
+        assume(abs(frame.d) < L1)
+        s_scan = scan_or_none(path, frame, p)
+        assert (s_t is None) == (s_scan is None)
+        if s_t is not None:
+            assert s_t == pytest.approx(s_scan, abs=1e-4)
+
+    def test_polyline_hairpin_and_ends(self):
+        path = TestPolyline.hairpin(40.0)  # s_max = 2040
+        half_chord = math.sqrt(L1**2 - 20.0**2)
+        cases = [
+            # Near the turn: the forward root is on the return leg.
+            ((950.0, 20.0), 950.0, 1040.0 + 1000.0 - (950.0 - half_chord)),
+            # Before the first vertex.
+            ((-50.0, 20.0), 0.0, -50.0 + half_chord),
+            # Past the last vertex: the largest root lies behind s*.
+            ((-50.0, 60.0), 2040.0, 2040.0 - (-50.0 + half_chord)),
+        ]
+        for p, s_star, expected in cases:
+            frame, s_t = lookahead(path, p)
+            assert frame.s_star == s_star
+            assert s_t == pytest.approx(expected, abs=1e-9)
+            self.assert_matches_oracle(path, p, *self.window(path, frame))
+            assert s_t == pytest.approx(scan_lookahead_parameter(path, frame, p, L1), abs=1e-4)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        amplitude=st.floats(5.0, 300.0),
+        period=st.floats(50.0, 1000.0),
+        l1=st.floats(10.0, 300.0),
+        x_frac=st.floats(-0.99, 1.0),
+        y_frac=st.floats(-2.0, 2.0),
+    )
+    def test_sinusoid_past_end_matches_oracle(self, amplitude, period, l1, x_frac, y_frac):
+        # px + l1 past s_max; every root lies in [px - l1, px + l1].
+        path = SinusoidPath(amplitude, period)
+        p = (path.s_max + x_frac * l1, y_frac * amplitude)
+        frame = path.closest_point(p)
+        assume(abs(frame.d) < l1)
+        self.assert_matches_oracle(path, p, max(p[0] - l1, path.s_min), path.s_max, l1)
+
+    @pytest.mark.parametrize(
+        "amplitude, period, l1, p, branch",
+        [
+            (300.0, SCENARIO_PERIOD, 110.0, (6.0 * SCENARIO_PERIOD + 50.0, 0.0), "behind"),
+            (82.0, 333.0, 246.0, (1800.0, 33.0), "behind"),
+            (250.0, 144.0, 140.0, (863.0, 120.0), "ahead"),
+            (42.0, 72.0, 262.0, (198.0, 19.0), "none"),
+        ],
+    )
+    def test_sinusoid_past_end_below_l1_at_s_max(self, amplitude, period, l1, p, branch):
+        # h(s_max) < 0: the last root is a falling crossing behind s* or
+        # ahead of it, or, when the circle holds the whole path, none.
+        path = SinusoidPath(amplitude, period)
+        assert path._distance_sq(path.s_max, *p) < l1 * l1
+        frame, s_t = self.assert_matches_oracle(
+            path, p, max(p[0] - l1, path.s_min), path.s_max, l1
+        )
+        if branch == "none":
+            assert s_t is None
+        else:
+            assert (s_t < frame.s_star) == (branch == "behind")
+
+    @pytest.mark.parametrize(
+        "path, p",
+        [
+            (LinePath(0.0, 0.0, 0.0), (30.0, L1)),
+            (LinePath(0.0, 0.0, 0.0, s_min=0.0, s_max=100.0), (166.0, 88.0)),
+            (CirclePath(0.0, 0.0, 100.0), (210.0, 0.0)),
+        ],
+        ids=["line", "line_past_end", "circle"],
+    )
+    def test_tangency_returns_closest_point(self, path, p):
+        frame = path.closest_point(p)
+        assert abs(frame.d) == L1
+        assert nlgl_virtual_target(path, frame, p, L1) == (frame.s_star, frame.p_ref)
+
+    def test_bare_path_kind_answers_neither_query(self):
+        class Bare(ReferencePath):
+            s_min, s_max = 0.0, 100.0
+
+            def point(self, s):
+                return (s, 0.0)
+
+            def tangent_angle(self, s):
+                return 0.0
+
+        path = Bare()
+        with pytest.raises(NotImplementedError):
+            path.closest_parameter((50.0, 10.0))
+        frame = path.frame_at(50.0, (50.0, 10.0))
+        with pytest.raises(NotImplementedError):
+            path.lookahead_parameter(frame, 50.0, 10.0, L1)
+        with pytest.raises(NotImplementedError):
+            nlgl_virtual_target(path, frame, (50.0, 10.0), L1)
 
 
 class TestCourseRate:
