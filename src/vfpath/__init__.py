@@ -29,6 +29,7 @@ from .paths import (
     PolylinePath,
     ReferencePath,
     SinusoidPath,
+    UnboundedCurvatureError,
     load_polyline,
     max_path_course_rate,
     path_course_rate,
@@ -43,6 +44,7 @@ from .simulation import (
     TrialMetrics,
     benchmark_scenario,
     chattering_index,
+    comparison_scenario,
     compute_metrics,
     monte_carlo,
     run_trial,

@@ -42,8 +42,8 @@ class BaselineParams:
 
     def __post_init__(self):
         for name in ("vf_k", "vf_beta", "plos_k1", "plos_k2", "nlgl_l1"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def basic_vf_command(frame: PathFrame, params: BaselineParams) -> float:

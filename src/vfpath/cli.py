@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from .config import ConfigError, build_scenario, dump_settings, load_settings
 from .guidance import validate_curvature_constraint
-from .paths import max_path_course_rate
+from .paths import UnboundedCurvatureError, max_path_course_rate
 from .simulation import (
     GUIDANCE_LAWS,
     MonteCarloSummary,
-    ScenarioConfig,
     Trajectory,
     TrialMetrics,
+    comparison_scenario,
     monte_carlo,
     run_trial,
 )
@@ -103,14 +102,6 @@ def _parse_laws(raw: Optional[str], default: tuple[str, ...]) -> list[str]:
     return laws
 
 
-def _scenario(settings, law: str, compare_mode: bool = False) -> ScenarioConfig:
-    config = build_scenario(settings, law)
-    if compare_mode and law == "nlgl":
-        # The look-ahead law starts inside its feasible band in comparisons.
-        config = replace(config, d0=config.nlgl_d0)
-    return config
-
-
 def _print_metrics(law: str, metrics: TrialMetrics) -> None:
     status = "converged" if metrics.converged else "not converged"
     if metrics.failure_reason:
@@ -131,7 +122,7 @@ def cmd_run(args, settings) -> int:
     law = laws[0]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _scenario(settings, law)
+    config = build_scenario(settings, law)
     traj, metrics = run_trial(config, seed=args.seed)
     write_trajectory_csv(traj, out_dir / f"trajectory_{law}.csv")
     write_metrics_csv([(law, metrics)], out_dir / f"metrics_{law}.csv")
@@ -148,7 +139,7 @@ def cmd_compare(args, settings) -> int:
     rows: list[tuple[str, TrialMetrics]] = []
     any_failed = False
     for law in laws:
-        config = _scenario(settings, law, compare_mode=True)
+        config = comparison_scenario(build_scenario(settings, law))
         traj, metrics = run_trial(config, seed=args.seed)
         write_trajectory_csv(traj, out_dir / f"trajectory_{law}.csv")
         rows.append((law, metrics))
@@ -192,7 +183,11 @@ def cmd_validate(args, settings) -> int:
     # Peak rates at the worst-case ground speed; the constraint's left side
     # does not depend on it.
     v_g = config.airspeed.v_a + config.max_wind_speed
-    chi_p_dot_max = max_path_course_rate(config.path, v_g)
+    try:
+        chi_p_dot_max = max_path_course_rate(config.path, v_g)
+    except UnboundedCurvatureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     report = validate_curvature_constraint(
         config.guidance, v_g, chi_p_dot_max, config.kappa_max
     )

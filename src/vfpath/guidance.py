@@ -81,10 +81,10 @@ class GuidanceParams:
         if not 0.0 < self.chi_inf <= HALF_PI:
             raise ValueError("chi_inf must lie in (0, pi/2]")
         for name in ("k1", "d_s", "alpha", "eta", "sigma", "epsilon"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.delta_hys < 0.0:
-            raise ValueError("delta_hys must be non-negative")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 <= self.delta_hys < math.inf:
+            raise ValueError("delta_hys must be non-negative and finite")
         n, m = self.n, self.m
         if not (
             isinstance(n, int)

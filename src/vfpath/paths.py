@@ -4,7 +4,8 @@ Every path kind exposes ``point(s)`` and ``tangent_angle(s)`` over a stated
 parameter domain and answers two geometric queries exactly: the closest
 parameter to a point (``closest_parameter``, which fills a :class:`PathFrame`)
 and the forward-most parameter at a given distance from it
-(``lookahead_parameter``, the NLGL look-ahead target).
+(``lookahead_parameter``, the NLGL look-ahead target).  Each kind also states
+its exact peak curvature over the domain (``peak_curvature``).
 
 Sign convention: the cross-track error ``d`` is the component of the
 displacement (vehicle minus closest point) along the path tangent rotated by
@@ -24,9 +25,6 @@ import numpy as np
 
 from .angles import wrap_angle
 
-# Uniform samples of the domain in the curvature scan.
-CURVATURE_SAMPLES = 8192
-
 # Polyline neighbour list: the skin is the larger of these, and the 1 mm
 # slack on the candidate radius covers the rounding of the distances.
 POLYLINE_SKIN_MIN = 5.0
@@ -36,6 +34,10 @@ POLYLINE_SLACK = 1e-3
 
 class PathDomainError(ValueError):
     """Raised when a path is evaluated outside its parameter domain."""
+
+
+class UnboundedCurvatureError(ValueError):
+    """Raised when a path has a corner, so its curvature has no finite bound."""
 
 
 @dataclass
@@ -63,8 +65,9 @@ class ReferencePath:
     """Base class for planar reference paths.
 
     A path kind defines ``s_min``/``s_max``, ``point`` and ``tangent_angle``,
-    and answers both geometric queries exactly: ``closest_parameter`` and
-    ``lookahead_parameter``.  The base class has no answer of its own.
+    answers both geometric queries exactly (``closest_parameter`` and
+    ``lookahead_parameter``) and states its exact ``peak_curvature``.  The
+    base class has no answer of its own.
     """
 
     s_min: float
@@ -109,6 +112,11 @@ class ReferencePath:
         ``frame`` is the closest-point frame of p, with |d| < l1:
         ``nlgl_virtual_target`` handles tangency and |d| > l1 itself.
         """
+        raise NotImplementedError
+
+    def peak_curvature(self) -> float:
+        """Largest curvature (1/m) of the path over its domain.
+        UnboundedCurvatureError when the path has a corner."""
         raise NotImplementedError
 
     def closest_point(self, p: Sequence[float]) -> PathFrame:
@@ -156,6 +164,24 @@ def _bisect_sign(fun, lo: float, hi: float) -> float:
             hi = mid
 
 
+def _check_finite(**values: float) -> None:
+    """ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _finite_domain(s_min: float, s_max: float) -> tuple[float, float]:
+    """(s_min, s_max) as floats; ValueError unless both are finite and
+    s_min < s_max."""
+    s_min, s_max = float(s_min), float(s_max)
+    if not -math.inf < s_min < s_max < math.inf:
+        raise ValueError(
+            f"s_min and s_max must be finite with s_min < s_max, got {s_min}, {s_max}"
+        )
+    return s_min, s_max
+
+
 def _contains_angle(t_lo: float, t_hi: float, angle: float) -> bool:
     """True when [t_lo, t_hi] holds angle + 2 pi k for some integer k."""
     k = math.floor((t_hi - angle) / (2.0 * math.pi))
@@ -173,11 +199,10 @@ class LinePath(ReferencePath):
         s_min: float = -1.0e6,
         s_max: float = 1.0e6,
     ):
-        if s_max <= s_min:
-            raise ValueError("s_max must exceed s_min")
+        _check_finite(x0=x0, y0=y0, heading=heading)
         self.x0, self.y0 = float(x0), float(y0)
         self.heading = wrap_angle(heading)
-        self.s_min, self.s_max = float(s_min), float(s_max)
+        self.s_min, self.s_max = _finite_domain(s_min, s_max)
         self._cos = math.cos(self.heading)
         self._sin = math.sin(self.heading)
 
@@ -212,6 +237,9 @@ class LinePath(ReferencePath):
                 return s
         return None
 
+    def peak_curvature(self) -> float:
+        return 0.0
+
 
 class CirclePath(ReferencePath):
     """Circle of given center and radius, traversed counter-clockwise.
@@ -223,8 +251,9 @@ class CirclePath(ReferencePath):
     periodic = True
 
     def __init__(self, cx: float = 0.0, cy: float = 0.0, radius: float = 100.0):
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise ValueError("radius must be positive and finite")
+        _check_finite(cx=cx, cy=cy)
         self.cx, self.cy = float(cx), float(cy)
         self.radius = float(radius)
         self.s_min = 0.0
@@ -272,6 +301,9 @@ class CirclePath(ReferencePath):
             return None
         return frame.s_star + self.radius * math.acos(cos_angle)
 
+    def peak_curvature(self) -> float:
+        return 1.0 / self.radius
+
 
 class SinusoidPath(ReferencePath):
     """Sinusoid y = A * sin(2*pi*x / L) parameterized by x.
@@ -288,15 +320,16 @@ class SinusoidPath(ReferencePath):
         s_min: Optional[float] = None,
         s_max: Optional[float] = None,
     ):
-        if amplitude <= 0.0 or period <= 0.0:
-            raise ValueError("amplitude and period must be positive")
+        for name, value in (("amplitude", amplitude), ("period", period)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         self.amplitude = float(amplitude)
         self.period = float(period)
         self.omega = 2.0 * math.pi / self.period
-        self.s_min = -0.5 * self.period if s_min is None else float(s_min)
-        self.s_max = 6.0 * self.period if s_max is None else float(s_max)
-        if self.s_max <= self.s_min:
-            raise ValueError("s_max must exceed s_min")
+        self.s_min, self.s_max = _finite_domain(
+            -0.5 * self.period if s_min is None else s_min,
+            6.0 * self.period if s_max is None else s_max,
+        )
         aw = self.amplitude * self.omega
         # Peak curvature A w^2 (one over the minimum radius of curvature) and
         # squared peak slope (Aw)^2.  With u = sin(ws), the squared distance q
@@ -322,6 +355,19 @@ class SinusoidPath(ReferencePath):
         s = self._clip_parameter(s)
         slope = self.amplitude * self.omega * math.cos(self.omega * s)
         return math.atan(slope)
+
+    def peak_curvature(self) -> float:
+        """The curvature A w^2 |sin ws| / (1 + (Aw cos ws)^2)^(3/2) rises
+        with |sin ws|: it peaks at A w^2 on a crest or trough (2 ws an odd
+        multiple of pi) and, on a domain without one, at an end."""
+        w = self.omega
+        if _contains_angle(2.0 * w * self.s_min, 2.0 * w * self.s_max, math.pi):
+            return self._kappa_max
+        return max(
+            self._kappa_max * abs(math.sin(w * s))
+            / (1.0 + self._slope_sq * math.cos(w * s) ** 2) ** 1.5
+            for s in (self.s_min, self.s_max)
+        )
 
     def _distance_sq(self, s: float, px: float, py: float) -> float:
         dy = self.amplitude * math.sin(self.omega * s) - py
@@ -676,6 +722,22 @@ class PolylinePath(ReferencePath):
                     return s
         return None
 
+    def peak_curvature(self) -> float:
+        """0 when every vertex is straight.  A vertex where the heading
+        turns is a corner, with no finite curvature bound: the error names
+        the sharpest."""
+        headings = self._headings
+        turns = [abs(wrap_angle(b - a)) for a, b in zip(headings, headings[1:])]
+        sharpest = max(turns, default=0.0)
+        if sharpest == 0.0:
+            return 0.0
+        i = turns.index(sharpest) + 1
+        x, y = self.points[i]
+        raise UnboundedCurvatureError(
+            f"polyline vertex {i} ({x:g}, {y:g}) turns {sharpest:.4f} rad:"
+            " a corner has no finite curvature bound"
+        )
+
     def _rebuild_neighbours(self, px: float, py: float) -> list:
         """Project (px, py) onto every segment and keep, as the new list,
         those that can hold the closest point of any position within the
@@ -737,26 +799,9 @@ def path_course_rate(
 
 
 def max_path_course_rate(path: ReferencePath, v_g: float) -> float:
-    """Sampled estimate of the peak |chi_p_dot| when the path is traversed
-    at speed v_g.
-
-    Path curvature is estimated by finite differences of the tangent angle on
-    a uniform parameter grid of ``CURVATURE_SAMPLES`` points over the domain.
-    The samples can miss the peak, so the estimate can fall below it: on the
-    benchmark sinusoid at 15 m/s it is 0.09999948 rad/s, where the exact
-    peak A w^2 V is 0.1 rad/s.
-    """
+    """Peak |chi_p_dot| when the path is traversed at speed v_g: v_g times
+    the path's exact peak curvature.  UnboundedCurvatureError when the path
+    has a corner."""
     if v_g <= 0.0:
         raise ValueError("v_g must be positive")
-    s = np.linspace(path.s_min, path.s_max, CURVATURE_SAMPLES)
-    chi = np.array([path.tangent_angle(v) for v in s])
-    xy = np.array([path.point(v) for v in s])
-    arc = np.hypot(np.diff(xy[:, 0]), np.diff(xy[:, 1]))
-    d_chi = np.abs(
-        np.mod(np.diff(chi) + np.pi, 2.0 * np.pi) - np.pi
-    )
-    valid = arc > 0.0
-    if not np.any(valid):
-        return 0.0
-    kappa_max = float(np.max(d_chi[valid] / arc[valid]))
-    return v_g * kappa_max
+    return v_g * path.peak_curvature()

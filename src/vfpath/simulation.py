@@ -93,7 +93,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.law not in GUIDANCE_LAWS:
             raise ValueError(f"unknown guidance law {self.law!r}")
-        for name in ("d0", "s0", "chi0", "x_init", "y_init", "dt", "max_time", "dwell"):
+        for name in (
+            "d0", "s0", "chi0", "x_init", "y_init", "dt", "max_time", "dwell", "nlgl_d0"
+        ):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -105,6 +107,10 @@ class ScenarioConfig:
             raise ValueError("convergence thresholds must be positive")
         if self.dwell < 0.0:
             raise ValueError("dwell must be non-negative")
+        if not self.kappa_max > 0.0:
+            raise ValueError(
+                f"kappa_max must be positive (inf for unbounded), got {self.kappa_max}"
+            )
         check_wind_speed(self.max_wind_speed, self.airspeed.v_a)
         if (self.x_init is None) != (self.y_init is None):
             raise ValueError("x_init and y_init give an explicit start: set both or neither")
@@ -161,6 +167,15 @@ LAWS = {
     "nlgl": _nlgl_step,
 }
 GUIDANCE_LAWS = tuple(LAWS)
+
+
+def comparison_scenario(config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` as ``vfpath compare`` flies it: nlgl starts ``nlgl_d0``
+    off the path, inside its feasible look-ahead band, and every other law
+    at ``d0``."""
+    if config.law == "nlgl":
+        return replace(config, d0=config.nlgl_d0)
+    return config
 
 
 def benchmark_scenario(law: str = "switched", **overrides) -> ScenarioConfig:

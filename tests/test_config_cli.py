@@ -211,6 +211,20 @@ class TestCli:
         assert rc == 1
         assert "look-ahead infeasible" in capsys.readouterr().out
 
+    def test_nlgl_starts_at_nlgl_d0_only_in_compare(self, tmp_path, capsys):
+        # On a line the first row's d is the start offset itself.
+        cfg = tmp_path / "line.cfg"
+        cfg.write_text("[path]\nkind = line\n\n[sim]\nd0 = 150\nnlgl_d0 = 60\nmax_time = 1\n")
+        for command, d_start in (("compare", 60.0), ("run", 150.0)):
+            out = tmp_path / command
+            rc = main([command, "--law", "nlgl", "--config", str(cfg), "--out", str(out)])
+            assert rc == 1
+            first = (out / "trajectory_nlgl.csv").read_text().splitlines()[1].split(",")
+            assert float(first[7]) == pytest.approx(d_start, rel=1e-12)
+        text = capsys.readouterr().out.splitlines()
+        assert "look-ahead infeasible" not in text[0]
+        assert "look-ahead infeasible" in text[1]
+
     def test_run_multiple_laws_exits_2(self, tmp_path):
         rc = main(["run", "--law", "switched,plos", "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -276,6 +290,17 @@ class TestCli:
         rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_validate_polyline_corner_exits_1(self, tmp_path, capsys):
+        points = tmp_path / "corner.csv"
+        points.write_text("0,0\n100,0\n100,100\n")
+        cfg = tmp_path / "corner.cfg"
+        cfg.write_text(f"[path]\nkind = polyline\nfile = {points}\n")
+        rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "vertex 1 (100, 0) turns 1.5708 rad" in captured.err
+        assert captured.out == ""
 
     def test_validate_unbounded_sentinel_passes(self, tmp_path, capsys):
         cfg = tmp_path / "free.cfg"
@@ -376,6 +401,18 @@ class TestCli:
                 "[path]\nkind = line\nx0 = 1e308\ns_min = -1e308\ns_max = 1e308\n\n"
                 "[sim]\ns0 = 1e308\n",
                 "start",
+            ),
+            (["compare", "--law", "nlgl"], "[baselines]\nnlgl_l1 = nan\n", "nlgl_l1"),
+            (["run"], "[guidance]\neta = inf\n", "eta"),
+            (["run"], "[path]\nperiod = inf\n", "period"),
+            (["validate"], "[sim]\nkappa_max = -1\n", "kappa_max"),
+            (["validate"], "[guidance]\nk1 = nan\n", "k1"),
+            (["validate"], "[sim]\nkappa_max = nan\n", "kappa_max"),
+            (["run"], "[path]\nkind = line\ns_max = nan\n", "s_max"),
+            (
+                ["run"],
+                "[path]\nkind = line\nheading = nan\n\n[sim]\nx_init = 0\ny_init = 100\n",
+                "heading",
             ),
         ],
     )

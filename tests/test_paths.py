@@ -21,6 +21,7 @@ from vfpath.paths import (
     PolylinePath,
     ReferencePath,
     SinusoidPath,
+    UnboundedCurvatureError,
     load_polyline,
     max_path_course_rate,
     path_course_rate,
@@ -738,6 +739,8 @@ class TestLookahead:
             path.lookahead_parameter(frame, 50.0, 10.0, L1)
         with pytest.raises(NotImplementedError):
             nlgl_virtual_target(path, frame, (50.0, 10.0), L1)
+        with pytest.raises(NotImplementedError):
+            path.peak_curvature()
 
 
 class TestCourseRate:
@@ -793,11 +796,26 @@ class TestMaxCourseRate:
 
     def test_circle(self):
         rate = max_path_course_rate(CirclePath(0, 0, 100.0), 15.0)
-        assert rate == pytest.approx(0.15, rel=1e-6)
+        assert rate == pytest.approx(0.15, rel=1e-12)
 
     def test_scenario_sinusoid_bound(self):
         rate = max_path_course_rate(scenario_sinusoid(), 15.0)
-        assert rate == pytest.approx(0.1, rel=1e-3)
+        assert rate == pytest.approx(0.1, rel=1e-12)
+
+    def test_sinusoid_without_crest_peaks_at_an_end(self):
+        # On [0, P/8], ws runs from 0 to pi/4, where (Aw)^2 cos^2 ws = 1 on
+        # the benchmark sinusoid: A w^2 sin(pi/4) / 2^(3/2) = A w^2 / 4.
+        path = SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD, 0.0, SCENARIO_PERIOD / 8.0)
+        assert max_path_course_rate(path, 15.0) == pytest.approx(0.025, rel=1e-12)
+
+    def test_collinear_polyline_zero(self):
+        path = PolylinePath([(0.0, 0.0), (100.0, 50.0), (300.0, 150.0), (400.0, 200.0)])
+        assert max_path_course_rate(path, 15.0) == 0.0
+
+    def test_polyline_corner_unbounded(self):
+        path = PolylinePath([(0.0, 0.0), (100.0, 0.0), (200.0, 10.0), (200.0, 100.0)])
+        with pytest.raises(UnboundedCurvatureError, match=r"vertex 2 \(200, 10\) turns 1\.4711"):
+            max_path_course_rate(path, 15.0)
 
     def test_requires_positive_speed(self):
         with pytest.raises(ValueError):
