@@ -99,13 +99,6 @@ class GuidanceParams:
             raise ValueError("reaching must be 'sat' or 'sign'")
         object.__setattr__(self, "k3", self.k1 / (self.d_s * self.d_s))
 
-    @classmethod
-    def from_branch_gains(cls, k1: float, k3: float, **kwargs) -> "GuidanceParams":
-        """Build parameters from both branch gains (d_s = sqrt(k1/k3))."""
-        if k1 <= 0.0 or k3 <= 0.0:
-            raise ValueError("branch gains must be positive")
-        return cls(k1=k1, d_s=math.sqrt(k1 / k3), **kwargs)
-
 
 class Command(NamedTuple):
     """One guidance step: the commanded and desired course, the active phase

@@ -81,11 +81,6 @@ class ReferencePath:
     def tangent_angle(self, s: float) -> float:
         raise NotImplementedError
 
-    def points_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``point``; subclasses override with closed-form numpy."""
-        xy = np.array([self.point(float(v)) for v in s], dtype=float)
-        return xy[:, 0], xy[:, 1]
-
     def _clip_parameter(self, s: float) -> float:
         if self.periodic:
             span = self.s_max - self.s_min
@@ -151,19 +146,6 @@ def _finite_position(p: Sequence[float]) -> tuple[float, float]:
     return px, py
 
 
-def _bisect_sign(fun, lo: float, hi: float) -> float:
-    """Root of ``fun`` in [lo, hi], where it goes from - to +, by bisection
-    on its sign down to the float spacing."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        if fun(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
 def _check_finite(**values: float) -> None:
     """ValueError naming the first of ``values`` that is not finite."""
     for name, value in values.items():
@@ -209,10 +191,6 @@ class LinePath(ReferencePath):
     def point(self, s: float) -> tuple[float, float]:
         s = self._clip_parameter(s)
         return (self.x0 + s * self._cos, self.y0 + s * self._sin)
-
-    def points_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = np.clip(s, self.s_min, self.s_max)
-        return self.x0 + s * self._cos, self.y0 + s * self._sin
 
     def tangent_angle(self, s: float) -> float:
         self._clip_parameter(s)
@@ -264,13 +242,6 @@ class CirclePath(ReferencePath):
         return (
             self.cx + self.radius * math.cos(theta),
             self.cy + self.radius * math.sin(theta),
-        )
-
-    def points_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        theta = np.asarray(s, dtype=float) / self.radius
-        return (
-            self.cx + self.radius * np.cos(theta),
-            self.cy + self.radius * np.sin(theta),
         )
 
     def tangent_angle(self, s: float) -> float:
@@ -347,10 +318,6 @@ class SinusoidPath(ReferencePath):
         s = self._clip_parameter(s)
         return (s, self.amplitude * math.sin(self.omega * s))
 
-    def points_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = np.clip(s, self.s_min, self.s_max)
-        return s, self.amplitude * np.sin(self.omega * s)
-
     def tangent_angle(self, s: float) -> float:
         s = self._clip_parameter(s)
         slope = self.amplitude * self.omega * math.cos(self.omega * s)
@@ -391,6 +358,8 @@ class SinusoidPath(ReferencePath):
         times ``sign`` is not positive at an iterate (so -1 seeks a maximum
         or a falling crossing), an iterate leaves [lo, hi] (or is not
         finite), or the iteration does not converge within 12 steps.
+        ``_root`` bisects a bracketed root when it returns None; the
+        unbracketed warm start of ``closest_parameter`` calls it directly.
         """
         a, w = self.amplitude, self.omega
         for _ in range(12):
@@ -415,6 +384,37 @@ class SinusoidPath(ReferencePath):
             if abs(step) < 1e-10:
                 return s
         return None
+
+    def _root(
+        self,
+        start: float,
+        lo: float,
+        hi: float,
+        px: float,
+        py: float,
+        radius: Optional[float] = None,
+        sign: float = 1.0,
+    ) -> float:
+        """The one root in [lo, hi] of g, with g = q'/2 when ``radius`` is
+        None and g = q - radius^2 otherwise, where sign * g goes from below
+        zero at lo to not below it at hi: ``_newton`` from ``start``, or,
+        when that returns None, bisection on the sign of sign * g down to
+        the float spacing."""
+        s = self._newton(start, lo, hi, px, py, radius, sign)
+        if s is not None:
+            return s
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return mid
+            if radius is None:
+                g = self._grad(mid, px, py)
+            else:
+                g = self._distance_sq(mid, px, py) - radius * radius
+            if sign * g < 0.0:
+                lo = mid
+            else:
+                hi = mid
 
     def closest_parameter(self, p, near=None) -> float:
         """Global minimizer of the distance from ``p`` to the sinusoid.
@@ -493,27 +493,6 @@ class SinusoidPath(ReferencePath):
         a, w = self.amplitude, self.omega
         return (s - px) + (a * math.sin(w * s) - py) * a * w * math.cos(w * s)
 
-    def _piece_extremum(
-        self,
-        c0: float,
-        c1: float,
-        grad_lo: float,
-        grad_hi: float,
-        px: float,
-        py: float,
-        sign: float = 1.0,
-    ) -> float:
-        """Stationary point of q on a piece [c0, c1] at whose ends q' goes
-        from - (``grad_lo``) to + (``grad_hi``), a minimum on a convex piece,
-        or with ``sign`` -1 from + to -, a maximum on a concave piece:
-        Newton's method from where the chord of q' crosses zero, or
-        bisection when Newton leaves the piece."""
-        start = c0 - grad_lo * (c1 - c0) / (grad_hi - grad_lo)
-        root = self._newton(start, c0, c1, px, py, sign=sign)
-        if root is None:
-            root = _bisect_sign(lambda v: sign * self._grad(v, px, py), c0, c1)
-        return root
-
     def _search_convex_pieces(
         self, px: float, py: float, lo: float, hi: float, s: float
     ) -> float:
@@ -524,7 +503,9 @@ class SinusoidPath(ReferencePath):
         its sign on both sides), a concave piece has its minimum at an end,
         and lo or hi is no closer than s unless it is a domain end.  The
         minimizer is therefore s, a domain end in [lo, hi], or the
-        stationary point of a convex piece at whose ends q' goes from - to +.
+        stationary point of a convex piece at whose ends q' goes from - to +,
+        found by ``_root`` from where the chord of q' across the piece
+        crosses zero.
         """
         cuts = self._convexity_cuts(lo, hi, py)
         candidates = [s] + [v for v in (self.s_min, self.s_max) if lo <= v <= hi]
@@ -533,7 +514,8 @@ class SinusoidPath(ReferencePath):
             grad_hi = self._grad(c1, px, py)
             # q' falls across a concave piece, so only a convex one passes.
             if grad_lo < 0.0 <= grad_hi:
-                candidates.append(self._piece_extremum(c0, c1, grad_lo, grad_hi, px, py))
+                start = c0 - grad_lo * (c1 - c0) / (grad_hi - grad_lo)
+                candidates.append(self._root(start, c0, c1, px, py))
             grad_lo = grad_hi
         return min((self._distance_sq(v, px, py), v) for v in candidates)[1]
 
@@ -559,21 +541,8 @@ class SinusoidPath(ReferencePath):
                 )
         # A strictly convex h below zero at lo crosses zero once in (lo, hi].
         if self._convex_on(lo, hi, py):
-            return self._crossing(lo, hi, px, py, l1)
+            return self._root(hi, lo, hi, px, py, l1)
         return self._forward_crossing_in_pieces(lo, hi, px, py, l1)
-
-    def _crossing(
-        self, lo: float, hi: float, px: float, py: float, l1: float, sign: float = 1.0
-    ) -> float:
-        """The one root of h = q - l1^2 in [lo, hi], where h rises from below
-        zero at lo to h(hi) >= 0, or with ``sign`` -1 falls from h(lo) >= 0
-        to below zero at hi: Newton's method from hi, or bisection on the
-        sign of sign * h when Newton leaves [lo, hi]."""
-        s = self._newton(hi, lo, hi, px, py, radius=l1, sign=sign)
-        if s is None:
-            r_sq = l1 * l1
-            s = _bisect_sign(lambda v: sign * (self._distance_sq(v, px, py) - r_sq), lo, hi)
-        return s
 
     def _forward_crossing_in_pieces(
         self, lo: float, hi: float, px: float, py: float, l1: float, sign: float = 1.0
@@ -593,6 +562,8 @@ class SinusoidPath(ReferencePath):
         A piece with neither stays on hi's side throughout, and the walk
         moves left.  When h(lo) is on the other side, as h(s*) < 0 is for a
         rising crossing, the walk ends at the first piece at the latest.
+        ``_root`` finds each crossing from the piece's right end and each
+        extremum from where the chord of q' across the piece crosses zero.
         """
         cuts = self._convexity_cuts(lo, hi, py)
         r_sq = l1 * l1
@@ -601,12 +572,13 @@ class SinusoidPath(ReferencePath):
         for i in range(len(cuts) - 2, -1, -1):
             c0, c1 = cuts[i], cuts[i + 1]
             if (self._distance_sq(c0, px, py) < r_sq) == rising:
-                return self._crossing(c0, c1, px, py, l1, sign)
+                return self._root(c1, c0, c1, px, py, l1, sign)
             grad_lo = self._grad(c0, px, py)
             if sign * grad_lo < 0.0 <= sign * grad_hi:
-                m = self._piece_extremum(c0, c1, grad_lo, grad_hi, px, py, sign)
+                start = c0 - grad_lo * (c1 - c0) / (grad_hi - grad_lo)
+                m = self._root(start, c0, c1, px, py, sign=sign)
                 if (self._distance_sq(m, px, py) < r_sq) == rising:
-                    return self._crossing(m, c1, px, py, l1, sign)
+                    return self._root(c1, m, c1, px, py, l1, sign)
             grad_hi = grad_lo
         return None
 

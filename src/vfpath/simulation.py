@@ -103,8 +103,10 @@ class ScenarioConfig:
             raise ValueError("dt and max_time must be positive")
         if self.dt >= CHATTER_WINDOW:
             raise ValueError(f"dt must be below the {CHATTER_WINDOW} s chatter window")
-        if not (self.d_threshold > 0.0 and self.align_threshold > 0.0):
-            raise ValueError("convergence thresholds must be positive")
+        for name in ("d_threshold", "align_threshold"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.dwell < 0.0:
             raise ValueError("dwell must be non-negative")
         if not self.kappa_max > 0.0:
@@ -274,7 +276,6 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     prev_frame: Optional[PathFrame] = None
     cmd: Optional[Command] = None
     streak = 0
-    conv_idx = -1
     failure: Optional[str] = None
     # One (t, x, y, chi, chi_c, chi_d, chi_dot, d, phase, chi_p) row per step.
     rows: list[tuple] = []
@@ -304,14 +305,14 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
             failure = cmd.failure
             break
 
-        if abs(frame.d) <= d_thr and abs(wrap_angle(chi - frame.chi_p)) <= align_thr:
-            streak += 1
-        else:
-            streak = 0
-        if conv_idx < 0 and streak >= need + 1:
-            conv_idx = k - need
-        if stop_early and conv_idx >= 0:
-            break
+        # compute_metrics scores convergence; the streak only decides the stop.
+        if stop_early:
+            if abs(frame.d) <= d_thr and abs(wrap_angle(chi - frame.chi_p)) <= align_thr:
+                streak += 1
+                if streak > need:
+                    break
+            else:
+                streak = 0
         if k == n_max:
             break
 

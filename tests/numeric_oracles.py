@@ -7,12 +7,39 @@ import numpy as np
 
 from vfpath.baselines import LookaheadInfeasibleError
 from vfpath.guidance import GuidanceParams
-from vfpath.paths import PathFrame, PolylinePath, ReferencePath
+from vfpath.paths import (
+    CirclePath,
+    LinePath,
+    PathFrame,
+    PolylinePath,
+    ReferencePath,
+    SinusoidPath,
+)
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Width (in the path parameter) at which the look-ahead scan's bisection stops.
 NLGL_BISECT_TOL = 1e-4
+
+
+def sample_points(path: ReferencePath, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points of ``path`` at the parameters ``s``, from each kind's defining
+    geometry rather than its ``point``: closed forms for the line, circle
+    and sinusoid, and linear interpolation over the cumulative arc length of
+    the vertices for the polyline."""
+    s = np.asarray(s, dtype=float)
+    if isinstance(path, LinePath):
+        return path.x0 + s * math.cos(path.heading), path.y0 + s * math.sin(path.heading)
+    if isinstance(path, CirclePath):
+        theta = s / path.radius
+        return path.cx + path.radius * np.cos(theta), path.cy + path.radius * np.sin(theta)
+    if isinstance(path, SinusoidPath):
+        return s, path.amplitude * np.sin(2.0 * math.pi * s / path.period)
+    if isinstance(path, PolylinePath):
+        x, y = path.points[:, 0], path.points[:, 1]
+        cum = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(x), np.diff(y)))))
+        return np.interp(s, cum, x), np.interp(s, cum, y)
+    raise TypeError(f"no sampling oracle for {type(path).__name__}")
 
 
 def dense_closest_parameter(path: ReferencePath, p: Sequence[float], n: int) -> float:
@@ -25,7 +52,7 @@ def dense_closest_parameter(path: ReferencePath, p: Sequence[float], n: int) -> 
     """
     px, py = float(p[0]), float(p[1])
     s = np.linspace(path.s_min, path.s_max, n)
-    x, y = path.points_array(s)
+    x, y = sample_points(path, s)
     i = int(np.argmin((x - px) ** 2 + (y - py) ** 2))
     lo, hi = float(s[max(i - 1, 0)]), float(s[min(i + 1, n - 1)])
 
@@ -77,7 +104,7 @@ def scan_lookahead_parameter(
         hi = min(hi, path.s_max)
     steps = 256
     grid = np.linspace(lo, hi, steps + 1)
-    gx, gy = path.points_array(grid)
+    gx, gy = sample_points(path, grid)
     gv = np.hypot(gx - p[0], gy - p[1]) - l1
     crossing: Optional[tuple[float, float]] = None
     signs = gv[:-1] * gv[1:]
@@ -121,7 +148,7 @@ def dense_lookahead_parameter(
     no two roots fall between adjacent samples.
     """
     s = np.linspace(lo, hi, n)
-    x, y = path.points_array(s)
+    x, y = sample_points(path, s)
     below = np.hypot(x - p[0], y - p[1]) < l1
     hits = np.nonzero(below[:-1] != below[1:])[0]
     if not hits.size:

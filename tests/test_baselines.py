@@ -220,9 +220,10 @@ class TestLookaheadParameter:
                 self.walked = True
                 return super()._forward_crossing_in_pieces(*args)
 
-            def _crossing(self, lo, *args):
+            def _root(self, start, lo, *args, **kwargs):
+                # The walk's last bracketed search is its crossing.
                 self.crossing_lo = lo
-                return super()._crossing(lo, *args)
+                return super()._root(start, lo, *args, **kwargs)
 
         rng = np.random.default_rng(1)
         branches = Counter()

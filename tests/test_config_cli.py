@@ -414,6 +414,8 @@ class TestCli:
                 "[path]\nkind = line\nheading = nan\n\n[sim]\nx_init = 0\ny_init = 100\n",
                 "heading",
             ),
+            (["run"], "[sim]\nd_threshold = inf\n", "d_threshold"),
+            (["run"], "[sim]\nalign_threshold = inf\n", "align_threshold"),
         ],
     )
     def test_bad_scenario_value_exits_2(self, command, config, key, tmp_path, capsys):

@@ -51,10 +51,6 @@ class TestParams:
     def test_k3_tied_to_k1_and_ds(self):
         assert P.k3 == pytest.approx(1e-4, rel=1e-12)
 
-    def test_from_branch_gains(self):
-        p = GuidanceParams.from_branch_gains(0.01, 1e-4)
-        assert p.d_s == pytest.approx(10.0)
-
     @pytest.mark.parametrize(
         "kwargs",
         [

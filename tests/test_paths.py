@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numeric_oracles import (
     dense_closest_parameter,
     dense_lookahead_parameter,
+    sample_points,
     scan_lookahead_parameter,
     segment_scan_parameter,
 )
@@ -403,7 +404,7 @@ class TestPolyline:
         pts = np.cumsum(rng.uniform(-20.0, 20.0, size=(12, 2)), axis=0)
         poly = PolylinePath(pts)
         s_dense = np.linspace(poly.s_min, poly.s_max, 200_001)
-        gx, gy = poly.points_array(s_dense)
+        gx, gy = sample_points(poly, s_dense)
         for _ in range(20):
             p = rng.uniform(-80.0, 80.0, size=2)
             frame = poly.closest_point(p)

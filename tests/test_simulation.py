@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from vfpath import simulation
 from vfpath.guidance import GuidanceParams
-from vfpath.paths import CirclePath, LinePath, PolylinePath, SinusoidPath
+from vfpath.paths import CirclePath, LinePath, PolylinePath, ReferencePath, SinusoidPath
 from vfpath.simulation import (
     GUIDANCE_LAWS,
     ScenarioConfig,
@@ -519,3 +521,18 @@ class TestScenarioConfig:
         assert cfg.guidance.eta == 1.0
         cfg2 = replace(cfg, law="plos")
         assert cfg2.law == "plos"
+
+
+def test_names_the_bench_tracer_wraps_exist():
+    # bench/tracer.py times the layers by wrapping these names; one deleted
+    # or moved would break only the traced benchmark runs, not these tests.
+    tracer_file = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    if not tracer_file.is_file():
+        pytest.skip("bench/tracer.py is absent")
+    spec = importlib.util.spec_from_file_location("bench_tracer", tracer_file)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _ in tracer.MODULE_TARGETS:
+        assert hasattr(module, attr), f"{module.__name__}.{attr}"
+    for method in tracer.PATH_METHODS:
+        assert method in ReferencePath.__dict__, method
