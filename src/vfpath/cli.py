@@ -17,16 +17,17 @@ from .guidance import validate_curvature_constraint
 from .paths import UnboundedCurvatureError, max_path_course_rate
 from .simulation import (
     GUIDANCE_LAWS,
+    METRICS,
     MonteCarloSummary,
     Trajectory,
     TrialMetrics,
+    check_laws,
     comparison_scenario,
     monte_carlo,
     run_trial,
 )
 
 TRAJECTORY_HEADER = "t,x,y,chi,chi_c,chi_d,chi_dot,d,phase"
-METRIC_COLUMNS = ("t_conv", "d_rms", "chi_dot_rms", "chi_dot_max", "chattering_index")
 
 
 def _fmt(value: float) -> str:
@@ -44,19 +45,20 @@ def write_trajectory_csv(traj: Trajectory, out_file: Path) -> None:
     out_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _metrics_row(law: str, metrics: TrialMetrics) -> str:
-    fields = [law, "true" if metrics.converged else "false"]
-    fields += [_fmt(getattr(metrics, name)) for name in METRIC_COLUMNS]
+# Header of the fields _trial_fields writes for one trial in both trial CSVs.
+TRIAL_COLUMNS = "converged," + ",".join(METRICS) + ",failure_reason"
+
+
+def _trial_fields(metrics: TrialMetrics) -> str:
+    fields = ["true" if metrics.converged else "false"]
+    fields += [_fmt(getattr(metrics, name)) for name in METRICS]
     fields.append(metrics.failure_reason or "")
     return ",".join(fields)
 
 
-METRICS_HEADER = "law,converged," + ",".join(METRIC_COLUMNS) + ",failure_reason"
-
-
 def write_metrics_csv(rows: list[tuple[str, TrialMetrics]], out_file: Path) -> None:
-    lines = [METRICS_HEADER]
-    lines += [_metrics_row(law, metrics) for law, metrics in rows]
+    lines = ["law," + TRIAL_COLUMNS]
+    lines += [f"{law},{_trial_fields(metrics)}" for law, metrics in rows]
     out_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -66,7 +68,7 @@ SUMMARY_HEADER = "law,metric,count,min,q1,median,q3,max,mean"
 def write_summary_csv(summary: MonteCarloSummary, out_file: Path) -> None:
     lines = [SUMMARY_HEADER]
     for law in summary.laws:
-        for metric in METRIC_COLUMNS:
+        for metric in METRICS:
             s = summary.stats[(law, metric)]
             values = (s.minimum, s.q1, s.median, s.q3, s.maximum, s.mean)
             lines.append(",".join((law, metric, str(s.count), *map(_fmt, values))))
@@ -78,11 +80,10 @@ def write_summary_csv(summary: MonteCarloSummary, out_file: Path) -> None:
 
 
 def write_per_trial_csv(summary: MonteCarloSummary, out_file: Path) -> None:
-    lines = ["law,trial," + METRICS_HEADER.split(",", 1)[1]]
+    lines = ["law,trial," + TRIAL_COLUMNS]
     for law in summary.laws:
         for i, metrics in enumerate(summary.trials[law]):
-            row = _metrics_row(law, metrics).split(",", 1)[1]
-            lines.append(f"{law},{i},{row}")
+            lines.append(f"{law},{i},{_trial_fields(metrics)}")
     out_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -90,15 +91,10 @@ def _parse_laws(raw: Optional[str], default: tuple[str, ...]) -> list[str]:
     if raw is None:
         return list(default)
     laws = [token.strip() for token in raw.split(",") if token.strip()]
-    if not laws:
-        raise ConfigError("at least one guidance law must be selected")
-    for i, law in enumerate(laws):
-        if law not in GUIDANCE_LAWS:
-            raise ConfigError(
-                f"unknown guidance law {law!r} (choose from {', '.join(GUIDANCE_LAWS)})"
-            )
-        if law in laws[:i]:
-            raise ConfigError(f"guidance law {law!r} is selected twice")
+    try:
+        check_laws(laws)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return laws
 
 
@@ -127,9 +123,7 @@ def cmd_run(args, settings) -> int:
     write_trajectory_csv(traj, out_dir / f"trajectory_{law}.csv")
     write_metrics_csv([(law, metrics)], out_dir / f"metrics_{law}.csv")
     _print_metrics(law, metrics)
-    if metrics.failure_reason or not metrics.converged:
-        return 1
-    return 0
+    return 0 if metrics.converged else 1
 
 
 def cmd_compare(args, settings) -> int:
@@ -137,17 +131,15 @@ def cmd_compare(args, settings) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[str, TrialMetrics]] = []
-    any_failed = False
     for law in laws:
         config = comparison_scenario(build_scenario(settings, law))
         traj, metrics = run_trial(config, seed=args.seed)
         write_trajectory_csv(traj, out_dir / f"trajectory_{law}.csv")
         rows.append((law, metrics))
         _print_metrics(law, metrics)
-        if metrics.failure_reason or not metrics.converged:
-            any_failed = True
     write_metrics_csv(rows, out_dir / "comparison.csv")
-    return 1 if any_failed else 0
+    # A failed trial is never converged.
+    return 0 if all(metrics.converged for _, metrics in rows) else 1
 
 
 def cmd_montecarlo(args, settings) -> int:
@@ -162,7 +154,7 @@ def cmd_montecarlo(args, settings) -> int:
         n_trials=args.trials,
         master_seed=args.seed,
         laws=laws,
-        parallel=not args.serial,
+        workers=1 if args.serial else None,
     )
     write_summary_csv(summary, out_dir / "montecarlo_summary.csv")
     if args.per_trial:
@@ -201,6 +193,8 @@ def cmd_validate(args, settings) -> int:
         f"kappa_max             : {_fmt(report.kappa_max)} 1/m",
         f"result                : {'PASS' if report.passed else 'FAIL'}",
     ]
+    if not report.path_fits:
+        lines.append(f"fail: path curvature {_fmt(chi_p_dot_max / v_g)} 1/m > kappa_max {_fmt(report.kappa_max)} 1/m")
     if not report.exact:
         chi_inf = _fmt(config.guidance.chi_inf)
         lines.append(f"note: chi_inf = {chi_inf} < pi/2, so the rates and curvatures are upper bounds")

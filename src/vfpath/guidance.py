@@ -242,6 +242,8 @@ class CurvatureReport:
 
     The peaks are the chi_inf = pi/2 closed forms.  ``exact`` is False below
     pi/2, where the rates and curvatures bound the field's peaks from above.
+    ``passed`` needs ``lhs <= kappa_max`` and ``path_fits``: the path's own
+    peak curvature is at most ``kappa_max``.
     """
 
     k1_peak_rate: float
@@ -252,6 +254,7 @@ class CurvatureReport:
     k3_curvature: float
     lhs: float
     kappa_max: float
+    path_fits: bool
     passed: bool
     exact: bool
 
@@ -275,7 +278,8 @@ def validate_curvature_constraint(
                                                 at |d| = 5^(1/6) / (2^(1/3) k3^(1/3))
 
     for the near and far branches respectively (chi_inf = pi/2).  Feasibility
-    requires max(branch curvatures) - |chi_p_dot|_max / V_g <= kappa_max.
+    requires max(branch curvatures) - |chi_p_dot|_max / V_g <= kappa_max, and
+    a path the vehicle can fly: |chi_p_dot|_max <= kappa_max * V_g.
 
     Below pi/2 they bound the peaks from above: with s = 2*chi_inf/pi and
     theta the branch's arctangent, the rate carries s*sin(s*theta) in place
@@ -289,6 +293,7 @@ def validate_curvature_constraint(
     k1_curv = 2.0 * k1 / (3.0 * math.sqrt(3.0))
     k3_curv = (2.0 ** (4.0 / 3.0) * 5.0 ** (5.0 / 6.0) / 9.0) * k3 ** (1.0 / 3.0)
     lhs = max(k1_curv, k3_curv) - chi_p_dot_max / v_g
+    path_fits = chi_p_dot_max <= kappa_max * v_g
     return CurvatureReport(
         k1_peak_rate=k1_curv * v_g,
         k3_peak_rate=k3_curv * v_g,
@@ -298,6 +303,7 @@ def validate_curvature_constraint(
         k3_curvature=k3_curv,
         lhs=lhs,
         kappa_max=kappa_max,
-        passed=lhs <= kappa_max,
+        path_fits=path_fits,
+        passed=path_fits and lhs <= kappa_max,
         exact=params.chi_inf == HALF_PI,
     )

@@ -731,26 +731,25 @@ class PolylinePath(ReferencePath):
 def load_polyline(path_file: str) -> PolylinePath:
     """Load a polyline from a two-column comma-separated text file.
 
-    Columns are x, y in meters; a single header line is allowed and skipped
-    when its first field does not parse as a number.
+    Columns are x, y in meters.  Blank lines are skipped, and so is the first
+    other line when it does not parse (a header); a later one raises.
     """
     rows: list[tuple[float, float]] = []
+    header_allowed = True
     with open(path_file, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
             if len(fields) < 2:
-                raise ValueError(f"{path_file}:{lineno + 1}: expected two columns")
+                raise ValueError(f"{path_file}:{lineno}: expected two columns")
             try:
                 rows.append((float(fields[0]), float(fields[1])))
             except ValueError:
-                if lineno == 0:
-                    continue  # header
-                raise ValueError(
-                    f"{path_file}:{lineno + 1}: could not parse {line!r}"
-                ) from None
+                if not header_allowed:
+                    raise ValueError(f"{path_file}:{lineno}: could not parse {line!r}") from None
+            header_allowed = False
     return PolylinePath(rows)
 
 

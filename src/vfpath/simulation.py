@@ -91,8 +91,7 @@ class ScenarioConfig:
     kappa_max: float = 0.7 / 15.0
 
     def __post_init__(self):
-        if self.law not in GUIDANCE_LAWS:
-            raise ValueError(f"unknown guidance law {self.law!r}")
+        check_laws((self.law,))
         for name in (
             "d0", "s0", "chi0", "x_init", "y_init", "dt", "max_time", "dwell", "nlgl_d0"
         ):
@@ -171,6 +170,20 @@ LAWS = {
 GUIDANCE_LAWS = tuple(LAWS)
 
 
+def check_laws(laws: Sequence[str]) -> None:
+    """Raise ValueError unless ``laws`` names at least one law of ``LAWS``,
+    none of them twice."""
+    if not laws:
+        raise ValueError("at least one guidance law must be selected")
+    for i, law in enumerate(laws):
+        if law not in LAWS:
+            raise ValueError(
+                f"unknown guidance law {law!r} (choose from {', '.join(GUIDANCE_LAWS)})"
+            )
+        if law in laws[:i]:
+            raise ValueError(f"guidance law {law!r} is selected twice")
+
+
 def comparison_scenario(config: ScenarioConfig) -> ScenarioConfig:
     """``config`` as ``vfpath compare`` flies it: nlgl starts ``nlgl_d0``
     off the path, inside its feasible look-ahead band, and every other law
@@ -221,6 +234,10 @@ class TrialMetrics:
     chi_dot_max: float
     chattering_index: float
     failure_reason: Optional[str] = None
+
+
+# The scored TrialMetrics fields, in the order every output lists them.
+METRICS = ("t_conv", "d_rms", "chi_dot_rms", "chi_dot_max", "chattering_index")
 
 
 def initial_state(config: ScenarioConfig) -> VehicleState:
@@ -365,40 +382,36 @@ def compute_metrics(
         if hits.size:
             converged = True
             t_conv = float(traj.t[hits[0]])
-    d_rms = float(np.sqrt(np.mean(traj.d**2)))
-    chi_dot_rms = float(np.sqrt(np.mean(traj.chi_dot**2)))
-    chi_dot_max = float(np.max(np.abs(traj.chi_dot)))
-    chatter = chattering_index(traj) if len(traj) > 2 else 0.0
     return TrialMetrics(
         converged=converged,
         t_conv=t_conv,
-        d_rms=d_rms,
-        chi_dot_rms=chi_dot_rms,
-        chi_dot_max=chi_dot_max,
-        chattering_index=chatter,
+        d_rms=float(np.sqrt(np.mean(traj.d**2))),
+        chi_dot_rms=float(np.sqrt(np.mean(traj.chi_dot**2))),
+        chi_dot_max=float(np.max(np.abs(traj.chi_dot))),
+        chattering_index=chattering_index(traj),
         failure_reason=failure_reason,
     )
 
 
-def chattering_index(traj: Trajectory, window: float = CHATTER_WINDOW) -> float:
+def chattering_index(traj: Trajectory) -> float:
     """Worst-case turn-rate sign-change rate (changes per second).
 
-    Counts strict sign changes of chi_dot (rates below
-    ``CHATTER_RATE_FLOOR`` count as zero) inside windows of the given length
-    centered on each phase transition and returns the maximum count divided
-    by the window length.  A trajectory with no phase transitions (baseline
-    laws, or no switching) is scanned with a sliding window over its whole
-    length instead.
+    Counts strict sign changes of chi_dot (rates below ``CHATTER_RATE_FLOOR``
+    count as zero) in ``CHATTER_WINDOW``-long windows centered on each phase
+    transition and returns the maximum count divided by the window length.  A
+    trajectory with no phase transitions (baseline laws, or no switching) is
+    scanned with a sliding window over its whole length instead.  One sample
+    scores 0; more must be spaced closer than the window.
     """
     n = len(traj)
     if n < 2:
         return 0.0
     dt = float(traj.t[1] - traj.t[0])
-    if window <= dt:
-        raise ValueError("window must exceed the sample interval")
+    if CHATTER_WINDOW <= dt:
+        raise ValueError("the chatter window must exceed the sample interval")
     rate = np.where(np.abs(traj.chi_dot) < CHATTER_RATE_FLOOR, 0.0, traj.chi_dot)
     changes = (rate[:-1] * rate[1:] < 0.0).astype(np.int64)
-    half = int(round(0.5 * window / dt))
+    half = int(round(0.5 * CHATTER_WINDOW / dt))
     transitions = np.nonzero(np.diff(traj.phase) != 0)[0] + 1
     if transitions.size:
         best = 0
@@ -406,11 +419,11 @@ def chattering_index(traj: Trajectory, window: float = CHATTER_WINDOW) -> float:
             lo = max(int(idx) - half, 0)
             hi = min(int(idx) + half, n - 1)
             best = max(best, int(np.sum(changes[lo:hi])))
-        return best / window
+        return best / CHATTER_WINDOW
     span = min(2 * half, n - 1)
     csum = np.concatenate(([0], np.cumsum(changes)))
     window_counts = csum[span:] - csum[: len(csum) - span]
-    return float(np.max(window_counts)) / window
+    return float(np.max(window_counts)) / CHATTER_WINDOW
 
 
 @dataclass(frozen=True)
@@ -445,12 +458,18 @@ class BoxStats:
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
+    """Per-trial metrics by law, in trial order, and their box-plot statistics
+    by (law, name in ``METRICS``); the t_conv ones count converged trials."""
+
     laws: tuple[str, ...]
     n_trials: int
-    master_seed: int
     trials: dict[str, list[TrialMetrics]]
     stats: dict[tuple[str, str], BoxStats]
-    n_converged: dict[str, int]
+
+    @property
+    def n_converged(self) -> dict[str, int]:
+        """Converged trials by law: the count of the t_conv statistics."""
+        return {law: self.stats[(law, "t_conv")].count for law in self.laws}
 
 
 def _mc_draw(seed_seq: np.random.SeedSequence) -> tuple[float, float, WindModel]:
@@ -463,11 +482,11 @@ def _mc_draw(seed_seq: np.random.SeedSequence) -> tuple[float, float, WindModel]
 
 
 def _mc_job(
-    base_config: ScenarioConfig, job: tuple[str, int, float, float, WindModel]
+    base_config: ScenarioConfig, job: tuple[str, float, float, WindModel]
 ) -> TrialMetrics:
-    law, index, d0, chi0, wind = job
-    config = replace(base_config, law=law, d0=d0, chi0=chi0, wind=wind)
-    _, metrics = run_trial(config, seed=index)
+    law, d0, chi0, wind = job
+    # The job's wind is drawn, so run_trial needs no seed.
+    _, metrics = run_trial(replace(base_config, law=law, d0=d0, chi0=chi0, wind=wind))
     return metrics
 
 
@@ -476,38 +495,32 @@ def monte_carlo(
     n_trials: int,
     master_seed: int,
     laws: Sequence[str] = GUIDANCE_LAWS,
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
+    workers: Optional[int] = None,
 ) -> MonteCarloSummary:
     """Randomized benchmark of the guidance laws on a common trial set.
 
     Per-trial seeds are spawned deterministically from the master seed; trial
     ``i`` draws its initial offset, initial course and wind once and every law
     is run on that same draw, so the laws are compared on paired conditions.
-    Results come back in job order (law, then trial index), making the
-    summary independent of worker scheduling.  Non-converged trials are
-    excluded from the t_conv statistics and reported through ``n_converged``.
+    ``workers`` processes run the trials (None: ``os.cpu_count()``; 1: this
+    process).  Results come back in job order (law, then trial index), so the
+    summary does not depend on the worker count.  Non-converged trials are
+    excluded from the t_conv statistics and counted by ``n_converged``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    for i, law in enumerate(laws):
-        if law in laws[:i]:
-            raise ValueError(f"guidance law {law!r} is selected twice")
-        # Every trial draws its wind: check the law's name and the top of the
-        # sampled range against the airspeed before any trial runs.
-        replace(base_config, law=law, wind=None)
+    check_laws(laws)
+    # Every trial draws its wind: check the top of the sampled range against
+    # the airspeed before any trial runs.
+    replace(base_config, wind=None)
 
     children = np.random.SeedSequence(master_seed).spawn(n_trials)
     draws = [_mc_draw(child) for child in children]
-    jobs = [
-        (law, i, d0, chi0, wind)
-        for law in laws
-        for i, (d0, chi0, wind) in enumerate(draws)
-    ]
+    jobs = [(law, *draw) for law in laws for draw in draws]
 
     run_job = partial(_mc_job, base_config)
-    workers = max_workers or os.cpu_count() or 1
-    if parallel and workers > 1 and n_trials * len(laws) > 1:
+    workers = workers or os.cpu_count() or 1
+    if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(jobs) // (workers * 8))
             outcomes = list(pool.map(run_job, jobs, chunksize=chunk))
@@ -517,23 +530,11 @@ def monte_carlo(
     trials = {
         law: outcomes[k * n_trials : (k + 1) * n_trials] for k, law in enumerate(laws)
     }
-    stats: dict[tuple[str, str], BoxStats] = {}
-    n_converged: dict[str, int] = {}
-    for law in laws:
-        batch = trials[law]
-        n_converged[law] = sum(1 for m in batch if m.converged)
-        stats[(law, "t_conv")] = BoxStats.from_values(
-            [m.t_conv for m in batch if m.converged]
+    stats = {
+        (law, name): BoxStats.from_values(
+            [getattr(m, name) for m in trials[law] if m.converged or name != "t_conv"]
         )
-        for name in ("d_rms", "chi_dot_rms", "chi_dot_max", "chattering_index"):
-            stats[(law, name)] = BoxStats.from_values(
-                [getattr(m, name) for m in batch]
-            )
-    return MonteCarloSummary(
-        laws=tuple(laws),
-        n_trials=n_trials,
-        master_seed=master_seed,
-        trials=trials,
-        stats=stats,
-        n_converged=n_converged,
-    )
+        for law in laws
+        for name in METRICS
+    }
+    return MonteCarloSummary(laws=tuple(laws), n_trials=n_trials, trials=trials, stats=stats)

@@ -75,7 +75,7 @@ def mc_campaign(tmp_path_factory):
     """200-trial Monte Carlo over all laws, shared by criteria 8 and 9 (timed)."""
     config = benchmark_scenario()
     start = time.perf_counter()
-    summary = monte_carlo(config, n_trials=200, master_seed=MC_SEED, parallel=True)
+    summary = monte_carlo(config, n_trials=200, master_seed=MC_SEED)
     elapsed = time.perf_counter() - start
     out = tmp_path_factory.mktemp("mc") / "summary.csv"
     write_summary_csv(summary, out)
@@ -329,7 +329,7 @@ def test_criterion_8_monte_carlo_ordering(mc_campaign):
 def test_criterion_9_determinism(mc_campaign, tmp_path):
     _, _, first_bytes = mc_campaign
     config = benchmark_scenario()
-    summary = monte_carlo(config, n_trials=200, master_seed=MC_SEED, parallel=True)
+    summary = monte_carlo(config, n_trials=200, master_seed=MC_SEED)
     out = tmp_path / "summary.csv"
     write_summary_csv(summary, out)
     ok = out.read_bytes() == first_bytes

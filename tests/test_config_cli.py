@@ -172,6 +172,15 @@ class TestCli:
         assert rc == 2
         assert "wizardry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare", "montecarlo"])
+    def test_unknown_law_exits_2_before_any_output(self, command, tmp_path, capsys):
+        rc = main([command, "--law", "switched,wizardry", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "unknown guidance law 'wizardry'" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_run_writes_outputs_and_reruns_identically(self, tmp_path, capsys):
         out = tmp_path / "out"
         args = ["run", "--law", "switched", "--seed", "7", "--out", str(out)]
@@ -276,9 +285,10 @@ class TestCli:
         ]
         assert headers[0] == headers[1]
 
-    @pytest.mark.parametrize("command", ["compare", "montecarlo"])
+    @pytest.mark.parametrize("command", ["compare", "montecarlo", "run"])
     def test_repeated_law_exits_2(self, command, tmp_path, capsys):
-        rc = main([command, "--law", "plos,switched,plos", "--out", str(tmp_path / "o")])
+        laws = "plos,plos" if command == "run" else "plos,switched,plos"
+        rc = main([command, "--law", laws, "--out", str(tmp_path / "o")])
         assert rc == 2
         captured = capsys.readouterr()
         assert "'plos' is selected twice" in captured.err
@@ -290,6 +300,19 @@ class TestCli:
         rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_validate_path_sharper_than_vehicle_exits_1(self, tmp_path, capsys):
+        # The circle's curvature 0.1 1/m is above kappa_max = 0.7 / 15 1/m,
+        # though the constraint's left side alone is negative.
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("[path]\nkind = circle\nradius = 10\n")
+        rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "constraint LHS        : -0.0503096005 1/m" in lines
+        assert "result                : FAIL" in lines
+        assert "fail: path curvature 0.1 1/m > kappa_max 0.0466666667 1/m" in lines
+        assert (tmp_path / "v" / "feasibility.csv").read_text().rstrip().endswith(",false")
 
     def test_validate_polyline_corner_exits_1(self, tmp_path, capsys):
         points = tmp_path / "corner.csv"

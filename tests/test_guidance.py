@@ -251,6 +251,18 @@ class TestCurvatureConstraint:
         assert report.k1_curvature == pytest.approx(2.0 * 0.2 / (3.0 * math.sqrt(3.0)), rel=1e-12)
         assert not report.passed
 
+    def test_path_sharper_than_vehicle_fails(self):
+        # A 10 m circle at 15 m/s: the path's curvature 0.1 1/m is above
+        # kappa_max, though the left side alone is negative.
+        kappa_max = 0.7 / 15.0
+        report = validate_curvature_constraint(P, 15.0, 1.5, kappa_max)
+        assert report.lhs < kappa_max
+        assert not report.path_fits
+        assert not report.passed
+        # A path exactly as sharp as the limit still fits.
+        edge = validate_curvature_constraint(P, 15.0, kappa_max * 15.0, kappa_max)
+        assert edge.path_fits and edge.passed
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             validate_curvature_constraint(P, 0.0, 0.1, 0.05)

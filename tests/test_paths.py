@@ -477,6 +477,15 @@ class TestPolyline:
         with pytest.raises(ValueError):
             load_polyline(str(f3))
 
+    def test_load_polyline_header_after_blank_lines(self, tmp_path):
+        f = tmp_path / "path.csv"
+        f.write_text("\nx,y\n0,0\n100,0\n")
+        assert load_polyline(str(f)).s_max == 100.0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n\nx,y\n0,0\nnope,5\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:5: could not parse 'nope,5'"):
+            load_polyline(str(bad))
+
 
 # The default nlgl look-ahead distance (m).
 L1 = 110.0

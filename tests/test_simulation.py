@@ -17,6 +17,7 @@ from vfpath.simulation import (
     Trajectory,
     benchmark_scenario,
     chattering_index,
+    check_laws,
     compute_metrics,
     initial_state,
     monte_carlo,
@@ -296,7 +297,7 @@ class TestChatteringIndex:
         dt = 0.01
         t = np.arange(0.0, 3.0, dt)
         traj = synthetic_trajectory(t, np.zeros_like(t), chi_dot=np.ones_like(t))
-        assert chattering_index(traj, 1.0) == 0.0
+        assert chattering_index(traj) == 0.0
 
     def test_rounding_noise_is_no_sign_change(self):
         # An on-path start can record a turn rate of rounding size before the
@@ -306,14 +307,14 @@ class TestChatteringIndex:
         for first in (-2.2e-14, 2.2e-14):
             chi_dot = np.concatenate(([first], np.full(len(t) - 1, 0.0125)))
             traj = synthetic_trajectory(t, np.zeros_like(t), chi_dot=chi_dot)
-            assert chattering_index(traj, 1.0) == 0.0
+            assert chattering_index(traj) == 0.0
 
     def test_alternating_sign_counts_per_window(self):
         dt = 0.01
         t = np.arange(0.0, 3.0, dt)
         chi_dot = np.where(np.arange(len(t)) % 2 == 0, 1.0, -1.0)
         traj = synthetic_trajectory(t, np.zeros_like(t), chi_dot=chi_dot)
-        assert chattering_index(traj, 1.0) == pytest.approx(100.0, abs=2.0)
+        assert chattering_index(traj) == pytest.approx(100.0, abs=2.0)
 
     def test_windows_centered_on_transitions(self):
         dt = 0.01
@@ -325,20 +326,27 @@ class TestChatteringIndex:
         # sign flips far from the transition are not counted
         chi_dot[20:30] = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
         traj = synthetic_trajectory(t, np.zeros(n), chi_dot=chi_dot, phase=phase)
-        assert chattering_index(traj, 1.0) == 0.0
+        assert chattering_index(traj) == 0.0
 
     def test_window_must_exceed_dt(self):
-        dt = 0.01
-        t = np.arange(0.0, 1.0, dt)
+        dt = 1.0
+        t = np.arange(0.0, 3.0, dt)
         traj = synthetic_trajectory(t, np.zeros_like(t))
         with pytest.raises(ValueError):
-            chattering_index(traj, 0.005)
+            chattering_index(traj)
+
+    def test_compute_metrics_scores_two_samples_alike(self):
+        # One turn-rate sign change between two samples: 1 per 1 s window.
+        t = np.array([0.0, 0.01])
+        traj = synthetic_trajectory(t, np.zeros(2), chi_dot=[0.5, -0.5])
+        metrics = compute_metrics(traj, line_config())
+        assert metrics.chattering_index == chattering_index(traj) == 1.0
 
 
 class TestMonteCarlo:
     def test_single_trial_summary_matches_trial(self):
         base = benchmark_scenario()
-        summary = monte_carlo(base, n_trials=1, master_seed=7, laws=("switched",), parallel=False)
+        summary = monte_carlo(base, n_trials=1, master_seed=7, laws=("switched",), workers=1)
         m = summary.trials["switched"][0]
         s = summary.stats[("switched", "d_rms")]
         assert s.count == 1
@@ -348,20 +356,31 @@ class TestMonteCarlo:
 
     def test_same_seed_identical(self):
         base = benchmark_scenario()
-        s1 = monte_carlo(base, 3, 99, laws=("switched", "nlgl"), parallel=False)
-        s2 = monte_carlo(base, 3, 99, laws=("switched", "nlgl"), parallel=False)
+        s1 = monte_carlo(base, 3, 99, laws=("switched", "nlgl"), workers=1)
+        s2 = monte_carlo(base, 3, 99, laws=("switched", "nlgl"), workers=1)
         assert s1.stats == s2.stats
         assert s1.n_converged == s2.n_converged
 
     def test_parallel_matches_serial(self):
         base = benchmark_scenario()
-        s1 = monte_carlo(base, 4, 123, laws=("switched",), parallel=False)
-        s2 = monte_carlo(base, 4, 123, laws=("switched",), parallel=True, max_workers=2)
+        s1 = monte_carlo(base, 4, 123, laws=("switched",), workers=1)
+        s2 = monte_carlo(base, 4, 123, laws=("switched",), workers=2)
         assert s1.stats == s2.stats
+
+    def test_worker_counts_return_equal_trials(self):
+        # Trial by trial, not only the statistics; nlgl's failed trials carry
+        # a NaN t_conv, which repr compares exactly.
+        base = benchmark_scenario()
+        laws = ("switched", "nlgl")
+        s1 = monte_carlo(base, 3, 5, laws=laws, workers=1)
+        s2 = monte_carlo(base, 3, 5, laws=laws, workers=2)
+        for law in laws:
+            assert len(s1.trials[law]) == 3
+            assert list(map(repr, s1.trials[law])) == list(map(repr, s2.trials[law]))
 
     def test_nlgl_failures_counted_and_excluded(self):
         base = benchmark_scenario()
-        summary = monte_carlo(base, 6, 11, laws=("nlgl",), parallel=False)
+        summary = monte_carlo(base, 6, 11, laws=("nlgl",), workers=1)
         n_conv = summary.n_converged["nlgl"]
         assert n_conv < 6  # offsets 100..200 m mostly exceed L1 = 110 m
         assert summary.stats[("nlgl", "t_conv")].count == n_conv
@@ -373,7 +392,7 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(base, 1, 1, laws=("bogus",))
         with pytest.raises(ValueError, match="'plos' is selected twice"):
-            monte_carlo(base, 1, 1, laws=("plos", "switched", "plos"), parallel=False)
+            monte_carlo(base, 1, 1, laws=("plos", "switched", "plos"), workers=1)
 
     @pytest.mark.parametrize("parallel", [False, True])
     def test_sampled_wind_above_airspeed_rejected_before_trials(self, monkeypatch, parallel):
@@ -387,7 +406,32 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulation, "_mc_job", no_trials)
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_trials)
         with pytest.raises(ValueError, match="must be below the airspeed"):
-            monte_carlo(base, 2, 0, parallel=parallel, max_workers=2)
+            monte_carlo(base, 2, 0, workers=2 if parallel else 1)
+
+
+class TestCheckLaws:
+    def test_accepts_distinct_known_laws(self):
+        check_laws(GUIDANCE_LAWS)
+        check_laws(["plos"])
+
+    def test_rejects_empty_selection(self):
+        with pytest.raises(ValueError, match="at least one guidance law"):
+            check_laws(())
+
+    def test_rejects_unknown_law_listing_the_choices(self):
+        with pytest.raises(ValueError) as info:
+            check_laws(["switched", "wizardry"])
+        message = str(info.value)
+        assert "unknown guidance law 'wizardry'" in message
+        assert all(law in message for law in GUIDANCE_LAWS)
+
+    def test_rejects_repeated_law(self):
+        with pytest.raises(ValueError, match="'plos' is selected twice"):
+            check_laws(["plos", "switched", "plos"])
+
+    def test_scenario_config_uses_it(self):
+        with pytest.raises(ValueError, match="choose from switched"):
+            line_config(law="wizardry")
 
 
 def metric_values(metrics):
