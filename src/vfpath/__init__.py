@@ -14,10 +14,7 @@ from .guidance import (
     GuidanceParams,
     GuidancePhase,
     case1_convergence_time,
-    classify_phase,
     commanded_course,
-    desired_course,
-    desired_course_distance_only,
     sat,
     validate_curvature_constraint,
 )
@@ -31,8 +28,6 @@ from .paths import (
     SinusoidPath,
     UnboundedCurvatureError,
     load_polyline,
-    max_path_course_rate,
-    path_course_rate,
 )
 from .simulation import (
     GUIDANCE_LAWS,

@@ -111,7 +111,7 @@ def nlgl_virtual_target(
     s_t = path.lookahead_parameter(frame, p[0], p[1], l1)
     if s_t is None:
         raise LookaheadInfeasibleError(
-            f"no look-ahead intersection found (|d| = {dist_min:.3f} m, L1 = {l1:.1f} m)"
+            f"no look-ahead intersection found (|d| = {dist_min:.3f} m; L1 = {l1:.1f} m)"
         )
     return s_t, path.point(s_t)
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .config import ConfigError, build_scenario, dump_settings, load_settings
 from .guidance import validate_curvature_constraint
-from .paths import UnboundedCurvatureError, max_path_course_rate
+from .paths import UnboundedCurvatureError
 from .simulation import (
     GUIDANCE_LAWS,
     METRICS,
@@ -172,29 +172,29 @@ def cmd_montecarlo(args, settings) -> int:
 
 def cmd_validate(args, settings) -> int:
     config = build_scenario(settings, "switched")
-    # Peak rates at the worst-case ground speed; the constraint's left side
-    # does not depend on it.
-    v_g = config.airspeed.v_a + config.max_wind_speed
     try:
-        chi_p_dot_max = max_path_course_rate(config.path, v_g)
+        path_curvature = config.path.peak_curvature()
     except UnboundedCurvatureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = validate_curvature_constraint(
-        config.guidance, v_g, chi_p_dot_max, config.kappa_max
-    )
+    report = validate_curvature_constraint(config.guidance, path_curvature, config.kappa_max)
+    # Rates at the worst-case ground speed, for the report only; the check
+    # itself is in curvature and does not depend on it.
+    v_g = config.airspeed.v_a + config.max_wind_speed
+    k1_rate, k3_rate = report.k1_curvature * v_g, report.k3_curvature * v_g
+    path_rate = path_curvature * v_g
     lines = [
-        f"near-branch peak rate : {_fmt(report.k1_peak_rate)} rad/s at |d| = {_fmt(report.k1_peak_distance)} m",
-        f"far-branch peak rate  : {_fmt(report.k3_peak_rate)} rad/s at |d| = {_fmt(report.k3_peak_distance)} m",
+        f"near-branch peak rate : {_fmt(k1_rate)} rad/s at |d| = {_fmt(report.k1_peak_distance)} m",
+        f"far-branch peak rate  : {_fmt(k3_rate)} rad/s at |d| = {_fmt(report.k3_peak_distance)} m",
         f"near-branch curvature : {_fmt(report.k1_curvature)} 1/m",
         f"far-branch curvature  : {_fmt(report.k3_curvature)} 1/m",
-        f"path course rate max  : {_fmt(chi_p_dot_max)} rad/s",
+        f"path course rate max  : {_fmt(path_rate)} rad/s",
         f"constraint LHS        : {_fmt(report.lhs)} 1/m",
         f"kappa_max             : {_fmt(report.kappa_max)} 1/m",
         f"result                : {'PASS' if report.passed else 'FAIL'}",
     ]
     if not report.path_fits:
-        lines.append(f"fail: path curvature {_fmt(chi_p_dot_max / v_g)} 1/m > kappa_max {_fmt(report.kappa_max)} 1/m")
+        lines.append(f"fail: path curvature {_fmt(path_curvature)} 1/m > kappa_max {_fmt(report.kappa_max)} 1/m")
     if not report.exact:
         chi_inf = _fmt(config.guidance.chi_inf)
         lines.append(f"note: chi_inf = {chi_inf} < pi/2, so the rates and curvatures are upper bounds")
@@ -204,8 +204,8 @@ def cmd_validate(args, settings) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "feasibility.txt").write_text(text, encoding="utf-8")
     values = (
-        report.k1_peak_rate, report.k3_peak_rate, report.k1_curvature,
-        report.k3_curvature, chi_p_dot_max, report.lhs, report.kappa_max,
+        k1_rate, k3_rate, report.k1_curvature, report.k3_curvature, path_rate,
+        report.lhs, report.kappa_max,
     )
     csv_lines = [
         "k1_peak_rate,k3_peak_rate,k1_curvature,k3_curvature,chi_p_dot_max,lhs,kappa_max,passed",

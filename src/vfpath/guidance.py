@@ -1,24 +1,25 @@
 """Switched vector-field guidance for general reference path following.
 
-The desired course field blends two arctangent profiles of the cross-track
-error d: a cubic-argument branch used far from the path (|d| > d_s) and a
-linear-argument branch used near it (|d| <= d_s), with the branch gains tied
-together (d_s = sqrt(k1/k3)) so the field is continuous at the switch.  When
-the vehicle is far away AND pointed far off the field direction, the desired
-course is additionally offset by rho*pi/2 so the commanded turn stays gentle;
-that offset phase uses a fractional-power reaching term that drives the
-course error to zero in finite time, after which a saturated sliding-mode
-term takes over.
+One predicate, |d| < d_s on the cross-track error d, picks the field's
+branch: a linear-argument arctangent near the path (|d| < d_s) and a
+cubic-argument one everywhere else (|d| >= d_s).  The branch gains are tied
+together (d_s = sqrt(k1/k3)) so the field is continuous at the switch.  On
+the cubic branch, when the vehicle is pointed far off the field direction,
+the desired course is additionally offset by rho*pi/2 so the commanded turn
+stays gentle; that offset phase uses a fractional-power reaching term that
+drives the course error to zero in finite time, after which a saturated
+sliding-mode term takes over.
 
 Phases:
-    CASE1: |d| > d_s and |chi - chi_d(d)| > pi/2 (+ hysteresis on exit)
-    CASE2: |d| >= d_s, course error within pi/2
-    CASE3: |d| < d_s
+    CASE3: |d| < d_s (linear branch)
+    CASE1: |d| >= d_s and |chi - chi_d(d)| > pi/2 (+ hysteresis on exit)
+    CASE2: |d| >= d_s, course error within that bound
 
 The commanded course chi_c feeds the first-order course loop
 chi_dot = alpha*(chi_c - chi); it packs the path-course-rate feedforward, the
 field-rotation feedforward and the reaching term scaled by 1/alpha so the
 closed loop realizes the intended course-error dynamics exactly.
+:func:`commanded_course` is the one definition of the law.
 """
 
 from __future__ import annotations
@@ -119,63 +120,6 @@ def sat(x: float) -> float:
     return x
 
 
-def desired_course_distance_only(d: float, chi_p: float, params: GuidanceParams) -> float:
-    """Distance-switched desired course chi_d(d), wrapped to (-pi, pi].
-
-    Cubic-argument branch for |d| > d_s, linear branch otherwise; both meet
-    at |d| = d_s by the k3 = k1/d_s^2 construction.
-    """
-    if abs(d) > params.d_s:
-        offset = math.atan(params.k3 * d**3)
-    else:
-        offset = math.atan(params.k1 * d)
-    return wrap_angle(chi_p - params.chi_inf * (2.0 / math.pi) * offset)
-
-
-def classify_phase(
-    d: float,
-    chi: float,
-    chi_d_of_d: float,
-    params: GuidanceParams,
-    prev_phase: Optional[GuidancePhase],
-) -> GuidancePhase:
-    """Select the active phase from the switching predicates.
-
-    CASE3 whenever |d| < d_s.  Otherwise CASE1 when the course error to the
-    distance-only field exceeds pi/2 plus a hysteresis margin, CASE2 when it
-    does not.  The margin applies whenever a previous phase exists: it makes
-    CASE1 exit early (before the reaching term stalls at zero) and keeps the
-    loop from re-entering CASE1 while the error sits inside the margin band.
-    On the very first step there is no margin.
-    """
-    if abs(d) < params.d_s:
-        return GuidancePhase.CASE3
-    margin = 0.0 if prev_phase is None else params.delta_hys
-    if abs(wrap_angle(chi - chi_d_of_d)) > HALF_PI + margin:
-        return GuidancePhase.CASE1
-    return GuidancePhase.CASE2
-
-
-def desired_course(
-    d: float,
-    chi: float,
-    chi_p: float,
-    rho: int,
-    params: GuidanceParams,
-    prev_phase: Optional[GuidancePhase] = None,
-) -> tuple[float, GuidancePhase]:
-    """Full desired course chi_d(d, chi) and the active phase.
-
-    CASE1 adds rho*pi/2 to the distance-only field so the commanded course
-    never opposes the current one by more than pi/2.
-    """
-    chi_d_plain = desired_course_distance_only(d, chi_p, params)
-    phase = classify_phase(d, chi, chi_d_plain, params, prev_phase)
-    if phase is GuidancePhase.CASE1:
-        return wrap_angle(chi_d_plain + rho * HALF_PI), phase
-    return chi_d_plain, phase
-
-
 def commanded_course(
     state: VehicleState,
     frame: PathFrame,
@@ -183,31 +127,53 @@ def commanded_course(
     prev_phase: Optional[GuidancePhase],
     v_g: float,
 ) -> Command:
-    """Commanded course chi_c realizing the switched field through the course loop.
+    """One step of the switched law: the desired course chi_d, the phase and
+    the commanded course chi_c that realizes the field through the course loop.
+
+    The branch is chosen once, by ``|d| < d_s``.  Near the path (CASE3) the
+    field is ``chi_d = chi_p - s * atan(k1 * d)`` with s = 2*chi_inf/pi;
+    otherwise it is ``chi_d = chi_p - s * atan(k3 * d**3)``, and the course
+    error to that field picks the phase: CASE1 when it exceeds pi/2 plus a
+    hysteresis margin, CASE2 when it does not.  The margin (``delta_hys``)
+    applies whenever a previous phase exists: it makes CASE1 exit early
+    (before the reaching term stalls at zero) and keeps the loop from
+    re-entering CASE1 while the error sits inside the margin band.  On the
+    very first step there is no margin.  CASE1 adds rho*pi/2 to the field so
+    the commanded course never opposes the current one by more than pi/2.
 
     All three phases share the structure
 
         chi_c = chi + (chi_p_dot + field_rate_feedforward + reaching) / alpha
 
     where the field feedforward cancels the rotation of chi_d(d) induced by
-    the vehicle's own cross-track motion, and the reaching term is
-    ``-rho * eta * |chi_err|**(n/m)`` in CASE1 and ``-beta * sat(chi_err/eps)``
-    (or ``-beta * sign``) in CASE2/CASE3 with beta = sigma / (1 + |chi_err|).
+    the vehicle's own cross-track motion (with the branch's own gain), and
+    the reaching term is ``-rho * eta * |chi_err|**(n/m)`` in CASE1 and
+    ``-beta * sat(chi_err/eps)`` (or ``-beta * sign``) in CASE2/CASE3 with
+    beta = sigma / (1 + |chi_err|).
     """
     if v_g <= 0.0:
         raise ValueError("v_g must be positive")
     d, chi, chi_p, rho = frame.d, state.chi, frame.chi_p, frame.rho
-    chi_d, phase = desired_course(d, chi, chi_p, rho, params, prev_phase)
-    chi_tilde = wrap_angle(chi - chi_d)
-    sin_track = math.sin(wrap_angle(chi - chi_p))
     scale = params.chi_inf * (2.0 / math.pi)
 
-    if phase is GuidancePhase.CASE3:
+    if abs(d) < params.d_s:
         k1d = params.k1 * d
+        chi_d = wrap_angle(chi_p - scale * math.atan(k1d))
         gain = params.k1 / (1.0 + k1d * k1d)
+        phase = GuidancePhase.CASE3
     else:
         k3d3 = params.k3 * d**3
+        chi_d = wrap_angle(chi_p - scale * math.atan(k3d3))
         gain = 3.0 * params.k3 * d * d / (1.0 + k3d3 * k3d3)
+        margin = 0.0 if prev_phase is None else params.delta_hys
+        if abs(wrap_angle(chi - chi_d)) > HALF_PI + margin:
+            chi_d = wrap_angle(chi_d + rho * HALF_PI)
+            phase = GuidancePhase.CASE1
+        else:
+            phase = GuidancePhase.CASE2
+
+    chi_tilde = wrap_angle(chi - chi_d)
+    sin_track = math.sin(wrap_angle(chi - chi_p))
     feedforward = frame.chi_p_dot - scale * gain * v_g * sin_track
 
     if phase is GuidancePhase.CASE1:
@@ -238,72 +204,72 @@ def case1_convergence_time(chi_tilde0: float, params: GuidanceParams) -> float:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Result of the field-parameter curvature feasibility check.
+    """Result of the field-parameter curvature feasibility check, in 1/m.
 
     The peaks are the chi_inf = pi/2 closed forms.  ``exact`` is False below
-    pi/2, where the rates and curvatures bound the field's peaks from above.
+    pi/2, where the curvatures bound the field's peaks from above.
     ``passed`` needs ``lhs <= kappa_max`` and ``path_fits``: the path's own
     peak curvature is at most ``kappa_max``.
     """
 
-    k1_peak_rate: float
-    k3_peak_rate: float
     k1_peak_distance: float
     k3_peak_distance: float
     k1_curvature: float
     k3_curvature: float
     lhs: float
     kappa_max: float
-    path_fits: bool
-    passed: bool
+    path_curvature: float
     exact: bool
 
     @property
     def margin(self) -> float:
         return self.kappa_max - self.lhs
 
+    @property
+    def path_fits(self) -> bool:
+        return self.path_curvature <= self.kappa_max
+
+    @property
+    def passed(self) -> bool:
+        return self.path_fits and self.lhs <= self.kappa_max
+
 
 def validate_curvature_constraint(
     params: GuidanceParams,
-    v_g: float,
-    chi_p_dot_max: float,
+    path_curvature: float,
     kappa_max: float,
 ) -> CurvatureReport:
     """Check that the field gains respect the vehicle's curvature limit.
 
-    On-field, the desired-course rate relative to the path course peaks at
+    On-field, the curvature of the desired course relative to the path's
+    (its rate divided by V_g, which it does not depend on) peaks at
 
-        (2 / (3*sqrt(3))) * k1 * V_g            at |d| = 1 / (sqrt(2) k1)
-        (2**(4/3) * 5**(5/6) / 9) * V_g * k3^(1/3)
-                                                at |d| = 5^(1/6) / (2^(1/3) k3^(1/3))
+        (2 / (3*sqrt(3))) * k1                  at |d| = 1 / (sqrt(2) k1)
+        (2**(4/3) * 5**(5/6) / 9) * k3^(1/3)    at |d| = 5^(1/6) / (2^(1/3) k3^(1/3))
 
     for the near and far branches respectively (chi_inf = pi/2).  Feasibility
-    requires max(branch curvatures) - |chi_p_dot|_max / V_g <= kappa_max, and
-    a path the vehicle can fly: |chi_p_dot|_max <= kappa_max * V_g.
+    requires max(branch curvatures) - path_curvature <= kappa_max, and a path
+    the vehicle can fly: path_curvature <= kappa_max, with path_curvature the
+    path's peak curvature (``ReferencePath.peak_curvature``).
 
     Below pi/2 they bound the peaks from above: with s = 2*chi_inf/pi and
     theta the branch's arctangent, the rate carries s*sin(s*theta) in place
     of sin(theta), and s*sin(s*theta) <= sin(theta) for theta in [0, pi/2].
     """
-    if v_g <= 0.0 or kappa_max <= 0.0:
-        raise ValueError("v_g and kappa_max must be positive")
-    if chi_p_dot_max < 0.0:
-        raise ValueError("chi_p_dot_max must be non-negative")
+    if kappa_max <= 0.0:
+        raise ValueError("kappa_max must be positive")
+    if path_curvature < 0.0:
+        raise ValueError("path_curvature must be non-negative")
     k1, k3 = params.k1, params.k3
     k1_curv = 2.0 * k1 / (3.0 * math.sqrt(3.0))
     k3_curv = (2.0 ** (4.0 / 3.0) * 5.0 ** (5.0 / 6.0) / 9.0) * k3 ** (1.0 / 3.0)
-    lhs = max(k1_curv, k3_curv) - chi_p_dot_max / v_g
-    path_fits = chi_p_dot_max <= kappa_max * v_g
     return CurvatureReport(
-        k1_peak_rate=k1_curv * v_g,
-        k3_peak_rate=k3_curv * v_g,
         k1_peak_distance=1.0 / (math.sqrt(2.0) * k1),
         k3_peak_distance=5.0 ** (1.0 / 6.0) / (2.0 ** (1.0 / 3.0) * k3 ** (1.0 / 3.0)),
         k1_curvature=k1_curv,
         k3_curvature=k3_curv,
-        lhs=lhs,
+        lhs=max(k1_curv, k3_curv) - path_curvature,
         kappa_max=kappa_max,
-        path_fits=path_fits,
-        passed=path_fits and lhs <= kappa_max,
+        path_curvature=path_curvature,
         exact=params.chi_inf == HALF_PI,
     )

@@ -751,28 +751,3 @@ def load_polyline(path_file: str) -> PolylinePath:
                     raise ValueError(f"{path_file}:{lineno}: could not parse {line!r}") from None
             header_allowed = False
     return PolylinePath(rows)
-
-
-def path_course_rate(
-    frame_now: PathFrame, frame_prev: Optional[PathFrame], dt: float
-) -> float:
-    """Finite-difference path course rate between consecutive frames.
-
-    Returns 0 on the first simulation step (``frame_prev`` is None).  The
-    angle difference is wrapped before dividing so crossings of +-pi do not
-    produce spurious rates.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if frame_prev is None:
-        return 0.0
-    return wrap_angle(frame_now.chi_p - frame_prev.chi_p) / dt
-
-
-def max_path_course_rate(path: ReferencePath, v_g: float) -> float:
-    """Peak |chi_p_dot| when the path is traversed at speed v_g: v_g times
-    the path's exact peak curvature.  UnboundedCurvatureError when the path
-    has a corner."""
-    if v_g <= 0.0:
-        raise ValueError("v_g must be positive")
-    return v_g * path.peak_curvature()

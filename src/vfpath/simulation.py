@@ -28,7 +28,7 @@ from .baselines import (
     plos_command,
 )
 from .guidance import Command, GuidanceParams, commanded_course
-from .paths import PathDomainError, PathFrame, ReferencePath, SinusoidPath, path_course_rate
+from .paths import PathDomainError, PathFrame, ReferencePath, SinusoidPath
 from .vehicle import (
     AirspeedSpec,
     VehicleState,
@@ -300,15 +300,15 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     for k in range(n_max + 1):
         x, y, chi = state
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(chi)):
-            failure = f"non-finite state at t = {k * dt:g} s: x = {x}, y = {y}, chi = {chi}"
+            failure = f"non-finite state at t = {k * dt:g} s: x = {x}; y = {y}; chi = {chi}"
             break
         p = (x, y)
         if prev_frame is None:
-            s_star = path.closest_parameter(p)
+            frame = path.frame_at(path.closest_parameter(p), p)
         else:
-            s_star = path.closest_parameter(p, near=prev_frame.s_star)
-        frame = path.frame_at(s_star, p)
-        frame.chi_p_dot = path_course_rate(frame, prev_frame, dt)
+            frame = path.frame_at(path.closest_parameter(p, near=prev_frame.s_star), p)
+            # Path course rate; on the first step it keeps the frame's default 0.
+            frame.chi_p_dot = wrap_angle(frame.chi_p - prev_frame.chi_p) / dt
         prev_frame = frame
         v_g = ground_speed(spec, wind, chi)
 
@@ -339,7 +339,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     at_end = min(abs(frame.s_star - path.s_min), abs(frame.s_star - path.s_max))
     if failure is None and not path.periodic and at_end <= PATH_END_TOL and abs(frame.d) > d_thr:
         failure = (
-            f"path end: the closest point is the path's end at s = {frame.s_star:g},"
+            f"path end: the closest point is the path's end at s = {frame.s_star:g};"
             f" {abs(frame.d):.1f} m away"
         )
 

@@ -122,7 +122,7 @@ def scan_lookahead_parameter(
         if abs(dist_min - l1) <= 1e-6 * max(l1, 1.0) + 1e-9:
             return frame.s_star
         raise LookaheadInfeasibleError(
-            f"no look-ahead intersection found (|d| = {dist_min:.3f} m, L1 = {l1:.1f} m)"
+            f"no look-ahead intersection found (|d| = {dist_min:.3f} m; L1 = {l1:.1f} m)"
         )
     a, b = crossing
     if a == b:
@@ -208,7 +208,8 @@ def peak_field_rate_numeric(
     """Numerically maximized on-field course rate |chi_d_dot - chi_p_dot|.
 
     Independent check of the closed forms in
-    :func:`vfpath.guidance.validate_curvature_constraint`: evaluates the exact
+    :func:`vfpath.guidance.validate_curvature_constraint`, which states each
+    peak as a curvature: this rate divided by ``v_g``.  It evaluates the exact
     rate expression for a vehicle riding the field (chi = chi_d(d)) at the
     parameters' own ``chi_inf`` and maximizes it over d with a coarse scan
     plus golden-section refinement.  With scale = 2*chi_inf/pi and theta the

@@ -17,7 +17,7 @@ from vfpath.guidance import (
     case1_convergence_time,
     validate_curvature_constraint,
 )
-from vfpath.paths import CirclePath, LinePath, SinusoidPath, max_path_course_rate
+from vfpath.paths import CirclePath, LinePath, SinusoidPath
 from vfpath.simulation import (
     SCENARIO_AMPLITUDE,
     SCENARIO_PERIOD,
@@ -196,18 +196,18 @@ def test_criterion_4_curvature_feasibility():
     params = GuidanceParams()
     v_g = 15.0
     path = SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
-    rate_max = max_path_course_rate(path, v_g)
+    path_curvature = path.peak_curvature()
     kappa_max = 0.7 / v_g
-    rep = validate_curvature_constraint(params, v_g, rate_max, kappa_max)
+    rep = validate_curvature_constraint(params, path_curvature, kappa_max)
 
     numeric_k3 = peak_field_rate_numeric(params, v_g, "k3")
     numeric_k1 = peak_field_rate_numeric(params, v_g, "k1")
-    k3_matches = abs(rep.k3_peak_rate - numeric_k3) <= 1e-6
-    k1_matches = abs(rep.k1_peak_rate - numeric_k1) <= 1e-6
+    k3_matches = abs(rep.k3_curvature * v_g - numeric_k3) <= 1e-6
+    k1_matches = abs(rep.k1_curvature * v_g - numeric_k1) <= 1e-6
 
     # independently computed left side is ~0.043, not the 0.036 sometimes
     # quoted; both satisfy the 0.0467 bound
-    lhs_expected = rep.k3_curvature - rate_max / v_g
+    lhs_expected = rep.k3_curvature - path_curvature
     ok = (
         rep.passed
         and k3_matches
@@ -219,7 +219,7 @@ def test_criterion_4_curvature_feasibility():
         "criterion 4 (curvature feasibility)",
         ok,
         f"lhs={rep.lhs:.6f} <= kappa_max={kappa_max:.6f}; "
-        f"k3 peak {rep.k3_peak_rate:.9f} vs numeric {numeric_k3:.9f}",
+        f"k3 peak {rep.k3_curvature * v_g:.9f} vs numeric {numeric_k3:.9f}",
     )
 
 

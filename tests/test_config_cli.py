@@ -22,8 +22,10 @@ from vfpath.config import (
     load_settings,
 )
 from vfpath.guidance import validate_curvature_constraint
-from vfpath.paths import CirclePath, LinePath, SinusoidPath, max_path_course_rate
+from vfpath.paths import CirclePath, LinePath, SinusoidPath
+from vfpath import simulation
 from vfpath.simulation import GUIDANCE_LAWS, Trajectory, benchmark_scenario
+from vfpath.vehicle import VehicleState
 
 # Text that survives an INI line unchanged: no line breaks, no whitespace at
 # the ends (the parser strips it).
@@ -220,6 +222,22 @@ class TestCli:
         assert rc == 1
         assert "look-ahead infeasible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("reason", ["path end", "non-finite state"])
+    def test_failure_reason_stays_in_its_csv_field(self, reason, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "short_line.cfg"
+        cfg.write_text("[path]\nkind = line\ns_max = 50\n\n[sim]\nmax_time = 60\n")
+        if reason == "non-finite state":
+            def step_to_nan(state, *args):
+                return VehicleState(math.nan, state.y, state.chi)
+
+            monkeypatch.setattr(simulation, "step_vehicle", step_to_nan)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert reason in capsys.readouterr().out
+        header, row = (out / "metrics_switched.csv").read_text().splitlines()
+        assert row.split(",")[-1].startswith(reason)
+        assert len(row.split(",")) == len(header.split(","))
+
     def test_nlgl_starts_at_nlgl_d0_only_in_compare(self, tmp_path, capsys):
         # On a line the first row's d is the start offset itself.
         cfg = tmp_path / "line.cfg"
@@ -342,10 +360,10 @@ class TestCli:
         config = benchmark_scenario()
         v_g = 15.0 + 3.0
         report = validate_curvature_constraint(
-            config.guidance, v_g, max_path_course_rate(config.path, v_g), config.kappa_max
+            config.guidance, config.path.peak_curvature(), config.kappa_max
         )
-        assert f"near-branch peak rate : {report.k1_peak_rate:.9g} rad/s" in windy
-        assert f"far-branch peak rate  : {report.k3_peak_rate:.9g} rad/s" in windy
+        assert f"near-branch peak rate : {report.k1_curvature * v_g:.9g} rad/s" in windy
+        assert f"far-branch peak rate  : {report.k3_curvature * v_g:.9g} rad/s" in windy
         # The constraint's left side and the verdict do not depend on V_g.
         lhs = [line for line in windy.splitlines() if line.startswith("constraint LHS")]
         assert lhs == [line for line in calm.splitlines() if line.startswith("constraint LHS")]

@@ -2,7 +2,8 @@
 
 ``vfpath compare --seed 0`` and ``vfpath montecarlo --seed 42 --trials 8
 --serial --per-trial`` are rerun in a temporary directory and every file
-they write is hashed.  The digests were recorded on Python 3.11.7 with numpy
+they write is hashed, and so are the files ``vfpath validate`` writes for
+five configurations, with its exit code.  The digests were recorded on Python 3.11.7 with numpy
 2.4.6; other numpy or libm builds may round a last digit differently.  A
 change that means to alter these bytes re-records the digests and says so.
 """
@@ -41,3 +42,42 @@ def test_fixed_seed_outputs_match_golden_digests(argv, tmp_path, capsys):
     )
     assert not changed, f"outputs differ from the golden digests: {', '.join(changed)}"
     assert sorted(digests) == sorted(GOLDEN[argv])
+
+
+# vfpath validate: config text -> (exit code, digests of the files it writes).
+VALIDATE_GOLDEN = {
+    "": (0, {
+        "feasibility.txt": "ef30272c40dd6b291883e2424b3dba423976138838710241abf7332ed8fce1ac",
+        "feasibility.csv": "df86733e9b655aff3b219643d6674255de7b7ef4a9e59cc020d1115baae82328",
+    }),
+    "[sim]\nwind_x = 3\n": (0, {
+        "feasibility.txt": "8da707116cea9632967288303dadf3f6146259007a5fe26bbf43826f1b85c770",
+        "feasibility.csv": "c36f3306f2e7a3f7791c63bdb4fbec53ea8a5446f388e4e4582497dd5d183868",
+    }),
+    "[guidance]\nchi_inf = 1.2\n": (0, {
+        "feasibility.txt": "3affae36bbefa0e4e570c62e0cabf15871d7652f9c9bfca1f475c276ba0691d5",
+        "feasibility.csv": "df86733e9b655aff3b219643d6674255de7b7ef4a9e59cc020d1115baae82328",
+    }),
+    "[guidance]\nk1 = 0.2\n": (1, {
+        "feasibility.txt": "30c7a4411d44a0217a9eaec191517b1f9e15e329e1b03290e396963de3afca4f",
+        "feasibility.csv": "8de734b2fdeec2b1712e6de6a2e1e3a704702814f725acef22f781b9d53d4a31",
+    }),
+    "[path]\nkind = circle\nradius = 10\n": (1, {
+        "feasibility.txt": "e8ab9a5069a9ca787ee83c4b1f7ec91f8d99ce87601d7e2ce2a37e701551c088",
+        "feasibility.csv": "2d286bc5cffba0016434830b4ffc779e69236f2581023e2922f77b444df80860",
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "config", list(VALIDATE_GOLDEN), ids=["default", "wind", "chi_inf", "k1", "circle"]
+)
+def test_validate_outputs_match_golden_digests(config, tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    exit_code, golden = VALIDATE_GOLDEN[config]
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == exit_code
+    assert capsys.readouterr().out == (out / "feasibility.txt").read_text()
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == golden

@@ -9,18 +9,27 @@ from vfpath.guidance import (
     GuidanceParams,
     GuidancePhase,
     case1_convergence_time,
-    classify_phase,
     commanded_course,
-    desired_course,
-    desired_course_distance_only,
     sat,
     validate_curvature_constraint,
 )
-from vfpath.paths import LinePath
+from vfpath.paths import LinePath, PathFrame
 from vfpath.simulation import ScenarioConfig, run_trial
 from vfpath.vehicle import VehicleState, WindModel
 
 P = GuidanceParams()  # defaults: chi_inf=pi/2, k1=0.01, d_s=10, eta=pi/4, n=3, m=5
+
+
+def step(d, chi, chi_p=0.0, prev_phase=None, params=P):
+    """One switched-law step at cross-track error d and course chi."""
+    frame = PathFrame(0.0, (0.0, 0.0), chi_p, d, 1 if d >= 0.0 else -1)
+    return commanded_course(VehicleState(0.0, 0.0, chi), frame, params, prev_phase, 15.0)
+
+
+def field(d, chi_p=0.0, params=P):
+    """The distance-only field chi_d(d): the desired course of a step whose
+    course is within pi/4 of it, so never CASE1."""
+    return step(d, chi_p - math.copysign(math.pi / 4.0, d), chi_p, params=params).chi_d
 
 
 def reduced_reaching_oracle(chi0: float, params: GuidanceParams, threshold: float) -> float:
@@ -83,68 +92,77 @@ class TestSat:
 
 class TestDesiredCourseDistanceOnly:
     def test_on_path_gives_tangent(self):
-        assert desired_course_distance_only(0.0, 0.4, P) == pytest.approx(0.4)
+        assert field(0.0, 0.4) == pytest.approx(0.4)
 
     def test_far_field_asymptote(self):
-        chi_d = desired_course_distance_only(1e9, 0.0, P)
+        chi_d = field(1e9)
         assert chi_d == pytest.approx(-math.pi / 2.0, abs=1e-6)
 
     def test_branch_continuity_at_switch(self):
         # both branches evaluate to chi_p - atan(0.1) at d = d_s
-        lo = desired_course_distance_only(P.d_s - 1e-9, 0.0, P)
-        hi = desired_course_distance_only(P.d_s + 1e-9, 0.0, P)
+        lo = field(P.d_s - 1e-9)
+        hi = field(P.d_s + 1e-9)
         assert abs(lo - hi) < 1e-6
         assert lo == pytest.approx(-math.atan(0.1), abs=1e-9)
 
     def test_odd_symmetry(self):
         for d in (3.0, 10.0, 50.0, 400.0):
-            plus = desired_course_distance_only(d, 0.0, P)
-            minus = desired_course_distance_only(-d, 0.0, P)
+            plus = field(d)
+            minus = field(-d)
             assert plus == pytest.approx(-minus, abs=1e-12)
+
+    def test_switch_distance_takes_the_cubic_branch(self):
+        # At |d| = d_s exactly the field, the gain and the phase all come
+        # from the cubic branch; here the linear branch differs in the last bit.
+        p = GuidanceParams(k1=0.013, d_s=13.0)
+        out = step(13.0, -0.5, params=p)
+        scale = p.chi_inf * (2.0 / math.pi)
+        cubic = wrap_angle(0.0 - scale * math.atan(p.k3 * 13.0**3))
+        linear = wrap_angle(0.0 - scale * math.atan(p.k1 * 13.0))
+        assert cubic != linear
+        assert out.chi_d == cubic
+        assert out.phase is GuidancePhase.CASE2
 
 
 class TestClassifyPhase:
     def test_far_and_misaligned_is_case1(self):
-        chi_d = desired_course_distance_only(200.0, 0.0, P)
-        assert (
-            classify_phase(200.0, chi_d + 3.0, chi_d, P, GuidancePhase.CASE2)
-            is GuidancePhase.CASE1
-        )
+        chi_d = field(200.0)
+        assert step(200.0, chi_d + 3.0, prev_phase=GuidancePhase.CASE2).phase is GuidancePhase.CASE1
 
     def test_inside_switch_distance_is_case3(self):
-        assert classify_phase(5.0, 2.0, 0.0, P, None) is GuidancePhase.CASE3
+        assert step(5.0, 2.0).phase is GuidancePhase.CASE3
 
     def test_hysteresis_exit_before_pi_over_two(self):
         # error pi/2 + 0.04 with margin 0.05: CASE1 exits to CASE2
-        err = math.pi / 2.0 + 0.04
-        phase = classify_phase(200.0, err, 0.0, P, GuidancePhase.CASE1)
+        chi = field(200.0) + math.pi / 2.0 + 0.04
+        phase = step(200.0, chi, prev_phase=GuidancePhase.CASE1).phase
         assert phase is GuidancePhase.CASE2
-        # and the very next classification does not re-enter CASE1
-        again = classify_phase(200.0, err, 0.0, P, phase)
+        # and the very next step does not re-enter CASE1
+        again = step(200.0, chi, prev_phase=phase).phase
         assert again is GuidancePhase.CASE2
 
     def test_first_step_has_no_margin(self):
-        err = math.pi / 2.0 + 0.01
-        assert classify_phase(200.0, err, 0.0, P, None) is GuidancePhase.CASE1
+        chi = field(200.0) + math.pi / 2.0 + 0.01
+        assert step(200.0, chi).phase is GuidancePhase.CASE1
 
 
 class TestDesiredCourse:
     def test_case1_offset(self):
         chi = 2.5  # far off the field direction
-        chi_d, phase = desired_course(200.0, chi, 0.0, 1, P, None)
+        chi_d, phase = step(200.0, chi)[1:3]
         assert phase is GuidancePhase.CASE1
         expected = -math.atan(800.0) + math.pi / 2.0
         assert chi_d == pytest.approx(expected, abs=1e-12)
         assert chi_d == pytest.approx(0.00125, abs=1e-5)
 
     def test_case3_on_path(self):
-        chi_d, phase = desired_course(0.0, 0.0, 0.0, 1, P, None)
+        chi_d, phase = step(0.0, 0.0)[1:3]
         assert phase is GuidancePhase.CASE3
         assert chi_d == 0.0
 
     def test_case2_odd_symmetry(self):
-        plus, ph_p = desired_course(200.0, -1.5, 0.0, 1, P, None)
-        minus, ph_m = desired_course(-200.0, 1.5, 0.0, -1, P, None)
+        plus, ph_p = step(200.0, -1.5)[1:3]
+        minus, ph_m = step(-200.0, 1.5)[1:3]
         assert ph_p is GuidancePhase.CASE2 and ph_m is GuidancePhase.CASE2
         assert plus == pytest.approx(-math.atan(800.0), abs=1e-12)
         assert minus == pytest.approx(-plus, abs=1e-12)
@@ -218,26 +236,27 @@ class TestConvergenceTime:
 
 class TestCurvatureConstraint:
     def test_branch_peaks_match_numeric_maximization(self):
-        report = validate_curvature_constraint(P, 15.0, 0.1, 0.7 / 15.0)
+        report = validate_curvature_constraint(P, 0.1 / 15.0, 0.7 / 15.0)
         num_k1 = peak_field_rate_numeric(P, 15.0, "k1")
         num_k3 = peak_field_rate_numeric(P, 15.0, "k3")
-        assert report.k1_peak_rate == pytest.approx(num_k1, abs=1e-9)
-        assert report.k3_peak_rate == pytest.approx(num_k3, abs=1e-9)
+        assert report.k1_curvature * 15.0 == pytest.approx(num_k1, abs=1e-9)
+        assert report.k3_curvature * 15.0 == pytest.approx(num_k3, abs=1e-9)
 
     @pytest.mark.parametrize("chi_inf", [0.2, 0.7, 1.2, 1.55, math.pi / 2.0])
     def test_closed_forms_bound_the_peaks(self, chi_inf):
         # Exact at chi_inf = pi/2, upper bounds below it.
         p = GuidanceParams(chi_inf=chi_inf)
-        report = validate_curvature_constraint(p, 15.0, 0.1, 0.7 / 15.0)
+        report = validate_curvature_constraint(p, 0.1 / 15.0, 0.7 / 15.0)
         assert report.exact == (chi_inf == math.pi / 2.0)
-        for branch, rate in (("k1", report.k1_peak_rate), ("k3", report.k3_peak_rate)):
+        for branch, curvature in (("k1", report.k1_curvature), ("k3", report.k3_curvature)):
+            rate = curvature * 15.0
             numeric = peak_field_rate_numeric(p, 15.0, branch)
             assert numeric <= rate * (1.0 + 1e-12)
             if report.exact:
                 assert numeric == pytest.approx(rate, abs=1e-9)
 
     def test_default_parameters_feasible(self):
-        report = validate_curvature_constraint(P, 15.0, 0.1, 0.7 / 15.0)
+        report = validate_curvature_constraint(P, 0.1 / 15.0, 0.7 / 15.0)
         assert report.k1_curvature == pytest.approx(2.0 * 0.01 / (3.0 * math.sqrt(3.0)), rel=1e-12)
         expected_k3 = (2.0 ** (4.0 / 3.0) * 5.0 ** (5.0 / 6.0) / 9.0) * 1e-4 ** (1.0 / 3.0)
         assert report.k3_curvature == pytest.approx(expected_k3, rel=1e-12)
@@ -247,7 +266,7 @@ class TestCurvatureConstraint:
 
     def test_aggressive_near_gain_fails(self):
         p = GuidanceParams(k1=0.2, d_s=10.0)
-        report = validate_curvature_constraint(p, 15.0, 0.1, 0.7 / 15.0)
+        report = validate_curvature_constraint(p, 0.1 / 15.0, 0.7 / 15.0)
         assert report.k1_curvature == pytest.approx(2.0 * 0.2 / (3.0 * math.sqrt(3.0)), rel=1e-12)
         assert not report.passed
 
@@ -255,23 +274,21 @@ class TestCurvatureConstraint:
         # A 10 m circle at 15 m/s: the path's curvature 0.1 1/m is above
         # kappa_max, though the left side alone is negative.
         kappa_max = 0.7 / 15.0
-        report = validate_curvature_constraint(P, 15.0, 1.5, kappa_max)
+        report = validate_curvature_constraint(P, 1.5 / 15.0, kappa_max)
         assert report.lhs < kappa_max
         assert not report.path_fits
         assert not report.passed
         # A path exactly as sharp as the limit still fits.
-        edge = validate_curvature_constraint(P, 15.0, kappa_max * 15.0, kappa_max)
+        edge = validate_curvature_constraint(P, kappa_max, kappa_max)
         assert edge.path_fits and edge.passed
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            validate_curvature_constraint(P, 0.0, 0.1, 0.05)
+            validate_curvature_constraint(P, -0.1 / 15.0, 0.05)
         with pytest.raises(ValueError):
-            validate_curvature_constraint(P, 15.0, -0.1, 0.05)
-        with pytest.raises(ValueError):
-            validate_curvature_constraint(P, 15.0, 0.1, 0.0)
-        # zero path course rate (straight line) is legitimate
-        assert validate_curvature_constraint(P, 15.0, 0.0, 0.05).lhs > 0.0
+            validate_curvature_constraint(P, 0.1 / 15.0, 0.0)
+        # zero path curvature (straight line) is legitimate
+        assert validate_curvature_constraint(P, 0.0, 0.05).lhs > 0.0
 
 
 class TestFieldProperties:
@@ -333,7 +350,7 @@ class TestFieldProperties:
         config = benchmark_scenario()
         v_g = config.airspeed.v_a
         kappa_max = 0.7 / v_g
-        report = validate_curvature_constraint(config.guidance, v_g, 0.1, kappa_max)
+        report = validate_curvature_constraint(config.guidance, 0.1 / v_g, kappa_max)
         assert report.passed
         traj, _ = run_trial(config, seed=0)
         settle = case1_convergence_time(

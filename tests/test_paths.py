@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 
@@ -24,24 +23,22 @@ from vfpath.paths import (
     SinusoidPath,
     UnboundedCurvatureError,
     load_polyline,
-    max_path_course_rate,
-    path_course_rate,
 )
+from vfpath import simulation
+from vfpath.angles import wrap_angle
 from vfpath.simulation import (
     GUIDANCE_LAWS,
     SCENARIO_AMPLITUDE,
     SCENARIO_PERIOD,
+    ScenarioConfig,
     benchmark_scenario,
     run_trial,
 )
+from vfpath.vehicle import WindModel
 
 
 def scenario_sinusoid():
     return SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
-
-
-def with_course_rate(frame, chi_p_dot):
-    return dataclasses.replace(frame, chi_p_dot=chi_p_dot)
 
 
 class TestEvaluate:
@@ -753,80 +750,90 @@ class TestLookahead:
             path.peak_curvature()
 
 
+def course_rate_frames(monkeypatch, path, s0, dt=0.01, max_time=2.0):
+    """Run a switched-law trial from the path at s0, on course with its
+    tangent, and return each step's (chi_p, chi_p_dot) as the law saw them."""
+    seen = []
+    law = simulation.commanded_course
+
+    def recording(state, frame, *args):
+        seen.append((frame.chi_p, frame.chi_p_dot))
+        return law(state, frame, *args)
+
+    monkeypatch.setattr(simulation, "commanded_course", recording)
+    config = ScenarioConfig(
+        path=path, wind=WindModel(0, 0), d0=0.0, s0=s0, chi0=path.tangent_angle(s0),
+        dt=dt, max_time=max_time, stop_when_converged=False,
+    )
+    traj, _ = run_trial(config)
+    assert len(seen) == len(traj)
+    return seen
+
+
 class TestCourseRate:
-    def test_finite_difference(self):
-        f_now = LinePath(0, 0, 0).closest_point((1.0, 1.0))
-        frame_now = with_course_rate(f_now, 0.0)
-        # synthetic frames with specified tangent angles
-        a = frame_now
-        import dataclasses
+    """``run_trial`` fills each frame's path course rate by finite difference.
 
-        f1 = dataclasses.replace(a, chi_p=0.10)
-        f0 = dataclasses.replace(a, chi_p=0.09)
-        assert path_course_rate(f1, f0, 0.01) == pytest.approx(1.0)
+    The circle trial starts 0.15 rad before the top of an R = 100 m circle and
+    runs 2 s at 15 m/s (0.3 rad), so its tangent crosses +-pi."""
 
-    def test_wrap_across_pi(self):
-        import dataclasses
+    CIRCLE = CirclePath(0.0, 0.0, 100.0)
+    S0 = 100.0 * (0.5 * math.pi - 0.15)
 
-        base = LinePath(0, 0, 0).closest_point((1.0, 1.0))
-        f1 = dataclasses.replace(base, chi_p=-3.13)
-        f0 = dataclasses.replace(base, chi_p=3.13)
-        expected = (2.0 * math.pi - 6.26) / 0.01
-        assert path_course_rate(f1, f0, 0.01) == pytest.approx(expected, abs=1e-9)
+    def test_finite_difference(self, monkeypatch):
+        seen = course_rate_frames(monkeypatch, self.CIRCLE, self.S0)
+        for (chi_prev, _), (chi_p, rate) in zip(seen, seen[1:]):
+            assert rate == wrap_angle(chi_p - chi_prev) / 0.01
 
-    def test_first_step_and_bad_dt(self):
-        frame = LinePath(0, 0, 0).closest_point((1.0, 1.0))
-        assert path_course_rate(frame, None, 0.01) == 0.0
+    def test_wrap_across_pi(self, monkeypatch):
+        seen = course_rate_frames(monkeypatch, self.CIRCLE, self.S0)
+        chi_p = np.array([c for c, _ in seen])
+        assert np.any(np.abs(np.diff(chi_p)) > math.pi)  # the tangent wraps
+        rates = np.array([r for _, r in seen[1:]])
+        assert np.allclose(rates, 15.0 / 100.0, rtol=0.01)
+
+    def test_first_step_and_bad_dt(self, monkeypatch):
+        seen = course_rate_frames(monkeypatch, self.CIRCLE, self.S0)
+        assert seen[0][1] == 0.0
         with pytest.raises(ValueError):
-            path_course_rate(frame, frame, 0.0)
+            ScenarioConfig(path=self.CIRCLE, dt=0.0)
 
-    def test_straight_line_rate_is_zero(self):
-        line = LinePath(0, 0, 0.4)
-        f0 = line.closest_point((10.0, 3.0))
-        f1 = line.closest_point((11.0, 2.0))
-        assert path_course_rate(f1, f0, 0.01) == 0.0
+    def test_straight_line_rate_is_zero(self, monkeypatch):
+        seen = course_rate_frames(monkeypatch, LinePath(0, 0, 0.4), 10.0)
+        assert all(rate == 0.0 for _, rate in seen)
 
-    def test_circle_traversal_rate_constant(self):
-        circle = CirclePath(0.0, 0.0, 100.0)
-        v, dt = 15.0, 0.01
-        rates = []
-        prev = None
-        for k in range(200):
-            frame = circle.frame_at(v * k * dt, circle.point(v * k * dt))
-            if prev is not None:
-                rates.append(path_course_rate(frame, prev, dt))
-            prev = frame
-        rates = np.asarray(rates)
-        assert np.allclose(rates, v / 100.0, rtol=0.01)
+    def test_circle_traversal_rate_constant(self, monkeypatch):
+        # On a circle ridden at V_g = 15 m/s the rate is V_g / R.
+        seen = course_rate_frames(monkeypatch, self.CIRCLE, 0.0)
+        rates = np.array([r for _, r in seen[1:]])
+        assert np.allclose(rates, 15.0 / 100.0, rtol=0.01)
 
 
 class TestMaxCourseRate:
+    """The peak path course rate at 15 m/s, stated as the path's peak
+    curvature: the rate divided by 15 m/s."""
+
     def test_line_zero(self):
-        assert max_path_course_rate(LinePath(0, 0, 0), 15.0) == 0.0
+        assert LinePath(0, 0, 0).peak_curvature() == 0.0
 
     def test_circle(self):
-        rate = max_path_course_rate(CirclePath(0, 0, 100.0), 15.0)
-        assert rate == pytest.approx(0.15, rel=1e-12)
+        kappa = CirclePath(0, 0, 100.0).peak_curvature()
+        assert kappa == pytest.approx(0.15 / 15.0, rel=1e-12)
 
     def test_scenario_sinusoid_bound(self):
-        rate = max_path_course_rate(scenario_sinusoid(), 15.0)
-        assert rate == pytest.approx(0.1, rel=1e-12)
+        kappa = scenario_sinusoid().peak_curvature()
+        assert kappa == pytest.approx(0.1 / 15.0, rel=1e-12)
 
     def test_sinusoid_without_crest_peaks_at_an_end(self):
         # On [0, P/8], ws runs from 0 to pi/4, where (Aw)^2 cos^2 ws = 1 on
         # the benchmark sinusoid: A w^2 sin(pi/4) / 2^(3/2) = A w^2 / 4.
         path = SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD, 0.0, SCENARIO_PERIOD / 8.0)
-        assert max_path_course_rate(path, 15.0) == pytest.approx(0.025, rel=1e-12)
+        assert path.peak_curvature() == pytest.approx(0.025 / 15.0, rel=1e-12)
 
     def test_collinear_polyline_zero(self):
         path = PolylinePath([(0.0, 0.0), (100.0, 50.0), (300.0, 150.0), (400.0, 200.0)])
-        assert max_path_course_rate(path, 15.0) == 0.0
+        assert path.peak_curvature() == 0.0
 
     def test_polyline_corner_unbounded(self):
         path = PolylinePath([(0.0, 0.0), (100.0, 0.0), (200.0, 10.0), (200.0, 100.0)])
         with pytest.raises(UnboundedCurvatureError, match=r"vertex 2 \(200, 10\) turns 1\.4711"):
-            max_path_course_rate(path, 15.0)
-
-    def test_requires_positive_speed(self):
-        with pytest.raises(ValueError):
-            max_path_course_rate(LinePath(0, 0, 0), 0.0)
+            path.peak_curvature()
