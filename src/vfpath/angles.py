@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 
+PI = math.pi
 TAU = 2.0 * math.pi
 
 
 def wrap_angle(angle: float) -> float:
-    """Wrap a scalar angle to the principal interval (-pi, pi]."""
+    """Wrap a scalar angle to the principal interval (-pi, pi].
+
+    The reference definition.  The code that runs on every trial step (the
+    vehicle step, the switched law, the circle's frame and the trial loop)
+    writes these same two steps inline to save the call.
+    """
     wrapped = math.remainder(angle, TAU)
-    if wrapped <= -math.pi:
+    if wrapped <= -PI:
         wrapped += TAU
     return wrapped
 

@@ -278,6 +278,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
         if getattr(args, "trials", None) is not None and args.trials < 1:
             raise ConfigError("--trials must be at least 1")
+        if args.seed < 0:
+            raise ConfigError("--seed must be non-negative")
         return args.func(args, settings)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

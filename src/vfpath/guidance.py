@@ -5,10 +5,12 @@ branch: a linear-argument arctangent near the path (|d| < d_s) and a
 cubic-argument one everywhere else (|d| >= d_s).  The branch gains are tied
 together (d_s = sqrt(k1/k3)) so the field is continuous at the switch.  On
 the cubic branch, when the vehicle is pointed far off the field direction,
-the desired course is additionally offset by rho*pi/2 so the commanded turn
-stays gentle; that offset phase uses a fractional-power reaching term that
-drives the course error to zero in finite time, after which a saturated
-sliding-mode term takes over.
+the desired course is additionally offset by rho*pi/2, a quarter turn from
+the field's approach direction toward the path's own direction; the offset
+does not bound the course error (see :func:`commanded_course`).  That
+offset phase uses a fractional-power reaching term that drives the course
+error to zero in finite time, after which a saturated sliding-mode term
+takes over.
 
 Phases:
     CASE3: |d| < d_s (linear branch)
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple, Optional
 
-from .angles import wrap_angle
+from .angles import PI, TAU
 from .paths import PathFrame
 from .vehicle import VehicleState
 
@@ -138,8 +140,12 @@ def commanded_course(
     applies whenever a previous phase exists: it makes CASE1 exit early
     (before the reaching term stalls at zero) and keeps the loop from
     re-entering CASE1 while the error sits inside the margin band.  On the
-    very first step there is no margin.  CASE1 adds rho*pi/2 to the field so
-    the commanded course never opposes the current one by more than pi/2.
+    very first step there is no margin.  CASE1 adds rho*pi/2 to the field.
+    That sign comes from the side of the path (rho = sign(d)), not from the
+    course error, so the offset bounds neither the course error nor the
+    commanded turn: a vehicle flying against the path's direction is offset
+    away from its own course, and CASE1 course errors near pi occur (up to
+    3.11 rad in the 200-trial windy campaign at seed 42).
 
     All three phases share the structure
 
@@ -155,26 +161,44 @@ def commanded_course(
         raise ValueError("v_g must be positive")
     d, chi, chi_p, rho = frame.d, state.chi, frame.chi_p, frame.rho
     scale = params.chi_inf * (2.0 / math.pi)
+    remainder = math.remainder
 
+    # Each wrap to (-pi, pi] below is wrap_angle written inline.
     if abs(d) < params.d_s:
         k1d = params.k1 * d
-        chi_d = wrap_angle(chi_p - scale * math.atan(k1d))
+        chi_d = remainder(chi_p - scale * math.atan(k1d), TAU)
+        if chi_d <= -PI:
+            chi_d += TAU
         gain = params.k1 / (1.0 + k1d * k1d)
         phase = GuidancePhase.CASE3
+        chi_tilde = remainder(chi - chi_d, TAU)
+        if chi_tilde <= -PI:
+            chi_tilde += TAU
     else:
         k3d3 = params.k3 * d**3
-        chi_d = wrap_angle(chi_p - scale * math.atan(k3d3))
+        chi_d = remainder(chi_p - scale * math.atan(k3d3), TAU)
+        if chi_d <= -PI:
+            chi_d += TAU
         gain = 3.0 * params.k3 * d * d / (1.0 + k3d3 * k3d3)
         margin = 0.0 if prev_phase is None else params.delta_hys
-        if abs(wrap_angle(chi - chi_d)) > HALF_PI + margin:
-            chi_d = wrap_angle(chi_d + rho * HALF_PI)
+        chi_tilde = remainder(chi - chi_d, TAU)
+        if chi_tilde <= -PI:
+            chi_tilde += TAU
+        if abs(chi_tilde) > HALF_PI + margin:
+            chi_d = remainder(chi_d + rho * HALF_PI, TAU)
+            if chi_d <= -PI:
+                chi_d += TAU
+            chi_tilde = remainder(chi - chi_d, TAU)
+            if chi_tilde <= -PI:
+                chi_tilde += TAU
             phase = GuidancePhase.CASE1
         else:
             phase = GuidancePhase.CASE2
 
-    chi_tilde = wrap_angle(chi - chi_d)
-    sin_track = math.sin(wrap_angle(chi - chi_p))
-    feedforward = frame.chi_p_dot - scale * gain * v_g * sin_track
+    track = remainder(chi - chi_p, TAU)
+    if track <= -PI:
+        track += TAU
+    feedforward = frame.chi_p_dot - scale * gain * v_g * math.sin(track)
 
     if phase is GuidancePhase.CASE1:
         reaching = -rho * params.eta * abs(chi_tilde) ** (params.n / params.m)
@@ -185,7 +209,9 @@ def commanded_course(
         else:
             reaching = -beta * math.copysign(1.0, chi_tilde) if chi_tilde else 0.0
 
-    chi_c = wrap_angle(chi + (feedforward + reaching) / params.alpha)
+    chi_c = remainder(chi + (feedforward + reaching) / params.alpha, TAU)
+    if chi_c <= -PI:
+        chi_c += TAU
     return Command(chi_c, chi_d, phase)
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .angles import wrap_angle
+from .angles import PI, TAU, wrap_angle
 
 # Polyline neighbour list: the skin is the larger of these, and the 1 mm
 # slack on the candidate radius covers the rounding of the distances.
@@ -40,7 +40,7 @@ class UnboundedCurvatureError(ValueError):
     """Raised when a path has a corner, so its curvature has no finite bound."""
 
 
-@dataclass
+@dataclass(slots=True)
 class PathFrame:
     """Closest-point frame of a vehicle position relative to a path.
 
@@ -86,10 +86,11 @@ class ReferencePath:
             span = self.s_max - self.s_min
             return self.s_min + (s - self.s_min) % span
         if s < self.s_min or s > self.s_max:
-            raise PathDomainError(
-                f"parameter {s!r} outside domain [{self.s_min}, {self.s_max}]"
-            )
+            raise self._domain_error(s)
         return s
+
+    def _domain_error(self, s: float) -> PathDomainError:
+        return PathDomainError(f"parameter {s!r} outside domain [{self.s_min}, {self.s_max}]")
 
     def closest_parameter(self, p: Sequence[float], near: Optional[float] = None) -> float:
         """Global minimizer of the distance from ``p`` to the path; ties go
@@ -120,22 +121,26 @@ class ReferencePath:
         return self.frame_at(s_star, (float(p[0]), float(p[1])))
 
     def frame_at(self, s_star: float, p: Sequence[float]) -> PathFrame:
+        """Path frame of ``p`` with its closest point at ``s_star``, from
+        ``point`` and ``tangent_angle``.  Each path kind overrides it with
+        the same values from one domain check and one evaluation."""
         rx, ry = self.point(s_star)
-        chi_p = self.tangent_angle(s_star)
-        ux, uy = p[0] - rx, p[1] - ry
-        cross = math.cos(chi_p) * uy - math.sin(chi_p) * ux
-        dist = math.hypot(ux, uy)
-        # |d| is the true Euclidean distance even when the minimizer sits on
-        # a domain boundary and the displacement is not perpendicular.
-        d = math.copysign(dist, cross) if cross != 0.0 else dist
-        rho = 1 if d >= 0.0 else -1
-        return PathFrame(
-            s_star=s_star,
-            p_ref=(rx, ry),
-            chi_p=chi_p,
-            d=d,
-            rho=rho,
-        )
+        return _path_frame(s_star, rx, ry, self.tangent_angle(s_star), p)
+
+
+def _path_frame(
+    s_star: float, rx: float, ry: float, chi_p: float, p: Sequence[float]
+) -> PathFrame:
+    """Frame of ``p`` relative to the path point (rx, ry) at ``s_star``,
+    where the tangent angle is ``chi_p``: the signed cross-track error and
+    the side indicator."""
+    ux, uy = p[0] - rx, p[1] - ry
+    cross = math.cos(chi_p) * uy - math.sin(chi_p) * ux
+    dist = math.hypot(ux, uy)
+    # |d| is the true Euclidean distance even when the minimizer sits on
+    # a domain boundary and the displacement is not perpendicular.
+    d = math.copysign(dist, cross) if cross != 0.0 else dist
+    return PathFrame(s_star, (rx, ry), chi_p, d, 1 if d >= 0.0 else -1)
 
 
 def _finite_position(p: Sequence[float]) -> tuple[float, float]:
@@ -196,6 +201,12 @@ class LinePath(ReferencePath):
         self._clip_parameter(s)
         return self.heading
 
+    def frame_at(self, s_star, p):
+        if s_star < self.s_min or s_star > self.s_max:
+            raise self._domain_error(s_star)
+        rx, ry = self.x0 + s_star * self._cos, self.y0 + s_star * self._sin
+        return _path_frame(s_star, rx, ry, self.heading, p)
+
     def closest_parameter(self, p, near=None) -> float:
         px, py = _finite_position(p)
         s = (px - self.x0) * self._cos + (py - self.y0) * self._sin
@@ -247,6 +258,16 @@ class CirclePath(ReferencePath):
     def tangent_angle(self, s: float) -> float:
         theta = self._clip_parameter(s) / self.radius
         return wrap_angle(theta + 0.5 * math.pi)
+
+    def frame_at(self, s_star, p):
+        # s_min is 0, so this is _clip_parameter's wrap into [0, 2*pi*R).
+        theta = (s_star % self.s_max) / self.radius
+        chi_p = math.remainder(theta + 0.5 * math.pi, TAU)  # wrap_angle inline
+        if chi_p <= -PI:
+            chi_p += TAU
+        rx = self.cx + self.radius * math.cos(theta)
+        ry = self.cy + self.radius * math.sin(theta)
+        return _path_frame(s_star, rx, ry, chi_p, p)
 
     def closest_parameter(self, p, near=None) -> float:
         px, py = _finite_position(p)
@@ -322,6 +343,13 @@ class SinusoidPath(ReferencePath):
         s = self._clip_parameter(s)
         slope = self.amplitude * self.omega * math.cos(self.omega * s)
         return math.atan(slope)
+
+    def frame_at(self, s_star, p):
+        if s_star < self.s_min or s_star > self.s_max:
+            raise self._domain_error(s_star)
+        a, ws = self.amplitude, self.omega * s_star
+        chi_p = math.atan(a * self.omega * math.cos(ws))
+        return _path_frame(s_star, s_star, a * math.sin(ws), chi_p, p)
 
     def peak_curvature(self) -> float:
         """The curvature A w^2 |sin ws| / (1 + (Aw cos ws)^2)^(3/2) rises
@@ -641,6 +669,15 @@ class PolylinePath(ReferencePath):
     def tangent_angle(self, s: float) -> float:
         s = self._clip_parameter(s)
         return self._headings[self._segment_index(s)]
+
+    def frame_at(self, s_star, p):
+        if s_star < self.s_min or s_star > self.s_max:
+            raise self._domain_error(s_star)
+        # _segment_index inline.
+        i = min(max(bisect_right(self._cum, s_star) - 1, 0), len(self._segments) - 1)
+        ax, ay, sx, sy, _, cum, length = self._segments[i]
+        f = (s_star - cum) / length
+        return _path_frame(s_star, ax + f * sx, ay + f * sy, self._headings[i], p)
 
     def closest_parameter(self, p, near=None) -> float:
         """Global minimizer of the distance from ``p`` to the polyline.

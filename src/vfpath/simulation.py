@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .angles import wrap_angle, wrap_angle_array
+from .angles import PI, TAU, wrap_angle, wrap_angle_array
 from .baselines import (
     BaselineParams,
     LookaheadInfeasibleError,
@@ -288,6 +288,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     need = int(round(config.dwell / dt))
     n_max = int(round(config.max_time / dt))
     stop_early = config.stop_when_converged
+    remainder = math.remainder
 
     state = initial_state(config)
     prev_frame: Optional[PathFrame] = None
@@ -308,13 +309,19 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         else:
             frame = path.frame_at(path.closest_parameter(p, near=prev_frame.s_star), p)
             # Path course rate; on the first step it keeps the frame's default 0.
-            frame.chi_p_dot = wrap_angle(frame.chi_p - prev_frame.chi_p) / dt
+            turn = remainder(frame.chi_p - prev_frame.chi_p, TAU)  # wrap_angle inline
+            if turn <= -PI:
+                turn += TAU
+            frame.chi_p_dot = turn / dt
         prev_frame = frame
         v_g = ground_speed(spec, wind, chi)
 
         cmd = law_step(config, state, frame, v_g, cmd)
         # turn_rate(cmd.chi_c, chi, alpha); GuidanceParams proved alpha > 0.
-        chi_dot = alpha * wrap_angle(cmd.chi_c - chi)
+        course_error = remainder(cmd.chi_c - chi, TAU)
+        if course_error <= -PI:
+            course_error += TAU
+        chi_dot = alpha * course_error
         rows.append((
             k * dt, x, y, chi, cmd.chi_c, cmd.chi_d, chi_dot, frame.d, cmd.phase, frame.chi_p,
         ))

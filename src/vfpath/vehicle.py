@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .angles import wrap_angle
+from .angles import PI, TAU, wrap_angle
 
 
 class WindInfeasibleError(ValueError):
@@ -62,14 +62,6 @@ class AirspeedSpec:
             raise ValueError("airspeed must be positive and finite")
 
 
-def _ground_speed(v_a: float, w_x: float, w_y: float, cos_c: float, sin_c: float) -> float:
-    """V_g = sqrt(V_a^2 - W_perp^2) + W_along along the course (cos_c, sin_c)."""
-    if w_x == 0.0 and w_y == 0.0:
-        return v_a
-    w_perp = -w_x * sin_c + w_y * cos_c
-    return math.sqrt(v_a * v_a - w_perp * w_perp) + w_x * cos_c + w_y * sin_c
-
-
 def ground_speed(spec: AirspeedSpec, wind: WindModel, chi: float) -> float:
     """Ground speed while holding course ``chi`` at constant airspeed under wind.
 
@@ -79,8 +71,14 @@ def ground_speed(spec: AirspeedSpec, wind: WindModel, chi: float) -> float:
 
         V_g = sqrt(V_a^2 - W_perp^2) + W_along.
     """
-    check_wind_speed(wind.speed, spec.v_a)
-    return _ground_speed(spec.v_a, wind.w_x, wind.w_y, math.cos(chi), math.sin(chi))
+    v_a, w_x, w_y = spec.v_a, wind.w_x, wind.w_y
+    if wind.speed >= v_a:
+        check_wind_speed(wind.speed, v_a)
+    if w_x == 0.0 and w_y == 0.0:
+        return v_a
+    cos_c, sin_c = math.cos(chi), math.sin(chi)
+    w_perp = -w_x * sin_c + w_y * cos_c
+    return math.sqrt(v_a * v_a - w_perp * w_perp) + w_x * cos_c + w_y * sin_c
 
 
 def turn_rate(chi_c: float, chi: float, alpha: float) -> float:
@@ -108,7 +106,9 @@ def step_vehicle(
     course difference chi_c - chi is wrapped in each stage.  A caller that
     already holds ``ground_speed(spec, wind, state.chi)`` and ``turn_rate(chi_c,
     state.chi, alpha)`` passes them as ``v_g`` and ``chi_dot``: they are the
-    first stage, which is then not evaluated again.  The returned course is
+    first stage, which is then not evaluated again.  The other stages write
+    both inline, with each wrap to (-pi, pi] done as
+    :func:`~vfpath.angles.wrap_angle` does it.  The returned course is
     wrapped to (-pi, pi].
     """
     if dt <= 0.0:
@@ -116,29 +116,49 @@ def step_vehicle(
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     v_a, w_x, w_y = spec.v_a, wind.w_x, wind.w_y
-    check_wind_speed(wind.speed, v_a)
+    if wind.speed >= v_a:
+        check_wind_speed(wind.speed, v_a)
     x, y, chi = state
-    cos, sin = math.cos, math.sin
-    c1, s1 = cos(chi), sin(chi)
     if v_g is None:
-        v_g = _ground_speed(v_a, w_x, w_y, c1, s1)
-        chi_dot = alpha * wrap_angle(chi_c - chi)
+        v_g = ground_speed(spec, wind, chi)
+        chi_dot = turn_rate(chi_c, chi, alpha)
+    cos, sin, remainder = math.cos, math.sin, math.remainder
     half = 0.5 * dt
     chi2 = chi + half * chi_dot
-    c2, s2 = cos(chi2), sin(chi2)
-    v2 = _ground_speed(v_a, w_x, w_y, c2, s2)
-    r2 = alpha * wrap_angle(chi_c - chi2)
+    err = remainder(chi_c - chi2, TAU)
+    if err <= -PI:
+        err += TAU
+    r2 = alpha * err
     chi3 = chi + half * r2
-    c3, s3 = cos(chi3), sin(chi3)
-    v3 = _ground_speed(v_a, w_x, w_y, c3, s3)
-    r3 = alpha * wrap_angle(chi_c - chi3)
+    err = remainder(chi_c - chi3, TAU)
+    if err <= -PI:
+        err += TAU
+    r3 = alpha * err
     chi4 = chi + dt * r3
+    err = remainder(chi_c - chi4, TAU)
+    if err <= -PI:
+        err += TAU
+    r4 = alpha * err
+    c1, s1 = cos(chi), sin(chi)
+    c2, s2 = cos(chi2), sin(chi2)
+    c3, s3 = cos(chi3), sin(chi3)
     c4, s4 = cos(chi4), sin(chi4)
-    v4 = _ground_speed(v_a, w_x, w_y, c4, s4)
-    r4 = alpha * wrap_angle(chi_c - chi4)
+    if w_x == 0.0 and w_y == 0.0:
+        v2 = v3 = v4 = v_a
+    else:
+        v_a_sq = v_a * v_a
+        w_perp = -w_x * s2 + w_y * c2
+        v2 = math.sqrt(v_a_sq - w_perp * w_perp) + w_x * c2 + w_y * s2
+        w_perp = -w_x * s3 + w_y * c3
+        v3 = math.sqrt(v_a_sq - w_perp * w_perp) + w_x * c3 + w_y * s3
+        w_perp = -w_x * s4 + w_y * c4
+        v4 = math.sqrt(v_a_sq - w_perp * w_perp) + w_x * c4 + w_y * s4
     sixth = dt / 6.0
+    chi_next = remainder(chi + sixth * (chi_dot + 2.0 * r2 + 2.0 * r3 + r4), TAU)
+    if chi_next <= -PI:
+        chi_next += TAU
     return VehicleState(
         x + sixth * (v_g * c1 + 2.0 * (v2 * c2) + 2.0 * (v3 * c3) + v4 * c4),
         y + sixth * (v_g * s1 + 2.0 * (v2 * s2) + 2.0 * (v3 * s3) + v4 * s4),
-        wrap_angle(chi + sixth * (chi_dot + 2.0 * r2 + 2.0 * r3 + r4)),
+        chi_next,
     )

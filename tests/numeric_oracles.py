@@ -1,12 +1,14 @@
-"""Numeric oracles shared by the tests: independent checks of closed forms."""
+"""Numeric oracles shared by the tests: independent checks of closed forms,
+and the per-step code written through its helpers."""
 
 import math
 from typing import Optional, Sequence
 
 import numpy as np
 
+from vfpath.angles import wrap_angle
 from vfpath.baselines import LookaheadInfeasibleError
-from vfpath.guidance import GuidanceParams
+from vfpath.guidance import HALF_PI, Command, GuidanceParams, GuidancePhase, sat
 from vfpath.paths import (
     CirclePath,
     LinePath,
@@ -15,6 +17,7 @@ from vfpath.paths import (
     ReferencePath,
     SinusoidPath,
 )
+from vfpath.vehicle import AirspeedSpec, VehicleState, WindModel, check_wind_speed
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -248,3 +251,115 @@ def peak_field_rate_numeric(
     lo = max(best_d - hi / steps, 0.0)
     d_star = _golden_section(lambda d: -rate(d), lo, best_d + hi / steps, 1e-10)
     return rate(d_star)
+
+
+# Oracles for the per-step code, which writes each wrap to (-pi, pi] and
+# each ground speed inline: the same arithmetic, operation for operation,
+# through wrap_angle and a ground-speed helper.
+
+
+def _helper_ground_speed(
+    v_a: float, w_x: float, w_y: float, cos_c: float, sin_c: float
+) -> float:
+    """V_g = sqrt(V_a^2 - W_perp^2) + W_along along the course (cos_c, sin_c)."""
+    if w_x == 0.0 and w_y == 0.0:
+        return v_a
+    w_perp = -w_x * sin_c + w_y * cos_c
+    return math.sqrt(v_a * v_a - w_perp * w_perp) + w_x * cos_c + w_y * sin_c
+
+
+def helper_ground_speed(spec: AirspeedSpec, wind: WindModel, chi: float) -> float:
+    """``vfpath.vehicle.ground_speed`` through the helper."""
+    check_wind_speed(wind.speed, spec.v_a)
+    return _helper_ground_speed(spec.v_a, wind.w_x, wind.w_y, math.cos(chi), math.sin(chi))
+
+
+def helper_step_vehicle(
+    state: VehicleState,
+    chi_c: float,
+    spec: AirspeedSpec,
+    wind: WindModel,
+    alpha: float,
+    dt: float,
+    v_g: Optional[float] = None,
+    chi_dot: Optional[float] = None,
+) -> VehicleState:
+    """``vfpath.vehicle.step_vehicle`` with every stage through the helpers."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    v_a, w_x, w_y = spec.v_a, wind.w_x, wind.w_y
+    check_wind_speed(wind.speed, v_a)
+    x, y, chi = state
+    cos, sin = math.cos, math.sin
+    c1, s1 = cos(chi), sin(chi)
+    if v_g is None:
+        v_g = _helper_ground_speed(v_a, w_x, w_y, c1, s1)
+        chi_dot = alpha * wrap_angle(chi_c - chi)
+    half = 0.5 * dt
+    chi2 = chi + half * chi_dot
+    c2, s2 = cos(chi2), sin(chi2)
+    v2 = _helper_ground_speed(v_a, w_x, w_y, c2, s2)
+    r2 = alpha * wrap_angle(chi_c - chi2)
+    chi3 = chi + half * r2
+    c3, s3 = cos(chi3), sin(chi3)
+    v3 = _helper_ground_speed(v_a, w_x, w_y, c3, s3)
+    r3 = alpha * wrap_angle(chi_c - chi3)
+    chi4 = chi + dt * r3
+    c4, s4 = cos(chi4), sin(chi4)
+    v4 = _helper_ground_speed(v_a, w_x, w_y, c4, s4)
+    r4 = alpha * wrap_angle(chi_c - chi4)
+    sixth = dt / 6.0
+    return VehicleState(
+        x + sixth * (v_g * c1 + 2.0 * (v2 * c2) + 2.0 * (v3 * c3) + v4 * c4),
+        y + sixth * (v_g * s1 + 2.0 * (v2 * s2) + 2.0 * (v3 * s3) + v4 * s4),
+        wrap_angle(chi + sixth * (chi_dot + 2.0 * r2 + 2.0 * r3 + r4)),
+    )
+
+
+def helper_commanded_course(
+    state: VehicleState,
+    frame: PathFrame,
+    params: GuidanceParams,
+    prev_phase: Optional[GuidancePhase],
+    v_g: float,
+) -> Command:
+    """``vfpath.guidance.commanded_course`` with every wrap through
+    wrap_angle and the course error recomputed after the phase test."""
+    if v_g <= 0.0:
+        raise ValueError("v_g must be positive")
+    d, chi, chi_p, rho = frame.d, state.chi, frame.chi_p, frame.rho
+    scale = params.chi_inf * (2.0 / math.pi)
+
+    if abs(d) < params.d_s:
+        k1d = params.k1 * d
+        chi_d = wrap_angle(chi_p - scale * math.atan(k1d))
+        gain = params.k1 / (1.0 + k1d * k1d)
+        phase = GuidancePhase.CASE3
+    else:
+        k3d3 = params.k3 * d**3
+        chi_d = wrap_angle(chi_p - scale * math.atan(k3d3))
+        gain = 3.0 * params.k3 * d * d / (1.0 + k3d3 * k3d3)
+        margin = 0.0 if prev_phase is None else params.delta_hys
+        if abs(wrap_angle(chi - chi_d)) > HALF_PI + margin:
+            chi_d = wrap_angle(chi_d + rho * HALF_PI)
+            phase = GuidancePhase.CASE1
+        else:
+            phase = GuidancePhase.CASE2
+
+    chi_tilde = wrap_angle(chi - chi_d)
+    sin_track = math.sin(wrap_angle(chi - chi_p))
+    feedforward = frame.chi_p_dot - scale * gain * v_g * sin_track
+
+    if phase is GuidancePhase.CASE1:
+        reaching = -rho * params.eta * abs(chi_tilde) ** (params.n / params.m)
+    else:
+        beta = params.sigma / (1.0 + abs(chi_tilde))
+        if params.reaching == "sat":
+            reaching = -beta * sat(chi_tilde / params.epsilon)
+        else:
+            reaching = -beta * math.copysign(1.0, chi_tilde) if chi_tilde else 0.0
+
+    chi_c = wrap_angle(chi + (feedforward + reaching) / params.alpha)
+    return Command(chi_c, chi_d, phase)

@@ -483,3 +483,18 @@ class TestCli:
     def test_montecarlo_bad_trials_exits_2(self, tmp_path):
         rc = main(["montecarlo", "--trials", "0", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["compare"], ["montecarlo", "--trials", "1", "--serial"], ["validate"]]
+    )
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        # A sampled wind draws from the seed, which numpy rejects when negative.
+        config = tmp_path / "windy.ini"
+        config.write_text("[sim]\nwind_sampled = true\n", encoding="utf-8")
+        out = tmp_path / "x"
+        rc = main([*command, "--seed", "-5", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be non-negative\n"
+        assert captured.out == ""
+        assert not out.exists()

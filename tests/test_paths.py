@@ -68,6 +68,70 @@ class TestEvaluate:
         assert circle.point(s_full + 3.0) == pytest.approx(circle.point(3.0))
 
 
+# One path of each kind, for the frame_at checks.
+FRAME_PATHS = {
+    "line": LinePath(3.0, -2.0, 0.7, s_min=-500.0, s_max=800.0),
+    "circle": CirclePath(10.0, -20.0, 300.0),
+    "sinusoid": SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD),
+    "polyline": PolylinePath(
+        [(0.0, 0.0), (100.0, 0.0), (150.0, 80.0), (120.0, 200.0), (-50.0, 260.0)]
+    ),
+}
+
+
+def frame_parameters(path):
+    """Both domain ends, every polyline vertex and, on the circle, 0 and the
+    largest parameter below 2*pi*R, plus a lap on either side."""
+    values = [path.s_min, path.s_max]
+    if isinstance(path, PolylinePath):
+        seg = np.diff(path.points, axis=0)
+        values += np.cumsum(np.hypot(seg[:, 0], seg[:, 1])).tolist()
+    if isinstance(path, CirclePath):
+        values += [0.0, -0.0, math.nextafter(path.s_max, 0.0), -path.s_max, 3.0 * path.s_max]
+    return values
+
+
+class TestFrameAt:
+    """Each kind's own ``frame_at`` gives the generic composition's frame,
+    from ``point`` and ``tangent_angle``, to the bit."""
+
+    @staticmethod
+    def assert_generic(path, s, p):
+        fast = path.frame_at(s, p)
+        generic = ReferencePath.frame_at(path, s, p)
+        assert fast == generic
+        # repr tells -0.0 from 0.0 and spells every float exactly.
+        assert repr(fast) == repr(generic)
+
+    @pytest.mark.parametrize("kind", FRAME_PATHS)
+    def test_domain_ends_and_vertices(self, kind):
+        path = FRAME_PATHS[kind]
+        for s in frame_parameters(path):
+            for p in ((0.0, 0.0), (120.0, -35.0), path.point(s)):
+                self.assert_generic(path, s, p)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        kind=st.sampled_from(sorted(FRAME_PATHS)),
+        fraction=st.floats(0.0, 1.0),
+        p=st.tuples(st.floats(-2000.0, 2000.0), st.floats(-2000.0, 2000.0)),
+    )
+    def test_random_points(self, kind, fraction, p):
+        path = FRAME_PATHS[kind]
+        s = path.s_min + fraction * (path.s_max - path.s_min)
+        self.assert_generic(path, min(s, path.s_max), p)
+
+    @pytest.mark.parametrize("kind", ["line", "sinusoid", "polyline"])
+    def test_outside_domain_raises_as_generic(self, kind):
+        path = FRAME_PATHS[kind]
+        for s in (math.nextafter(path.s_min, -math.inf), math.nextafter(path.s_max, math.inf)):
+            with pytest.raises(PathDomainError) as fast:
+                path.frame_at(s, (0.0, 0.0))
+            with pytest.raises(PathDomainError) as generic:
+                ReferencePath.frame_at(path, s, (0.0, 0.0))
+            assert str(fast.value) == str(generic.value)
+
+
 class TestTangent:
     def test_line_tangent_constant(self):
         line = LinePath(0.0, 0.0, 0.3)
@@ -800,6 +864,18 @@ class TestCourseRate:
     def test_straight_line_rate_is_zero(self, monkeypatch):
         seen = course_rate_frames(monkeypatch, LinePath(0, 0, 0.4), 10.0)
         assert all(rate == 0.0 for _, rate in seen)
+
+    def test_reversed_tangent_rate_wraps_minus_pi(self, monkeypatch):
+        # The second leg doubles back over the first: at the vertex the
+        # tangent turns from pi/2 to -pi/2, a change of exactly -pi, which
+        # wraps to +pi.
+        dt = 0.01
+        path = PolylinePath([(0.0, 0.0), (0.0, 100.0), (0.0, 0.0)])
+        seen = course_rate_frames(monkeypatch, path, 90.0, dt=dt, max_time=1.0)
+        assert (0.5 * math.pi, 0.0) in seen
+        for (prev, _), (chi_p, rate) in zip(seen, seen[1:]):
+            assert rate == wrap_angle(chi_p - prev) / dt
+        assert (-0.5 * math.pi, math.pi / dt) in seen
 
     def test_circle_traversal_rate_constant(self, monkeypatch):
         # On a circle ridden at V_g = 15 m/s the rate is V_g / R.

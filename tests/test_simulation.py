@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfpath import simulation
-from vfpath.guidance import GuidanceParams
+from vfpath.guidance import Command, GuidanceParams
 from vfpath.paths import CirclePath, LinePath, PolylinePath, ReferencePath, SinusoidPath
 from vfpath.simulation import (
     GUIDANCE_LAWS,
@@ -214,6 +214,21 @@ class TestRunTrial:
                 state = VehicleState(float(traj.x[k]), float(traj.y[k]), chi)
                 step = step_vehicle(state, chi_c, spec, wind, alpha, dt)
                 assert step == (traj.x[k + 1], traj.y[k + 1], traj.chi[k + 1])
+
+    def test_recorded_turn_rate_wraps_minus_pi_as_turn_rate(self, monkeypatch):
+        # A command exactly pi behind the course: chi_c - chi is -pi, which
+        # wraps to +pi, so the recorded rate is +alpha*pi.
+        def half_turn(state, frame, params, prev_phase, v_g):
+            return Command(state.chi - math.pi, 0.0, 3)
+
+        monkeypatch.setattr(simulation, "commanded_course", half_turn)
+        cfg = line_config(chi0=0.5 * math.pi, max_time=0.05)
+        traj, _ = run_trial(cfg)
+        alpha = cfg.guidance.alpha
+        assert traj.chi_dot[0] == alpha * math.pi
+        for k in range(len(traj)):
+            chi_c, chi = float(traj.chi_c[k]), float(traj.chi[k])
+            assert traj.chi_dot[k] == turn_rate(chi_c, chi, alpha)
 
     def test_switched_step_gets_previous_phase(self, monkeypatch):
         real = simulation.commanded_course
