@@ -98,6 +98,16 @@ def _parse_laws(raw: Optional[str], default: tuple[str, ...]) -> list[str]:
     return laws
 
 
+def _out_dir(args) -> Path:
+    """The output directory, made if missing; ConfigError when it cannot be."""
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output to {args.out}: {exc.strerror or exc}") from None
+    return out_dir
+
+
 def _print_metrics(law: str, metrics: TrialMetrics) -> None:
     status = "converged" if metrics.converged else "not converged"
     if metrics.failure_reason:
@@ -116,8 +126,7 @@ def cmd_run(args, settings) -> int:
         print("run expects exactly one --law", file=sys.stderr)
         return 2
     law = laws[0]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     config = build_scenario(settings, law)
     traj, metrics = run_trial(config, seed=args.seed)
     write_trajectory_csv(traj, out_dir / f"trajectory_{law}.csv")
@@ -128,8 +137,7 @@ def cmd_run(args, settings) -> int:
 
 def cmd_compare(args, settings) -> int:
     laws = _parse_laws(args.law, GUIDANCE_LAWS)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     rows: list[tuple[str, TrialMetrics]] = []
     for law in laws:
         config = comparison_scenario(build_scenario(settings, law))
@@ -144,8 +152,7 @@ def cmd_compare(args, settings) -> int:
 
 def cmd_montecarlo(args, settings) -> int:
     laws = _parse_laws(args.law, GUIDANCE_LAWS)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     # Every campaign trial draws its own wind: check the base scenario for that.
     settings["sim"]["wind_sampled"] = True
     base = build_scenario(settings, laws[0])
@@ -177,6 +184,7 @@ def cmd_validate(args, settings) -> int:
     except UnboundedCurvatureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    out_dir = _out_dir(args)
     report = validate_curvature_constraint(config.guidance, path_curvature, config.kappa_max)
     # Rates at the worst-case ground speed, for the report only; the check
     # itself is in curvature and does not depend on it.
@@ -200,8 +208,6 @@ def cmd_validate(args, settings) -> int:
         lines.append(f"note: chi_inf = {chi_inf} < pi/2, so the rates and curvatures are upper bounds")
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "feasibility.txt").write_text(text, encoding="utf-8")
     values = (
         k1_rate, k3_rate, report.k1_curvature, report.k3_curvature, path_rate,

@@ -25,11 +25,12 @@ import numpy as np
 
 from .angles import PI, TAU, wrap_angle
 
-# Polyline neighbour list: the skin is the larger of these, and the 1 mm
-# slack on the candidate radius covers the rounding of the distances.
-POLYLINE_SKIN_MIN = 5.0
-POLYLINE_SKIN_FRAC = 0.1
-POLYLINE_SLACK = 1e-3
+# Polyline neighbour list and sinusoid basin: the skin is the larger of the
+# first two, and the 1 mm slack on the reach covers the rounding of the
+# distances.
+SKIN_MIN = 5.0
+SKIN_FRAC = 0.1
+SLACK = 1e-3
 
 
 class PathDomainError(ValueError):
@@ -334,6 +335,9 @@ class SinusoidPath(ReferencePath):
         # (1 + 2Aw) r, so q'' >= 2 (1 - (1 + 2Aw) r Aw^2) there, positive for
         # r below this radius.
         self.r_cert = 1.0 / self._kappa_max / (1.0 + 2.0 * aw)
+        # (x0, y0, skin^2, a, b) of the last basin rebuild; the negative
+        # skin^2 of the empty start makes the first tracked call rebuild.
+        self._basin: tuple = (0.0, 0.0, -1.0, math.inf, -math.inf)
 
     def point(self, s: float) -> tuple[float, float]:
         s = self._clip_parameter(s)
@@ -448,13 +452,21 @@ class SinusoidPath(ReferencePath):
         """Global minimizer of the distance from ``p`` to the sinusoid.
 
         An exact search with no grid; ``near``, the previous closest
-        parameter when tracking, starts Newton's method.  Ties go to the
-        smallest parameter.  README, "Tracking projection", sketches why the
-        result is the global minimizer.
+        parameter when tracking, starts Newton's method.  The stationary
+        Newton point is the answer when it lies within ``r_cert`` of ``p``
+        (case 1), or when ``p`` lies within the skin of the cached basin's
+        centre and the point lies in the basin's piece [a, b] (see
+        ``_rebuild_basin``).  Otherwise the convexity test (case 2) or the
+        piece search (case 3) finds it, and a tracked call outside the skin
+        then rebuilds the basin around ``p``.  The answer depends only on
+        ``p`` and ``near``, not on the basin that earlier calls left.  Ties
+        go to the smallest parameter.  README, "Tracking projection",
+        sketches why the result is the global minimizer.
         """
         px, py = _finite_position(p)
         s = None
-        if near is not None and math.isfinite(near):
+        tracked = near is not None and math.isfinite(near)
+        if tracked:
             s = self._newton(near, self.s_min, self.s_max, px, py)
         stationary = s is not None
         if not stationary:
@@ -462,14 +474,71 @@ class SinusoidPath(ReferencePath):
         q = self._distance_sq(s, px, py)
         if stationary and q < self.r_cert * self.r_cert:
             return s
+        rebuild = False
+        if tracked:
+            x0, y0, skin_sq, a, b = self._basin
+            dx, dy = px - x0, py - y0
+            if dx * dx + dy * dy > skin_sq:
+                rebuild = True
+            elif stationary and a <= s <= b:
+                return s
         # Any point closer than s lies in [lo, hi], as q(v) >= (v - px)^2.
         r = math.sqrt(q)
         lo, hi = max(px - r, self.s_min), min(px + r, self.s_max)
         # q strictly convex on [lo, hi]: the stationary s is its unique
         # minimizer there.
-        if stationary and self._convex_on(lo, hi, py):
-            return s
-        return self._search_convex_pieces(px, py, lo, hi, s)
+        if not (stationary and self._convex_on(lo, hi, py)):
+            s = self._search_convex_pieces(px, py, lo, hi, s, stationary)
+        if rebuild:
+            self._rebuild_basin(px, py, s)
+        return s
+
+    def _rebuild_basin(self, px: float, py: float, s0: float) -> None:
+        """Cache a basin around p0 = (px, py), whose closest parameter is s0.
+
+        With r0 the distance of s0 from p0, skin = max(SKIN_MIN,
+        SKIN_FRAC r0) and reach = r0 + 2 skin + SLACK, the closest point of
+        any p within the skin of p0 lies within r0 + 2 skin of p0: its
+        parameter v has |v - px| < reach and q_p0(v) < reach^2.  The basin
+        is the piece J = [a, b] around s0 between the nearest cuts of q'' for
+        py - skin and py + skin, nudged inward.  It is certified when
+        (A) q is strictly convex on J at both of those heights, so at every
+        height between them (q''/2 is linear in py for fixed sin(ws)), and
+        (B) every v in [px - reach, px + reach] of the domain outside J has
+        q_p0(v) > reach^2: the ends and the local minima of q_p0 on the side
+        intervals are checked.  Then the closest point of any p within the
+        skin lies in J, where q_p has one stationary point.  A refused
+        certificate caches an empty J, so the skin is not tried again.
+        """
+        r0 = math.sqrt(self._distance_sq(s0, px, py))
+        skin = max(SKIN_MIN, SKIN_FRAC * r0)
+        reach = r0 + 2.0 * skin + SLACK
+        reach_sq = reach * reach
+        lo, hi = max(px - reach, self.s_min), min(px + reach, self.s_max)
+        # Clear of the cuts, where q'' = 0 at one height.
+        nudge = 1e-9 * self.period
+        a, b = lo, hi
+        for y in (py - skin, py + skin):
+            for cut in self._convexity_cuts(lo, hi, y)[1:-1]:
+                if cut <= s0:
+                    a = max(a, min(cut + nudge, s0))
+                else:
+                    b = min(b, max(cut - nudge, s0))
+        certified = (
+            self._convex_on(a, b, py - skin)
+            and self._convex_on(a, b, py + skin)
+            and all(
+                self._distance_sq(v, px, py) > reach_sq
+                for c0, c1 in ((lo, a), (b, hi))
+                if c0 < c1
+                # The least of q_p0 over [c0, c1]: at c1, or found by the
+                # piece search from c0.
+                for v in (c1, self._search_convex_pieces(px, py, c0, c1, c0, False))
+            )
+        )
+        if not certified:
+            a, b = math.inf, -math.inf
+        self._basin = (px, py, skin * skin, a, b)
 
     def _convex_on(self, lo: float, hi: float, py: float) -> bool:
         """True when q is strictly convex on [lo, hi].
@@ -522,7 +591,7 @@ class SinusoidPath(ReferencePath):
         return (s - px) + (a * math.sin(w * s) - py) * a * w * math.cos(w * s)
 
     def _search_convex_pieces(
-        self, px: float, py: float, lo: float, hi: float, s: float
+        self, px: float, py: float, lo: float, hi: float, s: float, stationary: bool
     ) -> float:
         """Minimizer of q over the domain, given that no point outside
         [lo, hi] is closer than s.
@@ -533,7 +602,9 @@ class SinusoidPath(ReferencePath):
         minimizer is therefore s, a domain end in [lo, hi], or the
         stationary point of a convex piece at whose ends q' goes from - to +,
         found by ``_root`` from where the chord of q' across the piece
-        crosses zero.
+        crosses zero.  A ``stationary`` s is that point for its own piece,
+        which is not searched again, so the answer does not depend on how s
+        was found.
         """
         cuts = self._convexity_cuts(lo, hi, py)
         candidates = [s] + [v for v in (self.s_min, self.s_max) if lo <= v <= hi]
@@ -541,7 +612,7 @@ class SinusoidPath(ReferencePath):
         for c0, c1 in zip(cuts, cuts[1:]):
             grad_hi = self._grad(c1, px, py)
             # q' falls across a concave piece, so only a convex one passes.
-            if grad_lo < 0.0 <= grad_hi:
+            if grad_lo < 0.0 <= grad_hi and not (stationary and c0 <= s <= c1):
                 start = c0 - grad_lo * (c1 - c0) / (grad_hi - grad_lo)
                 candidates.append(self._root(start, c0, c1, px, py))
             grad_lo = grad_hi
@@ -758,8 +829,8 @@ class PolylinePath(ReferencePath):
         qy = a[:, 1] + t * seg[:, 1]
         d2 = (qx - px) ** 2 + (qy - py) ** 2
         r0 = math.sqrt(float(np.min(d2)))
-        skin = max(POLYLINE_SKIN_MIN, POLYLINE_SKIN_FRAC * r0)
-        reach = r0 + 2.0 * skin + POLYLINE_SLACK
+        skin = max(SKIN_MIN, SKIN_FRAC * r0)
+        reach = r0 + 2.0 * skin + SLACK
         kept = [self._segments[i] for i in np.flatnonzero(d2 <= reach * reach).tolist()]
         self._neighbours = (px, py, skin * skin, kept)
         return kept

@@ -108,6 +108,10 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.dwell < 0.0:
             raise ValueError("dwell must be non-negative")
+        if not math.isfinite(max(self.max_time, self.dwell) / self.dt):
+            raise ValueError(
+                f"dt = {self.dt!r} is too small: max_time / dt or dwell / dt is not finite"
+            )
         if not self.kappa_max > 0.0:
             raise ValueError(
                 f"kappa_max must be positive (inf for unbounded), got {self.kappa_max}"

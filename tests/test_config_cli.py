@@ -457,6 +457,8 @@ class TestCli:
             ),
             (["run"], "[sim]\nd_threshold = inf\n", "d_threshold"),
             (["run"], "[sim]\nalign_threshold = inf\n", "align_threshold"),
+            # max_time / dt overflows to inf: no finite step count.
+            (["run", "--dt", "1e-320"], "", "dt"),
         ],
     )
     def test_bad_scenario_value_exits_2(self, command, config, key, tmp_path, capsys):
@@ -498,3 +500,17 @@ class TestCli:
         assert captured.err == "error: --seed must be non-negative\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["compare"], ["montecarlo", "--trials", "1", "--serial"], ["validate"]]
+    )
+    def test_unusable_out_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "taken.csv"
+        out.write_text("keep\n", encoding="utf-8")
+        rc = main([*command, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        # No trial ran: nothing printed, and the file is left as it was.
+        assert captured.err.startswith(f"error: cannot write output to {out}: ")
+        assert captured.out == ""
+        assert out.read_text(encoding="utf-8") == "keep\n"

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from numeric_oracles import (
@@ -366,13 +366,21 @@ class TestWarmStart:
         class RecordingSinusoid(SinusoidPath):
             def closest_parameter(self, p, near=None):
                 self.searched = False
+                basin = self._basin
                 s_star = super().closest_parameter(p, near)
-                calls.append((p, near, s_star, self.searched))
+                calls.append((p, near, s_star, self.searched, basin))
                 return s_star
 
             def _search_convex_pieces(self, *args):
                 self.searched = True
                 return super()._search_convex_pieces(*args)
+
+            def _rebuild_basin(self, *args):
+                # A rebuild searches the pieces beside the basin; that is no
+                # branch of the projection.
+                searched = self.searched
+                super()._rebuild_basin(*args)
+                self.searched = searched
 
         path = RecordingSinusoid(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
         # nlgl starts inside its look-ahead distance, as ``vfpath compare`` runs it.
@@ -381,7 +389,7 @@ class TestWarmStart:
         tracked = [call for call in calls if call[1] is not None]
         assert len(tracked) == len(traj) - 1
         branches = Counter()
-        for p, near, s_star, searched in tracked:
+        for p, near, s_star, searched, (x0, y0, skin_sq, a, b) in tracked:
             full = dense_closest_parameter(path, p, 2048)
             assert s_star == pytest.approx(full, abs=1e-5)
             s_newton = path._newton(near, path.s_min, path.s_max, p[0], p[1])
@@ -389,11 +397,108 @@ class TestWarmStart:
                 branches["convex pieces"] += 1
             elif path._distance_sq(s_newton, p[0], p[1]) < path.r_cert**2:
                 branches["r_cert"] += 1
+            elif (p[0] - x0) ** 2 + (p[1] - y0) ** 2 <= skin_sq and a <= s_newton <= b:
+                branches["basin"] += 1
             else:
                 branches["convex interval"] += 1
         if law == "switched":
             # Every branch of the projection resolves some step of the capture.
-            assert set(branches) == {"r_cert", "convex interval", "convex pieces"}
+            assert set(branches) == {"r_cert", "basin", "convex interval", "convex pieces"}
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        amplitude=st.floats(5.0, 1000.0),
+        period=st.floats(50.0, 5000.0),
+        x_periods=st.floats(-0.5, 6.0),
+        y_amplitudes=st.floats(-3.0, 3.0),
+        steps=st.lists(
+            st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)), min_size=1, max_size=40
+        ),
+    )
+    # The second call rebuilds at (650, 140), 40 m above a crest, with a
+    # 5 m skin; the third lies exactly one skin on and uses that basin.
+    @example(
+        amplitude=100.0, period=200.0, x_periods=3.25, y_amplitudes=1.4,
+        steps=[(0.0, 0.0), (5.0, 0.0), (0.0, 0.1)],
+    )
+    def test_basin_never_changes_an_answer(
+        self, amplitude, period, x_periods, y_amplitudes, steps
+    ):
+        # A tracked walk on one path object, whose basin follows the walk,
+        # gives at every step the answer of a fresh path with no basin.
+        path = SinusoidPath(amplitude, period)
+        px, py = x_periods * period, y_amplitudes * amplitude
+
+        def dist(s):
+            x, y = path.point(s)
+            return math.hypot(x - px, y - py)
+
+        near = None
+        for dx, dy in [(0.0, 0.0), *steps]:
+            px, py = px + dx, py + dy
+            s_star = path.closest_parameter((px, py), near)
+            assert s_star == SinusoidPath(amplitude, period).closest_parameter((px, py), near)
+            full = dist(dense_closest_parameter(path, (px, py), 2048))
+            assert dist(s_star) <= full + 1e-9 * max(1.0, full)
+            near = s_star
+
+    def test_basin_reaches_each_branch(self):
+        class RecordingSinusoid(SinusoidPath):
+            def closest_parameter(self, p, near=None):
+                self.events = []
+                return super().closest_parameter(p, near)
+
+            def _convex_on(self, lo, hi, py):
+                convex = super()._convex_on(lo, hi, py)
+                self.events.append(convex)
+                return convex
+
+            def _search_convex_pieces(self, *args):
+                self.events.append("search")
+                return super()._search_convex_pieces(*args)
+
+            def _rebuild_basin(self, px, py, s0):
+                n = len(self.events)
+                super()._rebuild_basin(px, py, s0)
+                # (A) is the rebuild's convexity tests; (B) runs after them.
+                if self._basin[3] <= self._basin[4]:
+                    self.events.append("rebuild")
+                elif False in self.events[n:]:
+                    self.events.append("refused (A)")
+                else:
+                    self.events.append("refused (B)")
+
+        path = RecordingSinusoid(100.0, 1000.0)
+        # Crest at (250, 100); its centre of curvature lies R = 253 m below.
+        crest_x, crest_y, radius = 250.0, 100.0, 1.0 / path._kappa_max
+        # (p, near or None for the previous answer, branch of the call)
+        steps = [
+            # 200 m above the crest, farther than r_cert (112 m): the first
+            # tracked call certifies a basin, and the next reuses it.
+            ((crest_x, crest_y + 200.0), crest_x, "rebuild"),
+            ((crest_x + 1.0, crest_y + 201.0), None, "hit"),
+            # Just above the centre of curvature: the crest is convex at this
+            # height but not at the skin's lower edge, so (A) fails.
+            ((crest_x, crest_y - radius + 7.0), crest_x, "refused (A)"),
+            # Past the centre: the crest's flanks hold two minima within
+            # reach of each other, so (B) fails.
+            ((crest_x + 12.0, crest_y - radius - 50.0), crest_x, "refused (B)"),
+            # Within that skin the nearer flank swaps sides.  Newton from the
+            # previous answer stays on the far flank, a local minimum only,
+            # and the empty basin sends the call to the piece search.
+            ((crest_x - 5.0, crest_y - radius - 50.0), None, "search"),
+        ]
+        s_star = None
+        for p, near, branch in steps:
+            near = s_star if near is None else near
+            s_star = path.closest_parameter(p, near)
+            if branch == "hit":
+                assert path.events == []
+                assert path._distance_sq(s_star, *p) > path.r_cert**2
+            else:
+                assert path.events[-1] == branch
+            assert s_star == SinusoidPath(100.0, 1000.0).closest_parameter(p, near)
+            assert s_star == pytest.approx(dense_closest_parameter(path, p, 4096), abs=1e-6)
 
 
 @st.composite
