@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .angles import wrap_angle
+from .guidance import Command
 from .paths import PathFrame, ReferencePath
 from .vehicle import VehicleState
 
@@ -91,12 +93,14 @@ def nlgl_virtual_target(
     frame: PathFrame,
     p: tuple[float, float],
     l1: float,
+    near: Optional[float] = None,
 ) -> tuple[float, tuple[float, float]]:
     """Forward-most intersection of the look-ahead circle with the path.
 
     At tangency (|d| = L1) the target is the closest point itself;
     otherwise the path kind answers exactly through its own
-    ``lookahead_parameter`` (README, "Look-ahead target").
+    ``lookahead_parameter``, which may start its search from ``near``, the
+    predicted answer (README, "Look-ahead target").
 
     Raises LookaheadInfeasibleError when |d| > L1 or the circle meets the
     path nowhere.
@@ -108,7 +112,7 @@ def nlgl_virtual_target(
         )
     if dist_min == l1:
         return frame.s_star, frame.p_ref
-    s_t = path.lookahead_parameter(frame, p[0], p[1], l1)
+    s_t = path.lookahead_parameter(frame, p[0], p[1], l1, near)
     if s_t is None:
         raise LookaheadInfeasibleError(
             f"no look-ahead intersection found (|d| = {dist_min:.3f} m; L1 = {l1:.1f} m)"
@@ -123,19 +127,34 @@ def nlgl_command(
     params: BaselineParams,
     v_g: float,
     alpha: float,
-) -> float:
+    prev: Optional[Command] = None,
+) -> Command:
     """Nonlinear lateral guidance command toward a virtual target on the path.
 
     The lateral acceleration 2*V_g^2/L1 * sin(eta) toward the target at fixed
     distance L1 maps to a course rate 2*V_g/L1 * sin(eta), which the course
-    loop realizes through chi_c = chi + rate/alpha.
+    loop realizes through chi_c = chi + rate/alpha.  ``prev`` is the law's
+    previous Command in the trial, or None: its last two look-ahead
+    parameters, extrapolated linearly (the last one alone on the second
+    step), predict this step's target parameter, which starts the path's
+    search.  The returned Command carries this step's parameter on.
     """
     if v_g <= 0.0 or alpha <= 0.0:
         raise ValueError("v_g and alpha must be positive")
-    _, target = nlgl_virtual_target(path, frame, (state.x, state.y), params.nlgl_l1)
+    seen = () if prev is None else prev.lookahead
+    if len(seen) == 2:
+        near = 2.0 * seen[1] - seen[0]
+    else:
+        near = seen[0] if seen else None
+    s_t, target = nlgl_virtual_target(
+        path, frame, (state.x, state.y), params.nlgl_l1, near
+    )
+    lookahead = (seen[-1], s_t) if seen else (s_t,)
     dx, dy = target[0] - state.x, target[1] - state.y
+    # Commands built positionally: a keyword argument doubles the build time.
     if math.hypot(dx, dy) < 1e-9:
-        return frame.chi_p
+        return Command(frame.chi_p, frame.chi_p, 0, None, lookahead)
     eta_angle = wrap_angle(math.atan2(dy, dx) - state.chi)
     rate = 2.0 * v_g / params.nlgl_l1 * math.sin(eta_angle)
-    return wrap_angle(state.chi + rate / alpha)
+    chi_c = wrap_angle(state.chi + rate / alpha)
+    return Command(chi_c, chi_c, 0, None, lookahead)

@@ -123,8 +123,7 @@ def _print_metrics(law: str, metrics: TrialMetrics) -> None:
 def cmd_run(args, settings) -> int:
     laws = _parse_laws(args.law, ("switched",))
     if len(laws) != 1:
-        print("run expects exactly one --law", file=sys.stderr)
-        return 2
+        raise ConfigError("run expects exactly one --law")
     law = laws[0]
     out_dir = _out_dir(args)
     config = build_scenario(settings, law)

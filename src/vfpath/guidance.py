@@ -105,12 +105,15 @@ class GuidanceParams:
 
 class Command(NamedTuple):
     """One guidance step: the commanded and desired course, the active phase
-    (0 for a law without phases), and why the law could not command, if so."""
+    (0 for a law without phases), why the law could not command, if so, and
+    the law's last look-ahead parameters, newest last (nlgl; empty for the
+    other laws)."""
 
     chi_c: float
     chi_d: float
     phase: int = 0
     failure: Optional[str] = None
+    lookahead: tuple[float, ...] = ()
 
 
 def sat(x: float) -> float:

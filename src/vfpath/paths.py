@@ -95,19 +95,22 @@ class ReferencePath:
 
     def closest_parameter(self, p: Sequence[float], near: Optional[float] = None) -> float:
         """Global minimizer of the distance from ``p`` to the path; ties go
-        to the smallest parameter.  ``near``, the previous closest parameter
-        when tracking, is a hint that a path kind may use.  ValueError unless
+        to the smallest parameter.  ``near``, the closest parameter predicted
+        from the previous ones when tracking, is a hint that a path kind may
+        use; it never changes which point is the answer.  ValueError unless
         ``p`` is finite."""
         raise NotImplementedError
 
     def lookahead_parameter(
-        self, frame: PathFrame, px: float, py: float, l1: float
+        self, frame: PathFrame, px: float, py: float, l1: float, near: Optional[float] = None
     ) -> Optional[float]:
         """Forward-most (largest) parameter whose point lies at distance
         ``l1`` from p = (px, py), or None when no such point exists.
 
         ``frame`` is the closest-point frame of p, with |d| < l1:
         ``nlgl_virtual_target`` handles tangency and |d| > l1 itself.
+        ``near``, the answer predicted from the previous ones when tracking,
+        is a hint that a path kind may use, as in ``closest_parameter``.
         """
         raise NotImplementedError
 
@@ -213,7 +216,7 @@ class LinePath(ReferencePath):
         s = (px - self.x0) * self._cos + (py - self.y0) * self._sin
         return min(max(s, self.s_min), self.s_max)
 
-    def lookahead_parameter(self, frame, px, py, l1):
+    def lookahead_parameter(self, frame, px, py, l1, near=None):
         """Largest root u +- sqrt(l1^2 - e^2) inside the domain, with u the
         along-track coordinate of p and e its offset from the unbounded line
         (the frame's s* and d are clamped at a domain end).  It depends on e
@@ -279,7 +282,7 @@ class CirclePath(ReferencePath):
         theta = math.atan2(uy, ux) % (2.0 * math.pi)
         return theta * self.radius
 
-    def lookahead_parameter(self, frame, px, py, l1):
+    def lookahead_parameter(self, frame, px, py, l1, near=None):
         """s* + R acos((R^2 + r^2 - l1^2) / (2 R r)), with r the distance of p
         from the centre: the crossing of the look-ahead circle within one lap
         ahead of s*.  On a small circle (circumference below 5 l1) a window
@@ -451,11 +454,13 @@ class SinusoidPath(ReferencePath):
     def closest_parameter(self, p, near=None) -> float:
         """Global minimizer of the distance from ``p`` to the sinusoid.
 
-        An exact search with no grid; ``near``, the previous closest
-        parameter when tracking, starts Newton's method.  The stationary
-        Newton point is the answer when it lies within ``r_cert`` of ``p``
-        (case 1), or when ``p`` lies within the skin of the cached basin's
-        centre and the point lies in the basin's piece [a, b] (see
+        An exact search with no grid; ``near``, the closest parameter
+        predicted from the previous ones when tracking (``run_trial``
+        extrapolates the last two linearly), starts Newton's method.  The
+        stationary Newton point is the answer when it lies within
+        ``r_cert`` of ``p`` (case 1), or when ``p`` lies within the skin of
+        the cached basin's centre and the point lies in the basin's piece
+        [a, b] (see
         ``_rebuild_basin``).  Otherwise the convexity test (case 2) or the
         piece search (case 3) finds it, and a tracked call outside the skin
         then rebuilds the basin around ``p``.  The answer depends only on
@@ -619,7 +624,7 @@ class SinusoidPath(ReferencePath):
         return min((self._distance_sq(v, px, py), v) for v in candidates)[1]
 
     def lookahead_parameter(
-        self, frame: PathFrame, px: float, py: float, l1: float
+        self, frame: PathFrame, px: float, py: float, l1: float, near: Optional[float] = None
     ) -> Optional[float]:
         """Forward-most parameter whose point lies at distance ``l1`` from p.
 
@@ -629,7 +634,11 @@ class SinusoidPath(ReferencePath):
         as it always is at px + l1, the forward-most root lies in (s*, hi].
         Otherwise h < 0 at both s* and s_max, and the last root is a falling
         crossing in [max(px - l1, s_min), s_max], behind s* or ahead of it,
-        or there is none.  README, "Look-ahead target", sketches the search.
+        or there is none.  When q is strictly convex on [s*, hi], Newton's
+        method starts from ``near``, the answer predicted from the previous
+        ones, if it lies in [s*, hi], and from hi when there is no such hint
+        or Newton refuses it.  README, "Look-ahead target", sketches the
+        search.
         """
         lo, hi = frame.s_star, px + l1
         if hi > self.s_max:
@@ -638,10 +647,15 @@ class SinusoidPath(ReferencePath):
                 return self._forward_crossing_in_pieces(
                     max(px - l1, self.s_min), hi, px, py, l1, sign=-1.0
                 )
-        # A strictly convex h below zero at lo crosses zero once in (lo, hi].
-        if self._convex_on(lo, hi, py):
-            return self._root(hi, lo, hi, px, py, l1)
-        return self._forward_crossing_in_pieces(lo, hi, px, py, l1)
+        if not self._convex_on(lo, hi, py):
+            return self._forward_crossing_in_pieces(lo, hi, px, py, l1)
+        # A strictly convex h below zero at lo crosses zero once in (lo, hi],
+        # and Newton's method converges only onto a root in [lo, hi].
+        if near is not None and lo <= near <= hi:
+            s = self._newton(near, lo, hi, px, py, l1)
+            if s is not None:
+                return s
+        return self._root(hi, lo, hi, px, py, l1)
 
     def _forward_crossing_in_pieces(
         self, lo: float, hi: float, px: float, py: float, l1: float, sign: float = 1.0
@@ -778,7 +792,7 @@ class PolylinePath(ReferencePath):
                 best, s_best = d2, cum + t * length
         return s_best
 
-    def lookahead_parameter(self, frame, px, py, l1):
+    def lookahead_parameter(self, frame, px, py, l1, near=None):
         """Largest root of |point(s) - p| = l1 in the window [s* - 2.5 l1,
         s* + 2.5 l1] of the domain, from the segment-circle quadratic on each
         segment that overlaps the window, the last segment first.  The

@@ -65,6 +65,12 @@ CHATTER_RATE_FLOOR = 1e-9
 # path's end, off the path, has flown off that end.
 PATH_END_TOL = 1e-6
 
+# Most steps (max_time / dt) a trial may plan.  run_trial keeps every step
+# as a row, about 0.6 kB at its peak (the row tuple, its floats and the
+# trajectory arrays built from them), so a full-length trial stays near
+# 0.6 GB.  That is 33 times the default 300 s at dt = 0.01 s.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -112,6 +118,11 @@ class ScenarioConfig:
             raise ValueError(
                 f"dt = {self.dt!r} is too small: max_time / dt or dwell / dt is not finite"
             )
+        if self.max_time / self.dt > MAX_STEPS:
+            raise ValueError(
+                f"max_time / dt = {self.max_time / self.dt:.3g} steps exceeds"
+                f" MAX_STEPS = {MAX_STEPS} (max_time = {self.max_time!r}, dt = {self.dt!r})"
+            )
         if not self.kappa_max > 0.0:
             raise ValueError(
                 f"kappa_max must be positive (inf for unbounded), got {self.kappa_max}"
@@ -157,12 +168,11 @@ def _plos_step(config, state, frame, v_g, prev) -> Command:
 
 def _nlgl_step(config, state, frame, v_g, prev) -> Command:
     try:
-        chi_c = nlgl_command(
-            state, frame, config.path, config.baselines, v_g, config.guidance.alpha
+        return nlgl_command(
+            state, frame, config.path, config.baselines, v_g, config.guidance.alpha, prev
         )
     except LookaheadInfeasibleError as exc:
         return Command(state.chi, state.chi, failure=f"look-ahead infeasible: {exc}")
-    return Command(chi_c, chi_c)
 
 
 LAWS = {
@@ -296,6 +306,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
 
     state = initial_state(config)
     prev_frame: Optional[PathFrame] = None
+    s_back: Optional[float] = None  # the closest parameter two steps back
     cmd: Optional[Command] = None
     streak = 0
     failure: Optional[str] = None
@@ -311,7 +322,12 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         if prev_frame is None:
             frame = path.frame_at(path.closest_parameter(p), p)
         else:
-            frame = path.frame_at(path.closest_parameter(p, near=prev_frame.s_star), p)
+            # The hint: s* extrapolated linearly from the last two steps, or
+            # the last s* on the second step.
+            s_last = prev_frame.s_star
+            near = s_last if s_back is None else 2.0 * s_last - s_back
+            s_back = s_last
+            frame = path.frame_at(path.closest_parameter(p, near=near), p)
             # Path course rate; on the first step it keeps the frame's default 0.
             turn = remainder(frame.chi_p - prev_frame.chi_p, TAU)  # wrap_angle inline
             if turn <= -PI:

@@ -81,7 +81,7 @@ class TestNLGL:
         line = LinePath(0, 0, 0)
         frame = line.closest_point((5.0, 0.0))
         cmd = nlgl_command(VehicleState(5.0, 0.0, 0.0), frame, line, BP, 15.0, 1.65)
-        assert cmd == pytest.approx(0.0, abs=1e-9)
+        assert cmd.chi_c == cmd.chi_d == pytest.approx(0.0, abs=1e-9)
 
     def test_offset_equal_to_lookahead_targets_closest_point(self):
         line = LinePath(0, 0, 0)
@@ -145,7 +145,7 @@ class TestNLGL:
         frame = line.closest_point(p)
         state = VehicleState(p[0], p[1], -0.2)
         v_g, alpha = 15.0, 1.65
-        cmd = nlgl_command(state, frame, line, BP, v_g, alpha)
+        cmd = nlgl_command(state, frame, line, BP, v_g, alpha).chi_c
         _, target = nlgl_virtual_target(line, frame, p, BP.nlgl_l1)
         eta = math.atan2(target[1] - p[1], target[0] - p[0]) - state.chi
         expected = state.chi + 2.0 * v_g / BP.nlgl_l1 * math.sin(eta) / alpha
@@ -253,8 +253,8 @@ class TestLookaheadParameter:
         calls = []
 
         class RecordingSinusoid(SinusoidPath):
-            def lookahead_parameter(self, frame, px, py, l1):
-                s_t = super().lookahead_parameter(frame, px, py, l1)
+            def lookahead_parameter(self, frame, px, py, l1, near=None):
+                s_t = super().lookahead_parameter(frame, px, py, l1, near)
                 calls.append((frame, (px, py), l1, s_t))
                 return s_t
 
@@ -268,3 +268,111 @@ class TestLookaheadParameter:
         assert all(s_t is not None for *_, s_t in calls)
         for frame, p, l1, s_t in calls:
             assert s_t == pytest.approx(scan_lookahead_parameter(path, frame, p, l1), abs=1e-4)
+
+    @staticmethod
+    def benchmark_lookahead_calls(every=60):
+        """Every ``every``-th (frame, p, l1) of the 60 s benchmark nlgl trial."""
+        calls = []
+
+        class RecordingSinusoid(SinusoidPath):
+            def lookahead_parameter(self, frame, px, py, l1, near=None):
+                calls.append((frame, (px, py), l1))
+                return super().lookahead_parameter(frame, px, py, l1, near)
+
+        path = RecordingSinusoid(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
+        run_trial(
+            benchmark_scenario(
+                "nlgl", path=path, d0=80.0, stop_when_converged=False, max_time=60.0
+            )
+        )
+        return calls[::every]
+
+    @pytest.mark.parametrize(
+        "hint", ["none", "nan", "answer", "inside", "at s*", "left of s*", "past hi"]
+    )
+    def test_hint_never_changes_an_answer(self, hint):
+        # q, and so h = q - l1^2, is least at s*: a hint there gives Newton
+        # no rising h, and one left of s* or past px + l1 lies outside the
+        # bracket.  Every hint gives the unhinted answer, to rounding.
+        path = SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
+        calls = self.benchmark_lookahead_calls()
+        assert len(calls) > 50
+        for frame, p, l1 in calls:
+            cold = SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD).lookahead_parameter(
+                frame, p[0], p[1], l1
+            )
+            near = {
+                "none": None,
+                "nan": math.nan,
+                "answer": cold,
+                "inside": 0.5 * (frame.s_star + cold),
+                "at s*": frame.s_star,
+                "left of s*": frame.s_star - 1.0,
+                "past hi": p[0] + l1 + 1.0,
+            }[hint]
+            s_t = path.lookahead_parameter(frame, p[0], p[1], l1, near)
+            assert abs(s_t - cold) <= 1e-12
+            assert s_t == pytest.approx(scan_lookahead_parameter(path, frame, p, l1), abs=1e-4)
+
+    def test_hint_reaches_each_branch(self):
+        class RecordingSinusoid(SinusoidPath):
+            def lookahead_parameter(self, frame, px, py, l1, near=None):
+                self.events = []
+                return super().lookahead_parameter(frame, px, py, l1, near)
+
+            def _forward_crossing_in_pieces(self, *args, **kwargs):
+                self.events.append("walk")
+                return super()._forward_crossing_in_pieces(*args, **kwargs)
+
+            def _root(self, *args, **kwargs):
+                self.events.append("root")
+                return super()._root(*args, **kwargs)
+
+        path = RecordingSinusoid(100.0, 1000.0)
+        l1 = 200.0
+        # (p, hint, branch of the call)
+        steps = [
+            # No hint: Newton starts from px + l1.
+            ((30.0, -60.0), None, "cold"),
+            # A hint between s* and the root: Newton starts there.
+            ((30.1, -59.9), "inside", "hinted"),
+            # A hint at s*, where h is least: Newton refuses it.
+            ((30.2, -59.8), "at s*", "refused hint"),
+            # 180 m above y = 100 sin(2 pi x / 1000), over its descent to
+            # the node at x = 500: q changes convexity at x = 674, inside
+            # [s*, px + l1], so the walk answers.
+            ((480.0, 220.0), "inside", "walk"),
+        ]
+        for p, hint, branch in steps:
+            fresh = SinusoidPath(100.0, 1000.0)
+            frame = fresh.closest_point(p)
+            cold = fresh.lookahead_parameter(frame, p[0], p[1], l1)
+            near = {None: None, "inside": 0.5 * (frame.s_star + cold), "at s*": frame.s_star}[hint]
+            s_t = path.lookahead_parameter(frame, p[0], p[1], l1, near)
+            events = {
+                "cold": ["root"],
+                "hinted": [],
+                "refused hint": ["root"],
+                "walk": ["walk"],
+            }[branch]
+            assert path.events[: len(events) or None] == events, branch
+            assert abs(s_t - cold) <= 1e-12
+            assert s_t == pytest.approx(scan_lookahead_parameter(path, frame, p, l1), abs=1e-4)
+
+    def test_cached_state_changes_no_answer(self):
+        # An nlgl trial on a path that has just flown another nlgl trial,
+        # which left a projection basin on it, flies as on a fresh path: the
+        # Newton starts come from the trial's own history, and the cached
+        # basin only settles calls that its certificate proves.
+        used = SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
+        run_trial(benchmark_scenario("nlgl", path=used, d0=-60.0, s0=400.0, max_time=30.0))
+        assert used._basin[3] <= used._basin[4]
+        runs = [
+            run_trial(benchmark_scenario("nlgl", path=path, d0=80.0, max_time=60.0))
+            for path in (SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD), used)
+        ]
+        (fresh, fresh_metrics), (reused, reused_metrics) = runs
+        assert len(fresh) > 1000
+        for name in fresh.__dataclass_fields__:
+            assert np.array_equal(getattr(fresh, name), getattr(reused, name)), name
+        assert repr(fresh_metrics) == repr(reused_metrics)

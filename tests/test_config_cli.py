@@ -252,9 +252,13 @@ class TestCli:
         assert "look-ahead infeasible" not in text[0]
         assert "look-ahead infeasible" in text[1]
 
-    def test_run_multiple_laws_exits_2(self, tmp_path):
+    def test_run_multiple_laws_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--law", "switched,plos", "--out", str(tmp_path / "o")])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: run expects exactly one --law\n"
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
 
     def test_compare_table_order_follows_selection(self, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -459,6 +463,10 @@ class TestCli:
             (["run"], "[sim]\nalign_threshold = inf\n", "align_threshold"),
             # max_time / dt overflows to inf: no finite step count.
             (["run", "--dt", "1e-320"], "", "dt"),
+            # A finite plan of 3e11 steps, above simulation.MAX_STEPS.
+            (["run", "--dt", "1e-9"], "", "dt = 1e-09"),
+            # 2e6 steps at the default dt: the error names max_time too.
+            (["run"], "[sim]\nmax_time = 20000\n", "max_time = 20000"),
         ],
     )
     def test_bad_scenario_value_exits_2(self, command, config, key, tmp_path, capsys):

@@ -19,8 +19,8 @@ GOLDEN = {
         "comparison.csv": "d02d68f177e9d9b0c7be06aa3f7083301ef2cc2527f4f2d9017b876688de4559",
         "trajectory_basic_vf.csv": "89d418c5fc291bdc8797e6460b6c4eba2c32ef9d1e63cd52ca06417219e51b30",
         "trajectory_nlgl.csv": "73f242c4852c9b7132ee793b95843e19d57d5c879df9bafe44e68c13318935c8",
-        "trajectory_plos.csv": "6d480a1e4bf23dfe4c77e5c59f45853989d92fd59330e551f5a3a16ed6276e83",
-        "trajectory_switched.csv": "cf9f5b597906dc5492fb7a51e4cd0699ddbef570ebac26ee7ff93c3333644a7d",
+        "trajectory_plos.csv": "941cbbd98a757f9a458016700c32d3daf122e29c10bbb43bd00486a0812869cc",
+        "trajectory_switched.csv": "3566b91e7242b1341303975996750f27f5d77a221d6f3955978d2e0f6dca2b33",
     },
     ("montecarlo", "--seed", "42", "--trials", "8", "--serial", "--per-trial"): {
         "montecarlo_summary.csv": "310f6c434f4a35be4f45da0ed278763a402bd4ba3e32c712afaa9466dd453536",

@@ -60,6 +60,9 @@ def line_config(**overrides):
 
 LAW_FUNCTIONS = ("commanded_course", "basic_vf_command", "plos_command", "nlgl_command")
 VEHICLE_FUNCTIONS = ("ground_speed", "step_vehicle")
+# A master seed whose 3-trial campaign draws one nlgl start inside L1
+# (d0 = 105.6 m) that flies to convergence.
+NLGL_FLIES_SEED = 3
 
 
 class TestRunTrial:
@@ -384,14 +387,19 @@ class TestMonteCarlo:
 
     def test_worker_counts_return_equal_trials(self):
         # Trial by trial, not only the statistics; nlgl's failed trials carry
-        # a NaN t_conv, which repr compares exactly.
+        # a NaN t_conv, which repr compares exactly.  At master seed 5 every
+        # nlgl trial stops at step one (|d0| > L1); at NLGL_FLIES_SEED one
+        # flies to convergence, so its look-ahead runs in a worker too.
         base = benchmark_scenario()
         laws = ("switched", "nlgl")
-        s1 = monte_carlo(base, 3, 5, laws=laws, workers=1)
-        s2 = monte_carlo(base, 3, 5, laws=laws, workers=2)
-        for law in laws:
-            assert len(s1.trials[law]) == 3
-            assert list(map(repr, s1.trials[law])) == list(map(repr, s2.trials[law]))
+        for master_seed in (5, NLGL_FLIES_SEED):
+            s1 = monte_carlo(base, 3, master_seed, laws=laws, workers=1)
+            s2 = monte_carlo(base, 3, master_seed, laws=laws, workers=2)
+            for law in laws:
+                assert len(s1.trials[law]) == 3
+                assert list(map(repr, s1.trials[law])) == list(map(repr, s2.trials[law]))
+            flew = [m.failure_reason is None for m in s1.trials["nlgl"]]
+            assert any(flew) == (master_seed == NLGL_FLIES_SEED)
 
     def test_nlgl_failures_counted_and_excluded(self):
         base = benchmark_scenario()
