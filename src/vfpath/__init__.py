@@ -9,7 +9,6 @@ from .baselines import (
     plos_command,
 )
 from .guidance import (
-    Command,
     CurvatureReport,
     GuidanceParams,
     GuidancePhase,

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .angles import wrap_angle
-from .guidance import Command
 from .paths import PathFrame, ReferencePath
-from .vehicle import VehicleState
 
 HALF_PI = 0.5 * math.pi
 
@@ -65,11 +63,13 @@ PLOS_CLAMP = 2.5
 
 
 def plos_command(
-    state: VehicleState,
+    x: float,
+    y: float,
+    chi: float,
     frame: PathFrame,
     params: BaselineParams,
 ) -> float:
-    """Pure-pursuit-plus-LOS command.
+    """Pure-pursuit-plus-LOS command from the vehicle pose ``(x, y, chi)``.
 
     Gain convention: the LOS reference aims at a point 1/plos_k2 ahead of the
     closest point along the tangent (equivalently chi_p - atan(k2*d) for a
@@ -79,13 +79,13 @@ def plos_command(
     lookahead = 1.0 / params.plos_k2
     aim_x = frame.p_ref[0] + lookahead * math.cos(frame.chi_p)
     aim_y = frame.p_ref[1] + lookahead * math.sin(frame.chi_p)
-    dx, dy = aim_x - state.x, aim_y - state.y
+    dx, dy = aim_x - x, aim_y - y
     if math.hypot(dx, dy) < 1e-9:
         return frame.chi_p  # degenerate: sitting exactly on the aim point
     chi_los = math.atan2(dy, dx)
-    correction = params.plos_k1 * wrap_angle(chi_los - state.chi)
+    correction = params.plos_k1 * wrap_angle(chi_los - chi)
     correction = min(max(correction, -PLOS_CLAMP), PLOS_CLAMP)
-    return wrap_angle(state.chi + correction)
+    return wrap_angle(chi + correction)
 
 
 def nlgl_virtual_target(
@@ -121,40 +121,42 @@ def nlgl_virtual_target(
 
 
 def nlgl_command(
-    state: VehicleState,
+    x: float,
+    y: float,
+    chi: float,
     frame: PathFrame,
     path: ReferencePath,
     params: BaselineParams,
     v_g: float,
     alpha: float,
-    prev: Optional[Command] = None,
-) -> Command:
-    """Nonlinear lateral guidance command toward a virtual target on the path.
+    prev: Optional[tuple] = None,
+) -> tuple[float, float, int, None, tuple[float, ...]]:
+    """Nonlinear lateral guidance command toward a virtual target on the path,
+    from the vehicle pose ``(x, y, chi)``.
 
     The lateral acceleration 2*V_g^2/L1 * sin(eta) toward the target at fixed
     distance L1 maps to a course rate 2*V_g/L1 * sin(eta), which the course
-    loop realizes through chi_c = chi + rate/alpha.  ``prev`` is the law's
-    previous Command in the trial, or None: its last two look-ahead
-    parameters, extrapolated linearly (the last one alone on the second
-    step), predict this step's target parameter, which starts the path's
-    search.  The returned Command carries this step's parameter on.
+    loop realizes through chi_c = chi + rate/alpha.  Returns the law step
+    tuple ``(chi_c, chi_c, 0, None, lookahead)`` (README, "Guidance laws
+    share one interface"), where ``lookahead`` holds the law's last two
+    look-ahead parameters, newest last.  ``prev`` is the law's previous step
+    tuple in the trial, or None: its look-ahead pair, extrapolated linearly
+    (its one parameter alone on the second step), predicts this step's
+    target parameter, which starts the path's search.
     """
     if v_g <= 0.0 or alpha <= 0.0:
         raise ValueError("v_g and alpha must be positive")
-    seen = () if prev is None else prev.lookahead
+    seen = () if prev is None else prev[4]
     if len(seen) == 2:
         near = 2.0 * seen[1] - seen[0]
     else:
         near = seen[0] if seen else None
-    s_t, target = nlgl_virtual_target(
-        path, frame, (state.x, state.y), params.nlgl_l1, near
-    )
+    s_t, target = nlgl_virtual_target(path, frame, (x, y), params.nlgl_l1, near)
     lookahead = (seen[-1], s_t) if seen else (s_t,)
-    dx, dy = target[0] - state.x, target[1] - state.y
-    # Commands built positionally: a keyword argument doubles the build time.
+    dx, dy = target[0] - x, target[1] - y
     if math.hypot(dx, dy) < 1e-9:
-        return Command(frame.chi_p, frame.chi_p, 0, None, lookahead)
-    eta_angle = wrap_angle(math.atan2(dy, dx) - state.chi)
+        return frame.chi_p, frame.chi_p, 0, None, lookahead
+    eta_angle = wrap_angle(math.atan2(dy, dx) - chi)
     rate = 2.0 * v_g / params.nlgl_l1 * math.sin(eta_angle)
-    chi_c = wrap_angle(state.chi + rate / alpha)
-    return Command(chi_c, chi_c, 0, None, lookahead)
+    chi_c = wrap_angle(chi + rate / alpha)
+    return chi_c, chi_c, 0, None, lookahead

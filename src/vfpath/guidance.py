@@ -29,11 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .angles import PI, TAU
 from .paths import PathFrame
-from .vehicle import VehicleState
 
 HALF_PI = 0.5 * math.pi
 
@@ -103,19 +102,6 @@ class GuidanceParams:
         object.__setattr__(self, "k3", self.k1 / (self.d_s * self.d_s))
 
 
-class Command(NamedTuple):
-    """One guidance step: the commanded and desired course, the active phase
-    (0 for a law without phases), why the law could not command, if so, and
-    the law's last look-ahead parameters, newest last (nlgl; empty for the
-    other laws)."""
-
-    chi_c: float
-    chi_d: float
-    phase: int = 0
-    failure: Optional[str] = None
-    lookahead: tuple[float, ...] = ()
-
-
 def sat(x: float) -> float:
     """Unit saturation: x inside [-1, 1], sign(x) outside."""
     if x > 1.0:
@@ -126,14 +112,19 @@ def sat(x: float) -> float:
 
 
 def commanded_course(
-    state: VehicleState,
+    chi: float,
     frame: PathFrame,
     params: GuidanceParams,
     prev_phase: Optional[GuidancePhase],
     v_g: float,
-) -> Command:
-    """One step of the switched law: the desired course chi_d, the phase and
-    the commanded course chi_c that realizes the field through the course loop.
+) -> tuple[float, float, GuidancePhase, None, tuple]:
+    """One step of the switched law from the vehicle's course ``chi``: the
+    desired course chi_d, the phase and the commanded course chi_c that
+    realizes the field through the course loop.
+
+    Returns the law step tuple ``(chi_c, chi_d, phase, None, ())``: the
+    switched law never fails and keeps no look-ahead (README, "Guidance
+    laws share one interface").
 
     The branch is chosen once, by ``|d| < d_s``.  Near the path (CASE3) the
     field is ``chi_d = chi_p - s * atan(k1 * d)`` with s = 2*chi_inf/pi;
@@ -162,7 +153,7 @@ def commanded_course(
     """
     if v_g <= 0.0:
         raise ValueError("v_g must be positive")
-    d, chi, chi_p, rho = frame.d, state.chi, frame.chi_p, frame.rho
+    d, chi_p, rho = frame.d, frame.chi_p, frame.rho
     scale = params.chi_inf * (2.0 / math.pi)
     remainder = math.remainder
 
@@ -215,7 +206,7 @@ def commanded_course(
     chi_c = remainder(chi + (feedforward + reaching) / params.alpha, TAU)
     if chi_c <= -PI:
         chi_c += TAU
-    return Command(chi_c, chi_d, phase)
+    return chi_c, chi_d, phase, None, ()
 
 
 def case1_convergence_time(chi_tilde0: float, params: GuidanceParams) -> float:

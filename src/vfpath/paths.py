@@ -147,14 +147,6 @@ def _path_frame(
     return PathFrame(s_star, (rx, ry), chi_p, d, 1 if d >= 0.0 else -1)
 
 
-def _finite_position(p: Sequence[float]) -> tuple[float, float]:
-    """``p`` as two floats; ValueError unless both are finite."""
-    px, py = float(p[0]), float(p[1])
-    if not (math.isfinite(px) and math.isfinite(py)):
-        raise ValueError("vehicle position must be finite")
-    return px, py
-
-
 def _check_finite(**values: float) -> None:
     """ValueError naming the first of ``values`` that is not finite."""
     for name, value in values.items():
@@ -212,7 +204,9 @@ class LinePath(ReferencePath):
         return _path_frame(s_star, rx, ry, self.heading, p)
 
     def closest_parameter(self, p, near=None) -> float:
-        px, py = _finite_position(p)
+        px, py = float(p[0]), float(p[1])
+        if not (math.isfinite(px) and math.isfinite(py)):
+            raise ValueError("vehicle position must be finite")
         s = (px - self.x0) * self._cos + (py - self.y0) * self._sin
         return min(max(s, self.s_min), self.s_max)
 
@@ -274,7 +268,9 @@ class CirclePath(ReferencePath):
         return _path_frame(s_star, rx, ry, chi_p, p)
 
     def closest_parameter(self, p, near=None) -> float:
-        px, py = _finite_position(p)
+        px, py = float(p[0]), float(p[1])
+        if not (math.isfinite(px) and math.isfinite(py)):
+            raise ValueError("vehicle position must be finite")
         ux, uy = px - self.cx, py - self.cy
         if ux == 0.0 and uy == 0.0:
             # Center is equidistant from the whole circle; smallest parameter.
@@ -468,7 +464,9 @@ class SinusoidPath(ReferencePath):
         go to the smallest parameter.  README, "Tracking projection",
         sketches why the result is the global minimizer.
         """
-        px, py = _finite_position(p)
+        px, py = float(p[0]), float(p[1])
+        if not (math.isfinite(px) and math.isfinite(py)):
+            raise ValueError("vehicle position must be finite")
         s = None
         tracked = near is not None and math.isfinite(near)
         if tracked:
@@ -773,7 +771,9 @@ class PolylinePath(ReferencePath):
         visited in index order with a strict comparison, so the result is
         the full scan's to the bit and ties go to the smallest parameter.
         """
-        px, py = _finite_position(p)
+        px, py = float(p[0]), float(p[1])
+        if not (math.isfinite(px) and math.isfinite(py)):
+            raise ValueError("vehicle position must be finite")
         x0, y0, skin_sq, kept = self._neighbours
         dx, dy = px - x0, py - y0
         if dx * dx + dy * dy > skin_sq:

@@ -27,7 +27,7 @@ from .baselines import (
     nlgl_command,
     plos_command,
 )
-from .guidance import Command, GuidanceParams, commanded_course
+from .guidance import GuidanceParams, commanded_course
 from .paths import PathDomainError, PathFrame, ReferencePath, SinusoidPath
 from .vehicle import (
     AirspeedSpec,
@@ -148,31 +148,34 @@ class ScenarioConfig:
         return MC_WIND_SPEED_RANGE[1] if self.wind is None else self.wind.speed
 
 
-# Guidance steps (config, state, frame, v_g, prev Command or None) -> Command.
-# They look the law functions up in this module on each call, so a wrapper set
-# on ``vfpath.simulation`` sees every call.
-def _switched_step(config, state, frame, v_g, prev) -> Command:
-    prev_phase = None if prev is None else prev.phase
-    return commanded_course(state, frame, config.guidance, prev_phase, v_g)
+# Guidance steps (config, x, y, chi, frame, v_g, prev) -> (chi_c, chi_d,
+# phase, failure, lookahead), with ``prev`` the law's previous step tuple or
+# None (README, "Guidance laws share one interface").  They look the law
+# functions up in this module on each call, so a wrapper set on
+# ``vfpath.simulation`` sees every call.
+def _switched_step(config, x, y, chi, frame, v_g, prev):
+    return commanded_course(
+        chi, frame, config.guidance, None if prev is None else prev[2], v_g
+    )
 
 
-def _basic_vf_step(config, state, frame, v_g, prev) -> Command:
+def _basic_vf_step(config, x, y, chi, frame, v_g, prev):
     chi_c = basic_vf_command(frame, config.baselines)
-    return Command(chi_c, chi_c)
+    return chi_c, chi_c, 0, None, ()
 
 
-def _plos_step(config, state, frame, v_g, prev) -> Command:
-    chi_c = plos_command(state, frame, config.baselines)
-    return Command(chi_c, chi_c)
+def _plos_step(config, x, y, chi, frame, v_g, prev):
+    chi_c = plos_command(x, y, chi, frame, config.baselines)
+    return chi_c, chi_c, 0, None, ()
 
 
-def _nlgl_step(config, state, frame, v_g, prev) -> Command:
+def _nlgl_step(config, x, y, chi, frame, v_g, prev):
     try:
         return nlgl_command(
-            state, frame, config.path, config.baselines, v_g, config.guidance.alpha, prev
+            x, y, chi, frame, config.path, config.baselines, v_g, config.guidance.alpha, prev
         )
     except LookaheadInfeasibleError as exc:
-        return Command(state.chi, state.chi, failure=f"look-ahead infeasible: {exc}")
+        return chi, chi, 0, f"look-ahead infeasible: {exc}", ()
 
 
 LAWS = {
@@ -277,16 +280,17 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     """Simulate one closed-loop trial and score it.
 
     Each step evaluates the path frame, calls the law's step in ``LAWS``
-    with the previous ``Command``, records all channels, then integrates the
-    vehicle one step.  When ``stop_when_converged`` is set the trial ends as
-    soon as the convergence condition has held for a full dwell window (the
-    recorded trajectory always contains that window); otherwise it runs to
-    ``max_time``.  A step whose
-    ``Command`` names a failure (nlgl's infeasible look-ahead) is recorded and
-    stops the trial, marked non-converged with that reason, and so does ending
-    off a finite path's end (closest point at ``s_min`` or ``s_max``, |d|
-    above ``d_threshold``).  A state that turns non-finite also stops the
-    trial with a named reason; the trajectory ends at the last finite state.
+    with the pose as three floats and the law's previous step tuple, records
+    all channels, then integrates the vehicle one step.  When
+    ``stop_when_converged`` is set the trial ends as soon as the convergence
+    condition has held for a full dwell window (the recorded trajectory
+    always contains that window); otherwise it runs to ``max_time``.  A step
+    whose tuple names a failure (nlgl's infeasible look-ahead) is recorded
+    and stops the trial, marked non-converged with that reason, and so does
+    ending off a finite path's end (closest point at ``s_min`` or ``s_max``,
+    |d| above ``d_threshold``).  A state that turns non-finite also stops
+    the trial with a named reason; the trajectory ends at the last finite
+    state.
     """
     wind = config.wind
     if wind is None:
@@ -304,17 +308,16 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     stop_early = config.stop_when_converged
     remainder = math.remainder
 
-    state = initial_state(config)
+    x, y, chi = initial_state(config)
     prev_frame: Optional[PathFrame] = None
     s_back: Optional[float] = None  # the closest parameter two steps back
-    cmd: Optional[Command] = None
+    cmd: Optional[tuple] = None  # the law's previous step tuple
     streak = 0
     failure: Optional[str] = None
     # One (t, x, y, chi, chi_c, chi_d, chi_dot, d, phase, chi_p) row per step.
     rows: list[tuple] = []
 
     for k in range(n_max + 1):
-        x, y, chi = state
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(chi)):
             failure = f"non-finite state at t = {k * dt:g} s: x = {x}; y = {y}; chi = {chi}"
             break
@@ -336,22 +339,23 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         prev_frame = frame
         v_g = ground_speed(spec, wind, chi)
 
-        cmd = law_step(config, state, frame, v_g, cmd)
-        # turn_rate(cmd.chi_c, chi, alpha); GuidanceParams proved alpha > 0.
-        course_error = remainder(cmd.chi_c - chi, TAU)
+        cmd = law_step(config, x, y, chi, frame, v_g, cmd)
+        chi_c, chi_d, phase, failure, _ = cmd
+        # turn_rate(chi_c, chi, alpha); GuidanceParams proved alpha > 0.
+        course_error = remainder(chi_c - chi, TAU)
         if course_error <= -PI:
             course_error += TAU
         chi_dot = alpha * course_error
-        rows.append((
-            k * dt, x, y, chi, cmd.chi_c, cmd.chi_d, chi_dot, frame.d, cmd.phase, frame.chi_p,
-        ))
-        if cmd.failure is not None:
-            failure = cmd.failure
+        rows.append((k * dt, x, y, chi, chi_c, chi_d, chi_dot, frame.d, phase, frame.chi_p))
+        if failure is not None:
             break
 
         # compute_metrics scores convergence; the streak only decides the stop.
         if stop_early:
-            if abs(frame.d) <= d_thr and abs(wrap_angle(chi - frame.chi_p)) <= align_thr:
+            align = remainder(chi - frame.chi_p, TAU)  # wrap_angle inline
+            if align <= -PI:
+                align += TAU
+            if abs(frame.d) <= d_thr and abs(align) <= align_thr:
                 streak += 1
                 if streak > need:
                     break
@@ -361,7 +365,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
             break
 
         # v_g and chi_dot are the first RK4 stage at this state.
-        state = step_vehicle(state, cmd.chi_c, spec, wind, alpha, dt, v_g, chi_dot)
+        x, y, chi = step_vehicle((x, y, chi), chi_c, spec, wind, alpha, dt, v_g, chi_dot)
 
     at_end = min(abs(frame.s_star - path.s_min), abs(frame.s_star - path.s_max))
     if failure is None and not path.periodic and at_end <= PATH_END_TOL and abs(frame.d) > d_thr:
@@ -530,12 +534,14 @@ def monte_carlo(
     ``i`` draws its initial offset, initial course and wind once and every law
     is run on that same draw, so the laws are compared on paired conditions.
     ``workers`` processes run the trials (None: ``os.cpu_count()``; 1: this
-    process).  Results come back in job order (law, then trial index), so the
+    process; a count below 1 raises ValueError before any trial runs).  Results come back in job order (law, then trial index), so the
     summary does not depend on the worker count.  Non-converged trials are
     excluded from the t_conv statistics and counted by ``n_converged``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1 (or None for every core), got {workers}")
     check_laws(laws)
     # Every trial draws its wind: check the top of the sampled range against
     # the airspeed before any trial runs.
@@ -546,7 +552,8 @@ def monte_carlo(
     jobs = [(law, *draw) for law in laws for draw in draws]
 
     run_job = partial(_mc_job, base_config)
-    workers = workers or os.cpu_count() or 1
+    if workers is None:
+        workers = os.cpu_count() or 1
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(jobs) // (workers * 8))

@@ -89,7 +89,7 @@ def turn_rate(chi_c: float, chi: float, alpha: float) -> float:
 
 
 def step_vehicle(
-    state: VehicleState,
+    state: tuple[float, float, float],
     chi_c: float,
     spec: AirspeedSpec,
     wind: WindModel,
@@ -97,16 +97,21 @@ def step_vehicle(
     dt: float,
     v_g: Optional[float] = None,
     chi_dot: Optional[float] = None,
-) -> VehicleState:
+) -> tuple[float, float, float]:
     """Integrate the three-state dynamics one classical RK4 step with the
     command held fixed.
+
+    ``state`` is any ``(x, y, chi)`` tuple, a :class:`VehicleState` or a
+    plain one, and the next state comes back as a plain ``(x, y, chi)``
+    tuple.
 
     Every stage takes its ground speed from the crab geometry of
     :func:`ground_speed` and its course rate from :func:`turn_rate`, so the
     course difference chi_c - chi is wrapped in each stage.  A caller that
-    already holds ``ground_speed(spec, wind, state.chi)`` and ``turn_rate(chi_c,
-    state.chi, alpha)`` passes them as ``v_g`` and ``chi_dot``: they are the
-    first stage, which is then not evaluated again.  The other stages write
+    already holds ``ground_speed(spec, wind, chi)`` and ``turn_rate(chi_c,
+    chi, alpha)`` at the state's course passes them as ``v_g`` and
+    ``chi_dot``: they are the first stage, which is then not evaluated
+    again.  The other stages write
     both inline, with each wrap to (-pi, pi] done as
     :func:`~vfpath.angles.wrap_angle` does it.  The returned course is
     wrapped to (-pi, pi].
@@ -157,7 +162,7 @@ def step_vehicle(
     chi_next = remainder(chi + sixth * (chi_dot + 2.0 * r2 + 2.0 * r3 + r4), TAU)
     if chi_next <= -PI:
         chi_next += TAU
-    return VehicleState(
+    return (
         x + sixth * (v_g * c1 + 2.0 * (v2 * c2) + 2.0 * (v3 * c3) + v4 * c4),
         y + sixth * (v_g * s1 + 2.0 * (v2 * s2) + 2.0 * (v3 * s3) + v4 * s4),
         chi_next,

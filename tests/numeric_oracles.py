@@ -8,7 +8,7 @@ import numpy as np
 
 from vfpath.angles import wrap_angle
 from vfpath.baselines import LookaheadInfeasibleError
-from vfpath.guidance import HALF_PI, Command, GuidanceParams, GuidancePhase, sat
+from vfpath.guidance import HALF_PI, GuidanceParams, GuidancePhase, sat
 from vfpath.paths import (
     CirclePath,
     LinePath,
@@ -17,7 +17,7 @@ from vfpath.paths import (
     ReferencePath,
     SinusoidPath,
 )
-from vfpath.vehicle import AirspeedSpec, VehicleState, WindModel, check_wind_speed
+from vfpath.vehicle import AirspeedSpec, WindModel, check_wind_speed
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -275,7 +275,7 @@ def helper_ground_speed(spec: AirspeedSpec, wind: WindModel, chi: float) -> floa
 
 
 def helper_step_vehicle(
-    state: VehicleState,
+    state: tuple[float, float, float],
     chi_c: float,
     spec: AirspeedSpec,
     wind: WindModel,
@@ -283,7 +283,7 @@ def helper_step_vehicle(
     dt: float,
     v_g: Optional[float] = None,
     chi_dot: Optional[float] = None,
-) -> VehicleState:
+) -> tuple[float, float, float]:
     """``vfpath.vehicle.step_vehicle`` with every stage through the helpers."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -311,7 +311,7 @@ def helper_step_vehicle(
     v4 = _helper_ground_speed(v_a, w_x, w_y, c4, s4)
     r4 = alpha * wrap_angle(chi_c - chi4)
     sixth = dt / 6.0
-    return VehicleState(
+    return (
         x + sixth * (v_g * c1 + 2.0 * (v2 * c2) + 2.0 * (v3 * c3) + v4 * c4),
         y + sixth * (v_g * s1 + 2.0 * (v2 * s2) + 2.0 * (v3 * s3) + v4 * s4),
         wrap_angle(chi + sixth * (chi_dot + 2.0 * r2 + 2.0 * r3 + r4)),
@@ -319,17 +319,17 @@ def helper_step_vehicle(
 
 
 def helper_commanded_course(
-    state: VehicleState,
+    chi: float,
     frame: PathFrame,
     params: GuidanceParams,
     prev_phase: Optional[GuidancePhase],
     v_g: float,
-) -> Command:
+) -> tuple:
     """``vfpath.guidance.commanded_course`` with every wrap through
     wrap_angle and the course error recomputed after the phase test."""
     if v_g <= 0.0:
         raise ValueError("v_g must be positive")
-    d, chi, chi_p, rho = frame.d, state.chi, frame.chi_p, frame.rho
+    d, chi_p, rho = frame.d, frame.chi_p, frame.rho
     scale = params.chi_inf * (2.0 / math.pi)
 
     if abs(d) < params.d_s:
@@ -362,4 +362,4 @@ def helper_commanded_course(
             reaching = -beta * math.copysign(1.0, chi_tilde) if chi_tilde else 0.0
 
     chi_c = wrap_angle(chi + (feedforward + reaching) / params.alpha)
-    return Command(chi_c, chi_d, phase)
+    return chi_c, chi_d, phase, None, ()

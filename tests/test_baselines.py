@@ -51,7 +51,7 @@ class TestPLOS:
     def test_on_path_aligned_equilibrium(self):
         line = LinePath(0, 0, 0)
         frame = line.closest_point((5.0, 0.0))
-        cmd = plos_command(VehicleState(5.0, 0.0, 0.0), frame, BP)
+        cmd = plos_command(5.0, 0.0, 0.0, frame, BP)
         assert cmd == pytest.approx(0.0, abs=1e-15)
 
     def test_large_offset_points_back_at_path(self):
@@ -60,7 +60,7 @@ class TestPLOS:
             frame = line.closest_point((0.0, d0))
             # course already at the LOS reference: command equals it
             chi_los = math.atan2(-d0, 1.0 / BP.plos_k2)
-            cmd = plos_command(VehicleState(0.0, d0, chi_los), frame, BP)
+            cmd = plos_command(0.0, d0, chi_los, frame, BP)
             assert abs(abs(cmd) - math.pi / 2.0) < 0.12
             assert math.copysign(1.0, cmd) == -math.copysign(1.0, d0)
 
@@ -69,10 +69,10 @@ class TestPLOS:
         # proportional branches on a straight-line geometry
         line = LinePath(0, 0, 0)
         frame = line.closest_point((40.0, 150.0))
-        cmd = plos_command(VehicleState(40.0, 150.0, 0.5), frame, BP)
+        cmd = plos_command(40.0, 150.0, 0.5, frame, BP)
         assert cmd == pytest.approx(-2.0, abs=1e-12)
         frame = line.closest_point((40.0, 5.0))
-        cmd = plos_command(VehicleState(40.0, 5.0, -0.45), frame, BP)
+        cmd = plos_command(40.0, 5.0, -0.45, frame, BP)
         assert cmd == pytest.approx(-0.6547141350120913, abs=1e-12)
 
 
@@ -80,8 +80,8 @@ class TestNLGL:
     def test_on_path_aligned_equilibrium(self):
         line = LinePath(0, 0, 0)
         frame = line.closest_point((5.0, 0.0))
-        cmd = nlgl_command(VehicleState(5.0, 0.0, 0.0), frame, line, BP, 15.0, 1.65)
-        assert cmd.chi_c == cmd.chi_d == pytest.approx(0.0, abs=1e-9)
+        cmd = nlgl_command(5.0, 0.0, 0.0, frame, line, BP, 15.0, 1.65)
+        assert cmd[0] == cmd[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_offset_equal_to_lookahead_targets_closest_point(self):
         line = LinePath(0, 0, 0)
@@ -97,7 +97,7 @@ class TestNLGL:
         with pytest.raises(LookaheadInfeasibleError):
             nlgl_virtual_target(line, frame, p, BP.nlgl_l1)
         with pytest.raises(LookaheadInfeasibleError):
-            nlgl_command(VehicleState(p[0], p[1], 0.0), frame, line, BP, 15.0, 1.65)
+            nlgl_command(p[0], p[1], 0.0, frame, line, BP, 15.0, 1.65)
 
     def test_forward_most_intersection_chosen(self):
         # straight line, offset d < L1: intersections at s* +- sqrt(L1^2-d^2)
@@ -145,7 +145,7 @@ class TestNLGL:
         frame = line.closest_point(p)
         state = VehicleState(p[0], p[1], -0.2)
         v_g, alpha = 15.0, 1.65
-        cmd = nlgl_command(state, frame, line, BP, v_g, alpha).chi_c
+        cmd = nlgl_command(*state, frame, line, BP, v_g, alpha)[0]
         _, target = nlgl_virtual_target(line, frame, p, BP.nlgl_l1)
         eta = math.atan2(target[1] - p[1], target[0] - p[0]) - state.chi
         expected = state.chi + 2.0 * v_g / BP.nlgl_l1 * math.sin(eta) / alpha
@@ -156,7 +156,7 @@ class TestNLGL:
             BaselineParams(nlgl_l1=0.0)
         line = LinePath(0, 0, 0)
         with pytest.raises(ValueError):
-            nlgl_command(VehicleState(0, 0, 0), line.closest_point((0, 0)), line, BP, 0.0, 1.65)
+            nlgl_command(0, 0, 0, line.closest_point((0, 0)), line, BP, 0.0, 1.65)
 
 
 class TestLookaheadParameter:

@@ -1,0 +1,66 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    if not TOOL.is_file():
+        pytest.skip("tools/bench_pairs.py is absent")
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = ["trial_sinusoid", "campaign_mc", "capture_paths"]
+
+
+def test_parse_pairs_reads_each_workload(bench_pairs):
+    pairs = bench_pairs.parse_pairs(["capture_paths=10", "campaign_mc=1"], WORKLOADS)
+    assert pairs == {"capture_paths": 10, "campaign_mc": 1}
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("capture_path=3", "unknown workload"),
+        ("capture_paths", "at least 1"),
+        ("capture_paths=x", "at least 1"),
+        ("capture_paths=0", "at least 1"),
+        ("capture_paths=-2", "at least 1"),
+    ],
+)
+def test_bad_pairs_are_a_usage_error(bench_pairs, capsys, item, message):
+    with pytest.raises(ValueError, match=message):
+        bench_pairs.parse_pairs([item], WORKLOADS)
+    argv = ["--parent", "HEAD", "--change", "HEAD", "--seed", "1",
+            "--pairs", item, "--out", "unused.json"]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, met",
+    [
+        # Wins 10/10 and the medians are 2.0 apart against a parent IQR of 0.5.
+        ([10.0, 10.5] * 5, [8.0, 8.5] * 5, "lower", True),
+        # Same gap, but the change wins only 8 of 10 pairs.
+        ([10.0, 10.5] * 5, [8.0, 8.5] * 4 + [11.0, 11.0], "lower", False),
+        # Wins every pair by less than the parent's IQR.
+        ([10.0, 12.0] * 5, [9.9, 11.9] * 5, "lower", False),
+        # A higher-is-better metric that rises by more than the IQR.
+        ([10.0, 10.5] * 5, [12.0, 12.5] * 5, "higher", True),
+        # The same values read as a lower-is-better metric: a loss.
+        ([10.0, 10.5] * 5, [12.0, 12.5] * 5, "lower", False),
+    ],
+)
+def test_claim_rule(bench_pairs, parent, change, better, met):
+    out = bench_pairs.summarize(parent, change, better)
+    assert out["pairs"] == 10
+    assert out["claim_rule_met"] is met

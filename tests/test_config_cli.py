@@ -25,7 +25,6 @@ from vfpath.guidance import validate_curvature_constraint
 from vfpath.paths import CirclePath, LinePath, SinusoidPath
 from vfpath import simulation
 from vfpath.simulation import GUIDANCE_LAWS, Trajectory, benchmark_scenario
-from vfpath.vehicle import VehicleState
 
 # Text that survives an INI line unchanged: no line breaks, no whitespace at
 # the ends (the parser strips it).
@@ -228,7 +227,7 @@ class TestCli:
         cfg.write_text("[path]\nkind = line\ns_max = 50\n\n[sim]\nmax_time = 60\n")
         if reason == "non-finite state":
             def step_to_nan(state, *args):
-                return VehicleState(math.nan, state.y, state.chi)
+                return (math.nan, state[1], state[2])
 
             monkeypatch.setattr(simulation, "step_vehicle", step_to_nan)
         out = tmp_path / "o"

@@ -23,13 +23,13 @@ P = GuidanceParams()  # defaults: chi_inf=pi/2, k1=0.01, d_s=10, eta=pi/4, n=3, 
 def step(d, chi, chi_p=0.0, prev_phase=None, params=P):
     """One switched-law step at cross-track error d and course chi."""
     frame = PathFrame(0.0, (0.0, 0.0), chi_p, d, 1 if d >= 0.0 else -1)
-    return commanded_course(VehicleState(0.0, 0.0, chi), frame, params, prev_phase, 15.0)
+    return commanded_course(chi, frame, params, prev_phase, 15.0)
 
 
 def field(d, chi_p=0.0, params=P):
     """The distance-only field chi_d(d): the desired course of a step whose
     course is within pi/4 of it, so never CASE1."""
-    return step(d, chi_p - math.copysign(math.pi / 4.0, d), chi_p, params=params).chi_d
+    return step(d, chi_p - math.copysign(math.pi / 4.0, d), chi_p, params=params)[1]
 
 
 def reduced_reaching_oracle(chi0: float, params: GuidanceParams, threshold: float) -> float:
@@ -120,30 +120,30 @@ class TestDesiredCourseDistanceOnly:
         cubic = wrap_angle(0.0 - scale * math.atan(p.k3 * 13.0**3))
         linear = wrap_angle(0.0 - scale * math.atan(p.k1 * 13.0))
         assert cubic != linear
-        assert out.chi_d == cubic
-        assert out.phase is GuidancePhase.CASE2
+        assert out[1] == cubic
+        assert out[2] is GuidancePhase.CASE2
 
 
 class TestClassifyPhase:
     def test_far_and_misaligned_is_case1(self):
         chi_d = field(200.0)
-        assert step(200.0, chi_d + 3.0, prev_phase=GuidancePhase.CASE2).phase is GuidancePhase.CASE1
+        assert step(200.0, chi_d + 3.0, prev_phase=GuidancePhase.CASE2)[2] is GuidancePhase.CASE1
 
     def test_inside_switch_distance_is_case3(self):
-        assert step(5.0, 2.0).phase is GuidancePhase.CASE3
+        assert step(5.0, 2.0)[2] is GuidancePhase.CASE3
 
     def test_hysteresis_exit_before_pi_over_two(self):
         # error pi/2 + 0.04 with margin 0.05: CASE1 exits to CASE2
         chi = field(200.0) + math.pi / 2.0 + 0.04
-        phase = step(200.0, chi, prev_phase=GuidancePhase.CASE1).phase
+        phase = step(200.0, chi, prev_phase=GuidancePhase.CASE1)[2]
         assert phase is GuidancePhase.CASE2
         # and the very next step does not re-enter CASE1
-        again = step(200.0, chi, prev_phase=phase).phase
+        again = step(200.0, chi, prev_phase=phase)[2]
         assert again is GuidancePhase.CASE2
 
     def test_first_step_has_no_margin(self):
         chi = field(200.0) + math.pi / 2.0 + 0.01
-        assert step(200.0, chi).phase is GuidancePhase.CASE1
+        assert step(200.0, chi)[2] is GuidancePhase.CASE1
 
 
 class TestDesiredCourse:
@@ -173,10 +173,10 @@ class TestCommandedCourse:
         line = LinePath(0, 0, 0)
         frame = line.closest_point((5.0, 0.0))
         state = VehicleState(5.0, 0.0, 0.0)
-        out = commanded_course(state, frame, P, None, 15.0)
-        assert out.phase is GuidancePhase.CASE3
-        assert wrap_angle(state.chi - out.chi_d) == 0.0
-        assert out.chi_c == pytest.approx(0.0, abs=1e-15)
+        out = commanded_course(state.chi, frame, P, None, 15.0)
+        assert out[2] is GuidancePhase.CASE3
+        assert wrap_angle(state.chi - out[1]) == 0.0
+        assert out[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_case1_command_formula(self):
         line = LinePath(0, 0, 0)
@@ -184,18 +184,18 @@ class TestCommandedCourse:
         chi = 2.5
         state = VehicleState(0.0, 200.0, chi)
         v_g = 15.0
-        out = commanded_course(state, frame, P, None, v_g)
-        assert out.phase is GuidancePhase.CASE1
+        out = commanded_course(state.chi, frame, P, None, v_g)
+        assert out[2] is GuidancePhase.CASE1
         d = 200.0
         k3 = P.k3
         gain = 3.0 * k3 * d * d / (1.0 + (k3 * d**3) ** 2)
-        chi_tilde = wrap_angle(chi - out.chi_d)
+        chi_tilde = wrap_angle(chi - out[1])
         expected = chi + (
             0.0
             - gain * v_g * math.sin(chi - 0.0)
             - 1.0 * P.eta * abs(chi_tilde) ** 0.6
         ) / P.alpha
-        assert out.chi_c == pytest.approx(wrap_angle(expected), abs=1e-12)
+        assert out[0] == pytest.approx(wrap_angle(expected), abs=1e-12)
 
     def test_case3_boundary_layer_term(self):
         # chi_tilde = eps/2 inside the boundary layer: reaching term is
@@ -204,18 +204,18 @@ class TestCommandedCourse:
         frame = line.closest_point((5.0, 0.0))  # d = 0
         chi = P.epsilon / 2.0
         state = VehicleState(5.0, 0.0, chi)
-        out = commanded_course(state, frame, P, GuidancePhase.CASE3, 15.0)
-        assert out.phase is GuidancePhase.CASE3
+        out = commanded_course(state.chi, frame, P, GuidancePhase.CASE3, 15.0)
+        assert out[2] is GuidancePhase.CASE3
         beta = P.sigma / (1.0 + P.epsilon / 2.0)
         ff = -P.k1 / (1.0 + 0.0) * 15.0 * math.sin(chi)
         expected = chi + (ff - beta * 0.5) / P.alpha
-        assert out.chi_c == pytest.approx(expected, abs=1e-12)
+        assert out[0] == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_bad_ground_speed(self):
         line = LinePath(0, 0, 0)
         frame = line.closest_point((0.0, 5.0))
         with pytest.raises(ValueError):
-            commanded_course(VehicleState(0, 5, 0), frame, P, None, 0.0)
+            commanded_course(0, frame, P, None, 0.0)
 
 
 class TestConvergenceTime:

@@ -925,9 +925,9 @@ def course_rate_frames(monkeypatch, path, s0, dt=0.01, max_time=2.0):
     seen = []
     law = simulation.commanded_course
 
-    def recording(state, frame, *args):
+    def recording(chi, frame, *args):
         seen.append((frame.chi_p, frame.chi_p_dot))
-        return law(state, frame, *args)
+        return law(chi, frame, *args)
 
     monkeypatch.setattr(simulation, "commanded_course", recording)
     config = ScenarioConfig(

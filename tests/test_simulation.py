@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfpath import simulation
-from vfpath.guidance import Command, GuidanceParams
+from vfpath.angles import wrap_angle
+from vfpath.baselines import basic_vf_command, nlgl_command, plos_command
+from vfpath.guidance import GuidanceParams, commanded_course
 from vfpath.paths import CirclePath, LinePath, PolylinePath, ReferencePath, SinusoidPath
 from vfpath.simulation import (
     GUIDANCE_LAWS,
@@ -23,7 +25,9 @@ from vfpath.simulation import (
     monte_carlo,
     run_trial,
 )
-from vfpath.vehicle import AirspeedSpec, VehicleState, WindModel, step_vehicle, turn_rate
+from vfpath.vehicle import (
+    AirspeedSpec, VehicleState, WindModel, ground_speed, step_vehicle, turn_rate,
+)
 
 
 def synthetic_trajectory(t, d, chi_dot=None, chi=None, chi_p=None, phase=None):
@@ -137,7 +141,7 @@ class TestRunTrial:
         def step_then_nan(state, *args):
             steps.append(state)
             if len(steps) > 50:
-                return VehicleState(math.nan, state.y, state.chi)
+                return (math.nan, state[1], state[2])
             return real_step(state, *args)
 
         monkeypatch.setattr(simulation, "step_vehicle", step_then_nan)
@@ -218,11 +222,57 @@ class TestRunTrial:
                 step = step_vehicle(state, chi_c, spec, wind, alpha, dt)
                 assert step == (traj.x[k + 1], traj.y[k + 1], traj.chi[k + 1])
 
+    @pytest.mark.parametrize("law", GUIDANCE_LAWS)
+    @pytest.mark.parametrize("kind", ["line", "circle"])
+    def test_windy_commands_match_public_law_functions(self, kind, law):
+        # The line and circle project in closed form and ignore the hint, so
+        # closest_point gives each recorded step's frame.  Rebuilt from the
+        # public law function, its own previous tuple (the switched law's
+        # phase, nlgl's look-ahead pair) and the recorded pose, every command
+        # must be the trajectory's to the bit.
+        path = LinePath(0, 0, 0.3) if kind == "line" else CirclePath(0, 0, 300.0)
+        cfg = line_config(
+            path=path, law=law, d0=40.0, s0=300.0, chi0=-0.3,
+            wind=WindModel(2.0, -1.5), max_time=8.0,
+        )
+        traj, metrics = run_trial(cfg)
+        assert metrics.failure_reason is None
+        assert len(traj) == 801
+        spec, wind, alpha, dt = cfg.airspeed, cfg.wind, cfg.guidance.alpha, cfg.dt
+        prev = None
+        phases = set()
+        for k in range(len(traj)):
+            x, y, chi = float(traj.x[k]), float(traj.y[k]), float(traj.chi[k])
+            frame = path.closest_point((x, y))
+            if k:
+                frame.chi_p_dot = wrap_angle(frame.chi_p - float(traj.chi_p[k - 1])) / dt
+            v_g = ground_speed(spec, wind, chi)
+            if law == "switched":
+                out = commanded_course(
+                    chi, frame, cfg.guidance, None if prev is None else prev[2], v_g
+                )
+            elif law == "nlgl":
+                out = nlgl_command(x, y, chi, frame, path, cfg.baselines, v_g, alpha, prev)
+                assert len(out[4]) == min(k + 1, 2)
+            else:
+                chi_c = (
+                    basic_vf_command(frame, cfg.baselines)
+                    if law == "basic_vf"
+                    else plos_command(x, y, chi, frame, cfg.baselines)
+                )
+                out = (chi_c, chi_c, 0, None, ())
+            assert out[:3] == (traj.chi_c[k], traj.chi_d[k], traj.phase[k])
+            assert out[3] is None
+            phases.add(out[2])
+            prev = out
+        if law == "switched":
+            assert len(phases) > 1
+
     def test_recorded_turn_rate_wraps_minus_pi_as_turn_rate(self, monkeypatch):
         # A command exactly pi behind the course: chi_c - chi is -pi, which
         # wraps to +pi, so the recorded rate is +alpha*pi.
-        def half_turn(state, frame, params, prev_phase, v_g):
-            return Command(state.chi - math.pi, 0.0, 3)
+        def half_turn(chi, frame, params, prev_phase, v_g):
+            return chi - math.pi, 0.0, 3, None, ()
 
         monkeypatch.setattr(simulation, "commanded_course", half_turn)
         cfg = line_config(chi0=0.5 * math.pi, max_time=0.05)
@@ -237,9 +287,9 @@ class TestRunTrial:
         real = simulation.commanded_course
         seen = []
 
-        def recording(state, frame, params, prev_phase, v_g):
-            out = real(state, frame, params, prev_phase, v_g)
-            seen.append((prev_phase, out.phase))
+        def recording(chi, frame, params, prev_phase, v_g):
+            out = real(chi, frame, params, prev_phase, v_g)
+            seen.append((prev_phase, out[2]))
             return out
 
         monkeypatch.setattr(simulation, "commanded_course", recording)
@@ -416,6 +466,16 @@ class TestMonteCarlo:
             monte_carlo(base, 1, 1, laws=("bogus",))
         with pytest.raises(ValueError, match="'plos' is selected twice"):
             monte_carlo(base, 1, 1, laws=("plos", "switched", "plos"), workers=1)
+
+    @pytest.mark.parametrize("workers", [0, -1, -2])
+    def test_worker_count_below_one_rejected_before_trials(self, monkeypatch, workers):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial started before the worker count was checked")
+
+        monkeypatch.setattr(simulation, "_mc_job", no_trials)
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_trials)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            monte_carlo(benchmark_scenario(), 2, 0, workers=workers)
 
     @pytest.mark.parametrize("parallel", [False, True])
     def test_sampled_wind_above_airspeed_rejected_before_trials(self, monkeypatch, parallel):

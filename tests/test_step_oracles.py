@@ -16,7 +16,7 @@ from numeric_oracles import helper_commanded_course, helper_ground_speed, helper
 from vfpath.angles import PI, TAU
 from vfpath.guidance import HALF_PI, GuidanceParams, GuidancePhase, commanded_course
 from vfpath.paths import PathFrame
-from vfpath.vehicle import AirspeedSpec, VehicleState, WindModel, ground_speed, step_vehicle
+from vfpath.vehicle import AirspeedSpec, WindModel, ground_speed, step_vehicle
 
 SPEC = AirspeedSpec(15.0)
 # Angles and angle differences at which a wrap lands on -pi, pi or a signed zero.
@@ -56,7 +56,7 @@ def bits(values) -> tuple:
 def test_step_vehicle_matches_helper_oracle(chi, delta, chi_dot, wind, alpha, dt):
     wind = WindModel(*wind)
     assert bits([ground_speed(SPEC, wind, chi)]) == bits([helper_ground_speed(SPEC, wind, chi)])
-    state = VehicleState(10.0, -5.0, chi)
+    state = (10.0, -5.0, chi)
     chi_c = chi + delta
     stage = () if chi_dot is None else (ground_speed(SPEC, wind, chi), chi_dot)
     new = step_vehicle(state, chi_c, SPEC, wind, alpha, dt, *stage)
@@ -100,7 +100,6 @@ def test_commanded_course_matches_helper_oracle(
 ):
     params = GuidanceParams(chi_inf=chi_inf, reaching=reaching)
     frame = PathFrame(0.0, (0.0, 0.0), chi_p, d, 1 if d >= 0.0 else -1, chi_p_dot)
-    state = VehicleState(0.0, 0.0, chi)
-    new = commanded_course(state, frame, params, prev_phase, v_g)
-    old = helper_commanded_course(state, frame, params, prev_phase, v_g)
+    new = commanded_course(chi, frame, params, prev_phase, v_g)
+    old = helper_commanded_course(chi, frame, params, prev_phase, v_g)
     assert bits(new) == bits(old)

@@ -95,14 +95,14 @@ class TestStep:
     def test_straight_flight_euler(self):
         state = VehicleState(0.0, 0.0, 0.0)
         out = step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, 1.0)
-        assert (out.x, out.y, out.chi) == pytest.approx((15.0, 0.0, 0.0))
+        assert out == pytest.approx((15.0, 0.0, 0.0))
 
     def test_initial_turn_rate(self):
         # chi_c - chi = 1 rad commands alpha rad/s at the first instant
         state = VehicleState(0.0, 0.0, 0.0)
         dt = 1e-6
         out = step_vehicle(state, 1.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, dt)
-        assert out.chi / dt == pytest.approx(1.65, rel=1e-4)
+        assert out[2] / dt == pytest.approx(1.65, rel=1e-4)
 
     def test_first_order_response_matches_closed_form(self):
         # chi(t) = chi_c (1 - exp(-alpha t)) for constant command from zero
@@ -113,13 +113,13 @@ class TestStep:
         for _ in range(n):
             state = step_vehicle(state, chi_c, spec, wind, alpha, dt)
         expected = chi_c * (1.0 - math.exp(-alpha * 1.0))
-        assert state.chi == pytest.approx(expected, abs=1e-6)
+        assert state[2] == pytest.approx(expected, abs=1e-6)
 
     def test_time_constant_within_one_percent(self):
         spec, wind, alpha, dt = AirspeedSpec(15.0), WindModel(0, 0), 1.65, 0.001
         state = VehicleState(0.0, 0.0, 0.0)
         t, target = 0.0, 1.0 - math.exp(-1.0)
-        while state.chi < target:
+        while state[2] < target:
             state = step_vehicle(state, 1.0, spec, wind, alpha, dt)
             t += dt
         assert t == pytest.approx(1.0 / alpha, rel=0.01)
@@ -130,7 +130,7 @@ class TestStep:
         v_g = ground_speed(spec, wind, chi)
         state = VehicleState(0.0, 0.0, chi)
         out = step_vehicle(state, chi, spec, wind, 1.65, 0.01)
-        step_len = math.hypot(out.x - state.x, out.y - state.y)
+        step_len = math.hypot(out[0] - state.x, out[1] - state.y)
         assert step_len == pytest.approx(v_g * 0.01, abs=1e-9)
 
     def test_determinism(self):
@@ -141,14 +141,14 @@ class TestStep:
             hist = []
             for k in range(500):
                 state = step_vehicle(state, math.sin(0.01 * k), spec, wind, 1.65, 0.01)
-                hist.append((state.x, state.y, state.chi))
+                hist.append(state)
             runs.append(hist)
         assert runs[0] == runs[1]
 
     def test_wrapped_output_and_validation(self):
         state = VehicleState(0.0, 0.0, 3.1)
         out = step_vehicle(state, -3.1, AirspeedSpec(15.0), WindModel(0, 0), 5.0, 0.2)
-        assert -math.pi < out.chi <= math.pi
+        assert -math.pi < out[2] <= math.pi
         with pytest.raises(ValueError):
             step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, -0.1)
         # A given first stage skips none of the checks.

@@ -9,8 +9,10 @@ its commit, so every run record names the commit it measured; uncommitted work
 must be committed first (a local commit is enough).  Pair i of a workload
 runs the parent first when i is even and the change first when it is odd.
 For every end-to-end metric of BENCHMARK.json the file lists both sides' runs,
-their medians and quartiles, the pairs the change wins and the median's
-relative change.  Every run takes the run length of BENCHMARK.json.
+their medians and quartiles, the pairs the change wins, the median's
+relative change and ``claim_rule_met``: whether the change wins at least 9
+of every 10 pairs and its median beats the parent's by more than the
+parent's interquartile range.  Every run takes the run length of BENCHMARK.json.
 ``--traced`` adds one ``--trace 1`` pair per workload.  The
 file is rewritten after every run, so an interrupted session keeps what it
 measured.  Standard library only.
@@ -73,14 +75,34 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     out["change_wins"] = sum(wins)
     out["pairs"] = len(wins)
     out["rel_change"] = out["change_median"] / out["parent_median"] - 1.0
+    gain = out["change_median"] - out["parent_median"]
+    if better == "lower":
+        gain = -gain
+    out["claim_rule_met"] = (
+        10 * out["change_wins"] >= 9 * out["pairs"]
+        and gain > out["parent_q3"] - out["parent_q1"]
+    )
     return out
 
 
-def parse_pairs(items: list[str]) -> dict[str, int]:
+def parse_pairs(items: list[str], workloads: list[str]) -> dict[str, int]:
+    """``WORKLOAD=N`` items as a dict; ValueError unless each names one of
+    ``workloads`` and a count of at least 1."""
     pairs = {}
     for item in items:
         workload, _, count = item.partition("=")
-        pairs[workload] = int(count)
+        if workload not in workloads:
+            raise ValueError(
+                f"unknown workload {workload!r} in --pairs {item}"
+                f" (choose from {', '.join(workloads)})"
+            )
+        try:
+            n = int(count)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ValueError(f"--pairs {item}: the count must be an integer of at least 1")
+        pairs[workload] = n
     return pairs
 
 
@@ -99,9 +121,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_N.json to write")
     args = parser.parse_args(argv)
 
+    known = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    try:
+        pairs = parse_pairs(args.pairs, [w["name"] for w in known])
+    except ValueError as exc:
+        parser.error(str(exc))
     commits = {"parent": git(ROOT, "rev-parse", args.parent),
                "change": git(ROOT, "rev-parse", args.change)}
-    pairs = parse_pairs(args.pairs)
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     clones = {side: work / side for side in SIDES}
     for side in SIDES:
