@@ -9,25 +9,33 @@ TAU = 2.0 * math.pi
 
 
 def wrap_angle(angle: float) -> float:
-    """Wrap a scalar angle to the principal interval (-pi, pi].
+    """Wrap a scalar angle to [-pi, pi], the interval of MATLAB's
+    ``wrapToPi``: the IEEE remainder of ``angle`` by TAU.
 
-    The reference definition.  The code that runs on every trial step (the
-    vehicle step, the switched law, the circle's frame and the trial loop)
-    writes these same two steps inline to save the call.
+    The result is exact.  At a tie, an odd multiple of pi, the quotient is
+    the even integer, so pi and -3 pi wrap to pi, and -pi and 3 pi to -pi.
+    Every consumer reads a wrapped angle through ``abs``, ``sin``, ``cos`` or
+    another wrap, so either sign serves.  The per-step code calls
+    ``math.remainder(x, TAU)`` directly to save the call.
     """
-    wrapped = math.remainder(angle, TAU)
-    if wrapped <= -PI:
-        wrapped += TAU
-    return wrapped
+    return math.remainder(angle, TAU)
 
 
 def wrap_angle_array(angles: np.ndarray) -> np.ndarray:
-    """Wrap an array of angles to (-pi, pi], each to the bit as :func:`wrap_angle`.
+    """Wrap an array of angles to [-pi, pi], each to the bit as :func:`wrap_angle`.
 
     ``fmod`` is exact, and so is the one shift by TAU after it (the operands
     are within a factor of two), so both functions return the exact
-    representative of the angle modulo TAU.
+    representative of the angle modulo TAU.  Where that is +-pi, the angle
+    is a tie, and its sign follows the even quotient, as in ``remainder``:
+    ``fmod`` truncated the quotient to trunc(angle / TAU), and the nearest
+    integer on the other side is the even one when the truncated one is odd.
+    At a tie the quotient is an integer plus one half, so the float division
+    gives it exactly.
     """
-    wrapped = np.fmod(np.asarray(angles, dtype=float), TAU)
-    wrapped = np.where(wrapped > math.pi, wrapped - TAU, wrapped)
-    return np.where(wrapped <= -math.pi, wrapped + TAU, wrapped)
+    angles = np.asarray(angles, dtype=float)
+    wrapped = np.fmod(angles, TAU)
+    wrapped = np.where(wrapped > PI, wrapped - TAU, wrapped)
+    wrapped = np.where(wrapped < -PI, wrapped + TAU, wrapped)
+    odd = np.fmod(np.trunc(angles / TAU), 2.0) != 0.0
+    return np.where((np.abs(wrapped) == PI) & odd, -wrapped, wrapped)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
-from .angles import PI, TAU
+from .angles import TAU
 from .paths import PathFrame
 
 HALF_PI = 0.5 * math.pi
@@ -99,7 +99,14 @@ class GuidanceParams:
             raise ValueError("n, m must be odd co-prime integers with 0 < n < m")
         if self.reaching not in ("sat", "sign"):
             raise ValueError("reaching must be 'sat' or 'sign'")
-        object.__setattr__(self, "k3", self.k1 / (self.d_s * self.d_s))
+        d_s_sq = self.d_s * self.d_s
+        k3 = self.k1 / d_s_sq if d_s_sq > 0.0 else math.inf
+        if not 0.0 < k3 < math.inf:
+            raise ValueError(
+                f"k1 = {self.k1!r} and d_s = {self.d_s!r} give the far-field gain"
+                f" k3 = k1 / d_s**2 = {k3!r}, which must be positive and finite"
+            )
+        object.__setattr__(self, "k3", k3)
 
 
 def sat(x: float) -> float:
@@ -157,41 +164,26 @@ def commanded_course(
     scale = params.chi_inf * (2.0 / math.pi)
     remainder = math.remainder
 
-    # Each wrap to (-pi, pi] below is wrap_angle written inline.
     if abs(d) < params.d_s:
         k1d = params.k1 * d
         chi_d = remainder(chi_p - scale * math.atan(k1d), TAU)
-        if chi_d <= -PI:
-            chi_d += TAU
         gain = params.k1 / (1.0 + k1d * k1d)
         phase = GuidancePhase.CASE3
         chi_tilde = remainder(chi - chi_d, TAU)
-        if chi_tilde <= -PI:
-            chi_tilde += TAU
     else:
         k3d3 = params.k3 * d**3
         chi_d = remainder(chi_p - scale * math.atan(k3d3), TAU)
-        if chi_d <= -PI:
-            chi_d += TAU
         gain = 3.0 * params.k3 * d * d / (1.0 + k3d3 * k3d3)
         margin = 0.0 if prev_phase is None else params.delta_hys
         chi_tilde = remainder(chi - chi_d, TAU)
-        if chi_tilde <= -PI:
-            chi_tilde += TAU
         if abs(chi_tilde) > HALF_PI + margin:
             chi_d = remainder(chi_d + rho * HALF_PI, TAU)
-            if chi_d <= -PI:
-                chi_d += TAU
             chi_tilde = remainder(chi - chi_d, TAU)
-            if chi_tilde <= -PI:
-                chi_tilde += TAU
             phase = GuidancePhase.CASE1
         else:
             phase = GuidancePhase.CASE2
 
     track = remainder(chi - chi_p, TAU)
-    if track <= -PI:
-        track += TAU
     feedforward = frame.chi_p_dot - scale * gain * v_g * math.sin(track)
 
     if phase is GuidancePhase.CASE1:
@@ -204,8 +196,6 @@ def commanded_course(
             reaching = -beta * math.copysign(1.0, chi_tilde) if chi_tilde else 0.0
 
     chi_c = remainder(chi + (feedforward + reaching) / params.alpha, TAU)
-    if chi_c <= -PI:
-        chi_c += TAU
     return chi_c, chi_d, phase, None, ()
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .angles import PI, TAU, wrap_angle
+from .angles import TAU, wrap_angle
 
 # Polyline neighbour list and sinusoid basin: the skin is the larger of the
 # first two, and the 1 mm slack on the reach covers the rounding of the
@@ -48,7 +48,7 @@ class PathFrame:
     Attributes:
         s_star: path parameter of the closest point.
         p_ref: closest point on the path (m).
-        chi_p: path tangent angle at the closest point, wrapped to (-pi, pi].
+        chi_p: path tangent angle at the closest point, wrapped to [-pi, pi].
         d: signed cross-track error (m); |d| is the distance to p_ref.
         rho: side indicator, +1 on the positive-d side, -1 otherwise.
         chi_p_dot: path course rate (rad/s); 0 until filled by the caller.
@@ -260,9 +260,7 @@ class CirclePath(ReferencePath):
     def frame_at(self, s_star, p):
         # s_min is 0, so this is _clip_parameter's wrap into [0, 2*pi*R).
         theta = (s_star % self.s_max) / self.radius
-        chi_p = math.remainder(theta + 0.5 * math.pi, TAU)  # wrap_angle inline
-        if chi_p <= -PI:
-            chi_p += TAU
+        chi_p = math.remainder(theta + 0.5 * math.pi, TAU)
         rx = self.cx + self.radius * math.cos(theta)
         ry = self.cy + self.radius * math.sin(theta)
         return _path_frame(s_star, rx, ry, chi_p, p)
@@ -328,15 +326,31 @@ class SinusoidPath(ReferencePath):
         # to a point p has q''/2 = c + u (b - 2 (Aw)^2 u), b = A w^2 py and
         # c = 1 + (Aw)^2: a concave quadratic in u, whatever px.
         self._kappa_max = aw * self.omega
-        self._slope_sq = aw**2
+        self._check_derived("peak curvature A w^2", self._kappa_max)
+        try:
+            self._slope_sq = aw**2
+        except OverflowError:
+            self._slope_sq = math.inf
+        self._check_derived("squared peak slope (A w)^2", self._slope_sq)
         # Certified radius of the warm start.  If some path point lies at
         # distance r from p, every s within r of px has |A sin(ws) - py| <=
         # (1 + 2Aw) r, so q'' >= 2 (1 - (1 + 2Aw) r Aw^2) there, positive for
         # r below this radius.
         self.r_cert = 1.0 / self._kappa_max / (1.0 + 2.0 * aw)
+        self._check_derived("certified radius 1 / (A w^2 (1 + 2 A w))", self.r_cert)
         # (x0, y0, skin^2, a, b) of the last basin rebuild; the negative
         # skin^2 of the empty start makes the first tracked call rebuild.
         self._basin: tuple = (0.0, 0.0, -1.0, math.inf, -math.inf)
+
+    def _check_derived(self, name: str, value: float) -> None:
+        """ValueError, naming amplitude and period, unless the constant
+        ``value`` they give is positive and finite: a derived constant can
+        underflow or overflow where neither input does."""
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"amplitude = {self.amplitude!r} and period = {self.period!r} give the"
+                f" {name} = {value!r}, which must be positive and finite"
+            )
 
     def point(self, s: float) -> tuple[float, float]:
         s = self._clip_parameter(s)

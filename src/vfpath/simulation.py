@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .angles import PI, TAU, wrap_angle, wrap_angle_array
+from .angles import TAU, wrap_angle, wrap_angle_array
 from .baselines import (
     BaselineParams,
     LookaheadInfeasibleError,
@@ -94,7 +94,7 @@ class ScenarioConfig:
     dwell: float = 5.0
     stop_when_converged: bool = True
     nlgl_d0: float = 80.0
-    kappa_max: float = 0.7 / 15.0
+    kappa_max: float = 0.7 / SCENARIO_SPEED
 
     def __post_init__(self):
         check_laws((self.law,))
@@ -332,30 +332,21 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
             s_back = s_last
             frame = path.frame_at(path.closest_parameter(p, near=near), p)
             # Path course rate; on the first step it keeps the frame's default 0.
-            turn = remainder(frame.chi_p - prev_frame.chi_p, TAU)  # wrap_angle inline
-            if turn <= -PI:
-                turn += TAU
-            frame.chi_p_dot = turn / dt
+            frame.chi_p_dot = remainder(frame.chi_p - prev_frame.chi_p, TAU) / dt
         prev_frame = frame
         v_g = ground_speed(spec, wind, chi)
 
         cmd = law_step(config, x, y, chi, frame, v_g, cmd)
         chi_c, chi_d, phase, failure, _ = cmd
         # turn_rate(chi_c, chi, alpha); GuidanceParams proved alpha > 0.
-        course_error = remainder(chi_c - chi, TAU)
-        if course_error <= -PI:
-            course_error += TAU
-        chi_dot = alpha * course_error
+        chi_dot = alpha * remainder(chi_c - chi, TAU)
         rows.append((k * dt, x, y, chi, chi_c, chi_d, chi_dot, frame.d, phase, frame.chi_p))
         if failure is not None:
             break
 
         # compute_metrics scores convergence; the streak only decides the stop.
         if stop_early:
-            align = remainder(chi - frame.chi_p, TAU)  # wrap_angle inline
-            if align <= -PI:
-                align += TAU
-            if abs(frame.d) <= d_thr and abs(align) <= align_thr:
+            if abs(frame.d) <= d_thr and abs(remainder(chi - frame.chi_p, TAU)) <= align_thr:
                 streak += 1
                 if streak > need:
                     break
@@ -534,9 +525,10 @@ def monte_carlo(
     ``i`` draws its initial offset, initial course and wind once and every law
     is run on that same draw, so the laws are compared on paired conditions.
     ``workers`` processes run the trials (None: ``os.cpu_count()``; 1: this
-    process; a count below 1 raises ValueError before any trial runs).  Results come back in job order (law, then trial index), so the
-    summary does not depend on the worker count.  Non-converged trials are
-    excluded from the t_conv statistics and counted by ``n_converged``.
+    process; a count below 1 raises ValueError before any trial runs).
+    Results come back in job order (law, then trial index), so the summary
+    does not depend on the worker count.  Non-converged trials are excluded
+    from the t_conv statistics and counted by ``n_converged``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .angles import PI, TAU, wrap_angle
+from .angles import TAU, wrap_angle
 
 
 class WindInfeasibleError(ValueError):
@@ -111,10 +111,9 @@ def step_vehicle(
     already holds ``ground_speed(spec, wind, chi)`` and ``turn_rate(chi_c,
     chi, alpha)`` at the state's course passes them as ``v_g`` and
     ``chi_dot``: they are the first stage, which is then not evaluated
-    again.  The other stages write
-    both inline, with each wrap to (-pi, pi] done as
-    :func:`~vfpath.angles.wrap_angle` does it.  The returned course is
-    wrapped to (-pi, pi].
+    again.  The other stages write both inline, each wrap as
+    ``math.remainder(x, TAU)``.  The returned course is wrapped to
+    [-pi, pi].
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -130,20 +129,11 @@ def step_vehicle(
     cos, sin, remainder = math.cos, math.sin, math.remainder
     half = 0.5 * dt
     chi2 = chi + half * chi_dot
-    err = remainder(chi_c - chi2, TAU)
-    if err <= -PI:
-        err += TAU
-    r2 = alpha * err
+    r2 = alpha * remainder(chi_c - chi2, TAU)
     chi3 = chi + half * r2
-    err = remainder(chi_c - chi3, TAU)
-    if err <= -PI:
-        err += TAU
-    r3 = alpha * err
+    r3 = alpha * remainder(chi_c - chi3, TAU)
     chi4 = chi + dt * r3
-    err = remainder(chi_c - chi4, TAU)
-    if err <= -PI:
-        err += TAU
-    r4 = alpha * err
+    r4 = alpha * remainder(chi_c - chi4, TAU)
     c1, s1 = cos(chi), sin(chi)
     c2, s2 = cos(chi2), sin(chi2)
     c3, s3 = cos(chi3), sin(chi3)
@@ -160,8 +150,6 @@ def step_vehicle(
         v4 = math.sqrt(v_a_sq - w_perp * w_perp) + w_x * c4 + w_y * s4
     sixth = dt / 6.0
     chi_next = remainder(chi + sixth * (chi_dot + 2.0 * r2 + 2.0 * r3 + r4), TAU)
-    if chi_next <= -PI:
-        chi_next += TAU
     return (
         x + sixth * (v_g * c1 + 2.0 * (v2 * c2) + 2.0 * (v3 * c3) + v4 * c4),
         y + sixth * (v_g * s1 + 2.0 * (v2 * s2) + 2.0 * (v3 * s3) + v4 * s4),

@@ -253,9 +253,9 @@ def peak_field_rate_numeric(
     return rate(d_star)
 
 
-# Oracles for the per-step code, which writes each wrap to (-pi, pi] and
-# each ground speed inline: the same arithmetic, operation for operation,
-# through wrap_angle and a ground-speed helper.
+# Oracles for the per-step code, which calls math.remainder for each wrap to
+# [-pi, pi] and writes each ground speed inline: the same arithmetic,
+# operation for operation, through wrap_angle and a ground-speed helper.
 
 
 def _helper_ground_speed(

@@ -477,6 +477,31 @@ class TestCli:
         assert key in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("path", "amplitude", "1e-300"),  # (A w)^2 underflows to 0
+            ("path", "amplitude", "1e300"),  # (A w)^2 overflows
+            ("path", "period", "1e-300"),  # A w^2 overflows
+            ("path", "period", "1e300"),  # A w^2 underflows to 0
+            ("guidance", "d_s", "1e-300"),  # k3 = k1 / d_s^2 overflows
+            ("guidance", "d_s", "1e300"),  # k3 underflows to 0
+        ],
+    )
+    def test_derived_constant_out_of_range_exits_2(
+        self, command, section, key, value, tmp_path, capsys
+    ):
+        # Each value passes its own key's check; the constant derived from
+        # it does not.
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n\n[sim]\nmax_time = 3\n")
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"{key} = {float(value)!r}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_polyline_vertex_exits_2(self, bad, tmp_path, capsys):
         points = tmp_path / "points.csv"

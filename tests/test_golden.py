@@ -3,7 +3,8 @@
 ``vfpath compare --seed 0`` and ``vfpath montecarlo --seed 42 --trials 8
 --serial --per-trial`` are rerun in a temporary directory and every file
 they write is hashed, and so are the files ``vfpath validate`` writes for
-five configurations, with its exit code.  The digests were recorded on Python 3.11.7 with numpy
+five configurations, with its exit code, and the files ``vfpath run --seed 3``
+writes on a line, a circle and a polyline under a fixed wind.  The digests were recorded on Python 3.11.7 with numpy
 2.4.6; other numpy or libm builds may round a last digit differently.  A
 change that means to alter these bytes re-records the digests and says so.
 """
@@ -79,5 +80,42 @@ def test_validate_outputs_match_golden_digests(config, tmp_path, capsys):
     exit_code, golden = VALIDATE_GOLDEN[config]
     assert main(["validate", "--config", str(cfg), "--out", str(out)]) == exit_code
     assert capsys.readouterr().out == (out / "feasibility.txt").read_text()
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == golden
+
+
+# A square flown counter-clockwise: its headings step from pi to -pi/2.
+SQUARE = "x,y\n0,0\n600,0\n600,600\n0,600\n0,0\n"
+WIND = "[sim]\nwind_x = 2\nwind_y = -1.5\n"
+
+# vfpath run --seed 3: config text -> digests of the files it writes.  The
+# line's course and the circle's and the square's path courses cross +-pi.
+RUN_GOLDEN = {
+    "line": ("[path]\nkind = line\nheading = -3.0\n" + WIND, {
+        "metrics_switched.csv": "704e82da23308260ec03d1cc9c2553f13aec097a2ccbd3cbd24250cfb827d968",
+        "trajectory_switched.csv": "bedadb7f1b692c6471508eb7fd0d410b1c65809b9d48c75604cdd411e7f67b0a",
+    }),
+    "circle": ("[path]\nkind = circle\n" + WIND + "stop_when_converged = false\nmax_time = 140\n", {
+        "metrics_switched.csv": "52477e1fd2c75dea57bd0f07c43be8fdfbbadc36ab28de54aab628a8815c1fa6",
+        "trajectory_switched.csv": "fa2c46bc1dce378547846366a37ad7a690184c6489071b8b4b19192891a087c5",
+    }),
+    "polyline": ("[path]\nkind = polyline\nfile = {square}\n" + WIND
+                 + "stop_when_converged = false\nmax_time = 160\n", {
+        "metrics_switched.csv": "ac9a44980783784e53373e3d93073d42eb2e7685b76687d7ebd5db794ee309b3",
+        "trajectory_switched.csv": "e2174bd373d3dcb1a8471c8547aff5b4ce4d9fb42edc349daca09052ff3d27fd",
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", list(RUN_GOLDEN))
+def test_run_outputs_match_golden_digests(kind, tmp_path, capsys):
+    square = tmp_path / "square.csv"
+    square.write_text(SQUARE)
+    config, golden = RUN_GOLDEN[kind]
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config.format(square=square))
+    out = tmp_path / "out"
+    assert main(["run", "--seed", "3", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert digests == golden

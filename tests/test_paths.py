@@ -973,14 +973,14 @@ class TestCourseRate:
     def test_reversed_tangent_rate_wraps_minus_pi(self, monkeypatch):
         # The second leg doubles back over the first: at the vertex the
         # tangent turns from pi/2 to -pi/2, a change of exactly -pi, which
-        # wraps to +pi.
+        # the wrap keeps at -pi (remainder's tie goes to the even quotient 0).
         dt = 0.01
         path = PolylinePath([(0.0, 0.0), (0.0, 100.0), (0.0, 0.0)])
         seen = course_rate_frames(monkeypatch, path, 90.0, dt=dt, max_time=1.0)
         assert (0.5 * math.pi, 0.0) in seen
         for (prev, _), (chi_p, rate) in zip(seen, seen[1:]):
             assert rate == wrap_angle(chi_p - prev) / dt
-        assert (-0.5 * math.pi, math.pi / dt) in seen
+        assert (-0.5 * math.pi, -math.pi / dt) in seen
 
     def test_circle_traversal_rate_constant(self, monkeypatch):
         # On a circle ridden at V_g = 15 m/s the rate is V_g / R.

@@ -270,7 +270,8 @@ class TestRunTrial:
 
     def test_recorded_turn_rate_wraps_minus_pi_as_turn_rate(self, monkeypatch):
         # A command exactly pi behind the course: chi_c - chi is -pi, which
-        # wraps to +pi, so the recorded rate is +alpha*pi.
+        # the wrap keeps at -pi (remainder's tie goes to the even quotient
+        # 0), so the recorded rate is -alpha*pi.
         def half_turn(chi, frame, params, prev_phase, v_g):
             return chi - math.pi, 0.0, 3, None, ()
 
@@ -278,7 +279,7 @@ class TestRunTrial:
         cfg = line_config(chi0=0.5 * math.pi, max_time=0.05)
         traj, _ = run_trial(cfg)
         alpha = cfg.guidance.alpha
-        assert traj.chi_dot[0] == alpha * math.pi
+        assert traj.chi_dot[0] == -alpha * math.pi
         for k in range(len(traj)):
             chi_c, chi = float(traj.chi_c[k]), float(traj.chi[k])
             assert traj.chi_dot[k] == turn_rate(chi_c, chi, alpha)

@@ -1,8 +1,9 @@
-"""The per-step code writes each wrap to (-pi, pi] and each ground speed
-inline.  These properties hold it to the bit to the oracles in
-``numeric_oracles``, which do the same arithmetic through ``wrap_angle`` and
-a ground-speed helper.  The examples put the argument of each wrap whose
-sign reaches the output exactly on -pi, where the wrap must return +pi.
+"""The per-step code calls ``math.remainder(x, TAU)`` for each wrap to
+[-pi, pi] and writes each ground speed inline.  These properties hold it to
+the bit to the oracles in ``numeric_oracles``, which do the same arithmetic
+through ``wrap_angle`` and a ground-speed helper.  The examples put the
+argument of each wrap whose sign reaches the output exactly on -pi or pi,
+where the wrap keeps the sign of the even quotient.
 Two wraps of the law have no such case: the course error of the phase test
 and of CASE1 enters only through its magnitude (a CASE2 error is at most
 about pi/2)."""
