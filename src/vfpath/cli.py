@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .config import ConfigError, build_scenario, dump_settings, load_settings
 from .guidance import validate_curvature_constraint
 from .paths import UnboundedCurvatureError
@@ -39,10 +41,14 @@ TRAJECTORY_ROW = ",".join(["%.9g"] * 8 + ["%d"])
 
 
 def write_trajectory_csv(traj: Trajectory, out_file: Path) -> None:
+    # One (n, 9) float table, formatted whole by one %; %d writes the
+    # phase's float as the integer it holds.
     columns = (traj.t, traj.x, traj.y, traj.chi, traj.chi_c, traj.chi_d, traj.chi_dot, traj.d)
-    rows = zip(*(c.tolist() for c in columns), traj.phase.tolist())
-    lines = [TRAJECTORY_HEADER, *(TRAJECTORY_ROW % row for row in rows)]
-    out_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.column_stack((*columns, traj.phase))
+    body = (TRAJECTORY_ROW + "\n") * len(table) % tuple(table.ravel().tolist())
+    with open(out_file, "w", encoding="utf-8") as fh:
+        fh.write(TRAJECTORY_HEADER + "\n")
+        fh.write(body)
 
 
 # Header of the fields _trial_fields writes for one trial in both trial CSVs.

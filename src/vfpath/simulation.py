@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional, Sequence
@@ -65,10 +64,11 @@ CHATTER_RATE_FLOOR = 1e-9
 # path's end, off the path, has flown off that end.
 PATH_END_TOL = 1e-6
 
-# Most steps (max_time / dt) a trial may plan.  run_trial keeps every step
-# as a row, about 0.6 kB at its peak (the row tuple, its floats and the
-# trajectory arrays built from them), so a full-length trial stays near
-# 0.6 GB.  That is 33 times the default 300 s at dt = 0.01 s.
+# Most steps (max_time / dt) a trial may plan.  run_trial keeps nine floats
+# a step, about 0.4 kB at its peak (the floats in one list and the
+# trajectory arrays built from them; tracemalloc over a 20,001-step trial),
+# so a full-length trial stays near 0.4 GB, and writing its trajectory CSV
+# near 0.5 GB.  That is 33 times the default 300 s at dt = 0.01 s.
 MAX_STEPS = 1_000_000
 
 
@@ -130,16 +130,48 @@ class ScenarioConfig:
         check_wind_speed(self.max_wind_speed, self.airspeed.v_a)
         if (self.x_init is None) != (self.y_init is None):
             raise ValueError("x_init and y_init give an explicit start: set both or neither")
+        path = self.path
         if self.x_init is None:
             try:
-                px, py = self.path.point(self.s0)
+                px, py = path.point(self.s0)
             except PathDomainError as exc:
                 raise ValueError(f"s0: {exc}") from None
             # The start lies |d0| from point(s0), so this bounds it without
             # the tangent: building a scenario runs no traced path method.
-            reach = abs(self.d0)
-            if not (math.isfinite(abs(px) + reach) and math.isfinite(abs(py) + reach)):
-                raise ValueError(f"the start, {reach} m from ({px}, {py}), is not finite")
+            offset = abs(self.d0)
+            if not (math.isfinite(abs(px) + offset) and math.isfinite(abs(py) + offset)):
+                raise ValueError(f"the start, {offset} m from ({px}, {py}), is not finite")
+            # vfpath compare starts nlgl nlgl_d0 off the path instead.
+            starts = {"d0": (self.d0, offset), "nlgl_d0": (self.nlgl_d0, abs(self.nlgl_d0))}
+        else:
+            # The start is at most this far from the path point at s0, clamped
+            # into the domain.
+            px, py = path.point(min(max(self.s0, path.s_min), path.s_max))
+            offset = abs(self.x_init - px) + abs(self.y_init - py)
+            starts = {"(x_init, y_init)": ((self.x_init, self.y_init), offset)}
+        # Nothing a trial computes may overflow: the vehicle squares the
+        # airspeed, compute_metrics sums the squared turn rate (at most
+        # alpha * pi) over every recorded step, and the switched law cubes
+        # the cross-track distance, which stays within the start's offset
+        # plus the reach (airspeed + max wind) * max_time.
+        v_a = self.airspeed.v_a
+        turn_max = self.guidance.alpha * math.pi
+        reach = (v_a + self.max_wind_speed) * self.max_time
+        if not math.isfinite(v_a * v_a):
+            raise ValueError(f"airspeed = {v_a!r} is too large: its square overflows")
+        if not math.isfinite(turn_max * turn_max * (self.max_time / self.dt + 1.0)):
+            raise ValueError(
+                f"alpha = {self.guidance.alpha!r} is too large: the sum of the squared"
+                " turn rates over the trial overflows"
+            )
+        for name, (value, offset) in starts.items():
+            far = offset + reach
+            if not math.isfinite(far * far * far):
+                raise ValueError(
+                    f"{name} = {value!r} starts {offset!r} m off the path; with the reach"
+                    f" {reach!r} m ((airspeed + max wind) * max_time) the cube of that"
+                    " distance overflows"
+                )
 
     @property
     def max_wind_speed(self) -> float:
@@ -314,8 +346,11 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     cmd: Optional[tuple] = None  # the law's previous step tuple
     streak = 0
     failure: Optional[str] = None
-    # One (t, x, y, chi, chi_c, chi_d, chi_dot, d, phase, chi_p) row per step.
-    rows: list[tuple] = []
+    # (x, y, chi, chi_c, chi_d, chi_dot, d, phase, chi_p) per step, appended
+    # to one flat list of floats, so no object of a step outlives it (t is
+    # k * dt, rebuilt after the loop).
+    rows: list[float] = []
+    record = rows.extend
 
     for k in range(n_max + 1):
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(chi)):
@@ -340,7 +375,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         chi_c, chi_d, phase, failure, _ = cmd
         # turn_rate(chi_c, chi, alpha); GuidanceParams proved alpha > 0.
         chi_dot = alpha * remainder(chi_c - chi, TAU)
-        rows.append((k * dt, x, y, chi, chi_c, chi_d, chi_dot, frame.d, phase, frame.chi_p))
+        record((x, y, chi, chi_c, chi_d, chi_dot, frame.d, phase, frame.chi_p))
         if failure is not None:
             break
 
@@ -365,10 +400,15 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
             f" {abs(frame.d):.1f} m away"
         )
 
-    *channels, phase, chi_p = zip(*rows)
+    table = np.array(rows, dtype=float).reshape(-1, 9)
+    del rows
     traj = Trajectory(
-        *map(np.asarray, channels), np.asarray(phase, dtype=np.int8), np.asarray(chi_p)
+        np.arange(len(table)) * dt,  # k * dt to the bit
+        *(table[:, i].copy() for i in range(7)),
+        table[:, 7].astype(np.int8),
+        table[:, 8].copy(),
     )
+    del table
     metrics = compute_metrics(traj, config, failure_reason=failure)
     return traj, metrics
 
@@ -547,6 +587,9 @@ def monte_carlo(
     if workers is None:
         workers = os.cpu_count() or 1
     if workers > 1 and len(jobs) > 1:
+        # Imported here: multiprocessing costs every process that starts no pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(jobs) // (workers * 8))
             outcomes = list(pool.map(run_job, jobs, chunksize=chunk))

@@ -64,3 +64,27 @@ def test_claim_rule(bench_pairs, parent, change, better, met):
     out = bench_pairs.summarize(parent, change, better)
     assert out["pairs"] == 10
     assert out["claim_rule_met"] is met
+
+
+@pytest.mark.parametrize("stop", [SystemExit("run failed"), KeyboardInterrupt()])
+def test_failed_run_removes_the_clones(bench_pairs, monkeypatch, tmp_path, stop):
+    clones = []
+
+    def fake_clone(commit, dest):
+        dest.mkdir()
+        manifest = (TOOL.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8")
+        (dest / "BENCHMARK.json").write_text(manifest, encoding="utf-8")
+        clones.append(dest)
+
+    def failing_run(*args):
+        raise stop
+
+    monkeypatch.setattr(bench_pairs, "git", lambda repo, *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "clone_at", fake_clone)
+    monkeypatch.setattr(bench_pairs, "run_bench", failing_run)
+    argv = ["--parent", "HEAD", "--change", "HEAD", "--seed", "1",
+            "--pairs", "capture_paths=1", "--out", str(tmp_path / "out.json")]
+    with pytest.raises(type(stop)):
+        bench_pairs.main(argv)
+    assert len(clones) == 2
+    assert not clones[0].parent.exists()

@@ -466,6 +466,17 @@ class TestCli:
             (["run", "--dt", "1e-9"], "", "dt = 1e-09"),
             # 2e6 steps at the default dt: the error names max_time too.
             (["run"], "[sim]\nmax_time = 20000\n", "max_time = 20000"),
+            # Finite values whose squares or cubes a trial would overflow.
+            (["run"], "[vehicle]\nairspeed = 1e300\n", "airspeed = 1e+300"),
+            (
+                ["montecarlo", "--trials", "2", "--serial"],
+                "[vehicle]\nairspeed = 1e300\n",
+                "airspeed = 1e+300",
+            ),
+            (["run"], "[vehicle]\nalpha = 1e300\n", "alpha = 1e+300"),
+            (["run"], "[sim]\nd0 = 1e150\n", "d0 = 1e+150"),
+            (["compare"], "[sim]\nnlgl_d0 = 1e300\n", "nlgl_d0 = 1e+300"),
+            (["run"], "[sim]\nx_init = 1e300\ny_init = 0\n", "(x_init, y_init) = (1e+300, 0.0)"),
         ],
     )
     def test_bad_scenario_value_exits_2(self, command, config, key, tmp_path, capsys):
@@ -546,3 +557,48 @@ class TestCli:
         assert captured.err.startswith(f"error: cannot write output to {out}: ")
         assert captured.out == ""
         assert out.read_text(encoding="utf-8") == "keep\n"
+
+
+# Every numeric INI key, each swept alone over extreme values.
+_NUMERIC_KEYS = [
+    (section, key)
+    for section, keys in SCHEMA.items()
+    for key, (kind, _) in keys.items()
+    if kind not in (str, bool)
+]
+_EXTREMES = ["0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "1e-9"]
+_SWEEP_COMMANDS = [
+    ["run"], ["validate"], ["compare"], ["montecarlo", "--trials", "2", "--serial"]
+]
+# A line _print_metrics writes: the status, a failure reason in parentheses
+# if any, then the scores.
+_METRICS_LINE = re.compile(r"\w+: (?P<status>.*?)  t_conv=\S+ s  (?P<scores>d_rms=.*)")
+
+
+@pytest.mark.parametrize("section, key", _NUMERIC_KEYS)
+def test_extreme_value_ends_in_a_result_or_exit_2(section, key, tmp_path, capsys):
+    # Each value passes its key's own check, or fails it with exit 2; a
+    # quantity derived from it must not end the run in a traceback, nor a
+    # trial without a failure reason in a nan score (t_conv is nan whenever
+    # a trial does not converge).
+    out = str(tmp_path / "o")
+    for value in _EXTREMES:
+        settings = {"sim": {"max_time": "3"}}
+        settings.setdefault(section, {})[key] = value
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(
+            "".join(
+                f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                for name, keys in settings.items()
+            )
+        )
+        for command in _SWEEP_COMMANDS:
+            rc = main([*command, "--config", str(cfg), "--out", out])
+            assert rc in (0, 1, 2), (command, value)
+            printed = capsys.readouterr().out
+            if command[0] in ("run", "compare"):
+                for line in printed.splitlines():
+                    match = _METRICS_LINE.fullmatch(line)
+                    assert match, line
+                    if "(" not in match["status"]:
+                        assert "nan" not in match["scores"], (command, value, line)

@@ -1,3 +1,5 @@
+import concurrent.futures
+import gc
 import importlib.util
 import math
 from dataclasses import replace
@@ -305,6 +307,42 @@ class TestRunTrial:
         steps = np.hypot(np.diff(traj.x), np.diff(traj.y))
         assert np.allclose(steps, 15.0 * cfg.dt, atol=1e-9)
 
+    def test_channels_are_separate_arrays(self):
+        # A channel that were a view of one shared table would keep the whole
+        # table alive in every kept Trajectory.
+        config = line_config(max_time=2.0)
+        traj, _ = run_trial(config)
+        for name in Trajectory.__dataclass_fields__:
+            channel = getattr(traj, name)
+            assert channel.base is None and channel.flags.c_contiguous, name
+            assert channel.dtype == (np.int8 if name == "phase" else np.float64), name
+        assert traj.t.tolist() == [k * config.dt for k in range(len(traj))]
+
+    def test_loop_leaves_nothing_for_the_garbage_collector(self):
+        # Each step's objects die within the step, so a 6,001-step trial
+        # triggers next to no collection (a kept row tuple per step made 17).
+        config = benchmark_scenario("switched", stop_when_converged=False, max_time=60.0)
+        run_trial(config)
+        gc.collect()
+        enabled, thresholds = gc.isenabled(), gc.get_threshold()
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.enable()
+        gc.set_threshold(700, 10, 10)
+        gc.callbacks.append(count)
+        try:
+            run_trial(config)
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*thresholds)
+            if not enabled:
+                gc.disable()
+        assert len(collections) <= 2, collections
+
     def test_dt_refinement_stability(self):
         coarse = benchmark_scenario()
         fine = benchmark_scenario(dt=0.005)
@@ -474,7 +512,7 @@ class TestMonteCarlo:
             raise AssertionError("a trial started before the worker count was checked")
 
         monkeypatch.setattr(simulation, "_mc_job", no_trials)
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_trials)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_trials)
         with pytest.raises(ValueError, match="workers must be at least 1"):
             monte_carlo(benchmark_scenario(), 2, 0, workers=workers)
 
@@ -488,7 +526,7 @@ class TestMonteCarlo:
             raise AssertionError("a trial started before the scenario was checked")
 
         monkeypatch.setattr(simulation, "_mc_job", no_trials)
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_trials)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_trials)
         with pytest.raises(ValueError, match="must be below the airspeed"):
             monte_carlo(base, 2, 0, workers=2 if parallel else 1)
 

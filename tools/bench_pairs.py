@@ -129,6 +129,19 @@ def main(argv: list[str] | None = None) -> int:
     commits = {"parent": git(ROOT, "rev-parse", args.parent),
                "change": git(ROOT, "rev-parse", args.change)}
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    # A failed run (run_bench's SystemExit) or Ctrl-C still removes both clones.
+    try:
+        measure(args, pairs, commits, work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    print(f"wrote {args.out}", file=sys.stderr)
+    return 0
+
+
+def measure(args: argparse.Namespace, pairs: dict[str, int], commits: dict[str, str],
+            work: Path) -> None:
+    """Clone both commits into ``work`` and run the pairs, rewriting
+    ``args.out`` after every run."""
     clones = {side: work / side for side in SIDES}
     for side in SIDES:
         clone_at(commits[side], clones[side])
@@ -204,9 +217,6 @@ def main(argv: list[str] | None = None) -> int:
                     **out, "git_commit": environments[side]["git_commit"]
                 }
                 save()
-    shutil.rmtree(work, ignore_errors=True)
-    print(f"wrote {args.out}", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":
