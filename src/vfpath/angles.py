@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 PI = math.pi
+HALF_PI = 0.5 * math.pi
 TAU = 2.0 * math.pi
 
 

@@ -11,10 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .angles import wrap_angle
+from .angles import HALF_PI, wrap_angle
 from .paths import PathFrame, ReferencePath
-
-HALF_PI = 0.5 * math.pi
 
 
 class LookaheadInfeasibleError(RuntimeError):

@@ -31,10 +31,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
-from .angles import TAU
+from .angles import HALF_PI, TAU
 from .paths import PathFrame
-
-HALF_PI = 0.5 * math.pi
 
 
 class GuidancePhase(IntEnum):

@@ -1,11 +1,12 @@
 """Planar reference paths and the moving path frame used by all guidance laws.
 
-Every path kind exposes ``point(s)`` and ``tangent_angle(s)`` over a stated
-parameter domain and answers two geometric queries exactly: the closest
-parameter to a point (``closest_parameter``, which fills a :class:`PathFrame`)
-and the forward-most parameter at a given distance from it
-(``lookahead_parameter``, the NLGL look-ahead target).  Each kind also states
-its exact peak curvature over the domain (``peak_curvature``).
+Every path kind states its curve once, as the point and tangent angle at a
+parameter of a stated domain (``_pose``), which ``point(s)``,
+``tangent_angle(s)`` and ``frame_at`` read.  It answers two geometric queries
+exactly: the closest parameter to a point (``closest_parameter``, which fills
+a :class:`PathFrame`) and the forward-most parameter at a given distance from
+it (``lookahead_parameter``, the NLGL look-ahead target).  Each kind also
+states its exact peak curvature over the domain (``peak_curvature``).
 
 Sign convention: the cross-track error ``d`` is the component of the
 displacement (vehicle minus closest point) along the path tangent rotated by
@@ -31,6 +32,13 @@ from .angles import TAU, wrap_angle
 SKIN_MIN = 5.0
 SKIN_FRAC = 0.1
 SLACK = 1e-3
+
+
+def _skin_and_reach(r0: float) -> tuple[float, float]:
+    """Skin max(SKIN_MIN, SKIN_FRAC r0) and reach r0 + 2 skin + SLACK of a
+    neighbour list or basin rebuilt at distance r0 from the path."""
+    skin = max(SKIN_MIN, SKIN_FRAC * r0)
+    return skin, r0 + 2.0 * skin + SLACK
 
 
 class PathDomainError(ValueError):
@@ -65,10 +73,11 @@ class PathFrame:
 class ReferencePath:
     """Base class for planar reference paths.
 
-    A path kind defines ``s_min``/``s_max``, ``point`` and ``tangent_angle``,
-    answers both geometric queries exactly (``closest_parameter`` and
-    ``lookahead_parameter``) and states its exact ``peak_curvature``.  The
-    base class has no answer of its own.
+    A path kind defines ``s_min``/``s_max`` and states its curve once, in
+    ``_pose``; ``point``, ``tangent_angle`` and ``frame_at`` read it after
+    ``_clip_parameter``.  Each kind answers both geometric queries exactly
+    (``closest_parameter`` and ``lookahead_parameter``) and states its exact
+    ``peak_curvature``.  The base class has no answer of its own.
     """
 
     s_min: float
@@ -76,22 +85,28 @@ class ReferencePath:
     #: True when the parameter wraps around (closed curves).
     periodic: bool = False
 
-    def point(self, s: float) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def tangent_angle(self, s: float) -> float:
+    def _pose(self, s: float) -> tuple[float, float, float]:
+        """(x, y, chi_p): the point and the tangent angle, wrapped to
+        [-pi, pi], at a parameter ``s`` inside the domain (on a periodic
+        path, inside the first lap)."""
         raise NotImplementedError
 
     def _clip_parameter(self, s: float) -> float:
+        """``s`` wrapped into the first lap of a periodic path; on any
+        other, ``s`` itself, or PathDomainError outside the domain."""
         if self.periodic:
             span = self.s_max - self.s_min
             return self.s_min + (s - self.s_min) % span
         if s < self.s_min or s > self.s_max:
-            raise self._domain_error(s)
+            raise PathDomainError(f"parameter {s!r} outside domain [{self.s_min}, {self.s_max}]")
         return s
 
-    def _domain_error(self, s: float) -> PathDomainError:
-        return PathDomainError(f"parameter {s!r} outside domain [{self.s_min}, {self.s_max}]")
+    def point(self, s: float) -> tuple[float, float]:
+        x, y, _ = self._pose(self._clip_parameter(s))
+        return (x, y)
+
+    def tangent_angle(self, s: float) -> float:
+        return self._pose(self._clip_parameter(s))[2]
 
     def closest_parameter(self, p: Sequence[float], near: Optional[float] = None) -> float:
         """Global minimizer of the distance from ``p`` to the path; ties go
@@ -125,26 +140,16 @@ class ReferencePath:
         return self.frame_at(s_star, (float(p[0]), float(p[1])))
 
     def frame_at(self, s_star: float, p: Sequence[float]) -> PathFrame:
-        """Path frame of ``p`` with its closest point at ``s_star``, from
-        ``point`` and ``tangent_angle``.  Each path kind overrides it with
-        the same values from one domain check and one evaluation."""
-        rx, ry = self.point(s_star)
-        return _path_frame(s_star, rx, ry, self.tangent_angle(s_star), p)
-
-
-def _path_frame(
-    s_star: float, rx: float, ry: float, chi_p: float, p: Sequence[float]
-) -> PathFrame:
-    """Frame of ``p`` relative to the path point (rx, ry) at ``s_star``,
-    where the tangent angle is ``chi_p``: the signed cross-track error and
-    the side indicator."""
-    ux, uy = p[0] - rx, p[1] - ry
-    cross = math.cos(chi_p) * uy - math.sin(chi_p) * ux
-    dist = math.hypot(ux, uy)
-    # |d| is the true Euclidean distance even when the minimizer sits on
-    # a domain boundary and the displacement is not perpendicular.
-    d = math.copysign(dist, cross) if cross != 0.0 else dist
-    return PathFrame(s_star, (rx, ry), chi_p, d, 1 if d >= 0.0 else -1)
+        """Frame of ``p`` with its closest point at ``s_star``: the signed
+        cross-track error and the side indicator."""
+        rx, ry, chi_p = self._pose(self._clip_parameter(s_star))
+        ux, uy = p[0] - rx, p[1] - ry
+        cross = math.cos(chi_p) * uy - math.sin(chi_p) * ux
+        dist = math.hypot(ux, uy)
+        # |d| is the true Euclidean distance even when the minimizer sits on
+        # a domain boundary and the displacement is not perpendicular.
+        d = math.copysign(dist, cross) if cross != 0.0 else dist
+        return PathFrame(s_star, (rx, ry), chi_p, d, 1 if d >= 0.0 else -1)
 
 
 def _check_finite(**values: float) -> None:
@@ -189,19 +194,8 @@ class LinePath(ReferencePath):
         self._cos = math.cos(self.heading)
         self._sin = math.sin(self.heading)
 
-    def point(self, s: float) -> tuple[float, float]:
-        s = self._clip_parameter(s)
-        return (self.x0 + s * self._cos, self.y0 + s * self._sin)
-
-    def tangent_angle(self, s: float) -> float:
-        self._clip_parameter(s)
-        return self.heading
-
-    def frame_at(self, s_star, p):
-        if s_star < self.s_min or s_star > self.s_max:
-            raise self._domain_error(s_star)
-        rx, ry = self.x0 + s_star * self._cos, self.y0 + s_star * self._sin
-        return _path_frame(s_star, rx, ry, self.heading, p)
+    def _pose(self, s):
+        return self.x0 + s * self._cos, self.y0 + s * self._sin, self.heading
 
     def closest_parameter(self, p, near=None) -> float:
         px, py = float(p[0]), float(p[1])
@@ -246,24 +240,13 @@ class CirclePath(ReferencePath):
         self.s_min = 0.0
         self.s_max = 2.0 * math.pi * self.radius
 
-    def point(self, s: float) -> tuple[float, float]:
-        theta = self._clip_parameter(s) / self.radius
+    def _pose(self, s):
+        theta = s / self.radius
         return (
             self.cx + self.radius * math.cos(theta),
             self.cy + self.radius * math.sin(theta),
+            math.remainder(theta + 0.5 * math.pi, TAU),
         )
-
-    def tangent_angle(self, s: float) -> float:
-        theta = self._clip_parameter(s) / self.radius
-        return wrap_angle(theta + 0.5 * math.pi)
-
-    def frame_at(self, s_star, p):
-        # s_min is 0, so this is _clip_parameter's wrap into [0, 2*pi*R).
-        theta = (s_star % self.s_max) / self.radius
-        chi_p = math.remainder(theta + 0.5 * math.pi, TAU)
-        rx = self.cx + self.radius * math.cos(theta)
-        ry = self.cy + self.radius * math.sin(theta)
-        return _path_frame(s_star, rx, ry, chi_p, p)
 
     def closest_parameter(self, p, near=None) -> float:
         px, py = float(p[0]), float(p[1])
@@ -352,21 +335,9 @@ class SinusoidPath(ReferencePath):
                 f" {name} = {value!r}, which must be positive and finite"
             )
 
-    def point(self, s: float) -> tuple[float, float]:
-        s = self._clip_parameter(s)
-        return (s, self.amplitude * math.sin(self.omega * s))
-
-    def tangent_angle(self, s: float) -> float:
-        s = self._clip_parameter(s)
-        slope = self.amplitude * self.omega * math.cos(self.omega * s)
-        return math.atan(slope)
-
-    def frame_at(self, s_star, p):
-        if s_star < self.s_min or s_star > self.s_max:
-            raise self._domain_error(s_star)
-        a, ws = self.amplitude, self.omega * s_star
-        chi_p = math.atan(a * self.omega * math.cos(ws))
-        return _path_frame(s_star, s_star, a * math.sin(ws), chi_p, p)
+    def _pose(self, s):
+        a, ws = self.amplitude, self.omega * s
+        return s, a * math.sin(ws), math.atan(a * self.omega * math.cos(ws))
 
     def peak_curvature(self) -> float:
         """The curvature A w^2 |sin ws| / (1 + (Aw cos ws)^2)^(3/2) rises
@@ -528,8 +499,7 @@ class SinusoidPath(ReferencePath):
         certificate caches an empty J, so the skin is not tried again.
         """
         r0 = math.sqrt(self._distance_sq(s0, px, py))
-        skin = max(SKIN_MIN, SKIN_FRAC * r0)
-        reach = r0 + 2.0 * skin + SLACK
+        skin, reach = _skin_and_reach(r0)
         reach_sq = reach * reach
         lo, hi = max(px - reach, self.s_min), min(px + reach, self.s_max)
         # Clear of the cuts, where q'' = 0 at one height.
@@ -757,24 +727,11 @@ class PolylinePath(ReferencePath):
         i = bisect_right(self._cum, s) - 1
         return min(max(i, 0), len(self._segments) - 1)
 
-    def point(self, s: float) -> tuple[float, float]:
-        s = self._clip_parameter(s)
-        ax, ay, sx, sy, _, cum, length = self._segments[self._segment_index(s)]
-        f = (s - cum) / length
-        return (ax + f * sx, ay + f * sy)
-
-    def tangent_angle(self, s: float) -> float:
-        s = self._clip_parameter(s)
-        return self._headings[self._segment_index(s)]
-
-    def frame_at(self, s_star, p):
-        if s_star < self.s_min or s_star > self.s_max:
-            raise self._domain_error(s_star)
-        # _segment_index inline.
-        i = min(max(bisect_right(self._cum, s_star) - 1, 0), len(self._segments) - 1)
+    def _pose(self, s):
+        i = self._segment_index(s)
         ax, ay, sx, sy, _, cum, length = self._segments[i]
-        f = (s_star - cum) / length
-        return _path_frame(s_star, ax + f * sx, ay + f * sy, self._headings[i], p)
+        f = (s - cum) / length
+        return ax + f * sx, ay + f * sy, self._headings[i]
 
     def closest_parameter(self, p, near=None) -> float:
         """Global minimizer of the distance from ``p`` to the polyline.
@@ -857,8 +814,7 @@ class PolylinePath(ReferencePath):
         qy = a[:, 1] + t * seg[:, 1]
         d2 = (qx - px) ** 2 + (qy - py) ** 2
         r0 = math.sqrt(float(np.min(d2)))
-        skin = max(SKIN_MIN, SKIN_FRAC * r0)
-        reach = r0 + 2.0 * skin + SLACK
+        skin, reach = _skin_and_reach(r0)
         kept = [self._segments[i] for i in np.flatnonzero(d2 <= reach * reach).tolist()]
         self._neighbours = (px, py, skin * skin, kept)
         return kept

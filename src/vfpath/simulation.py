@@ -358,7 +358,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
             break
         p = (x, y)
         if prev_frame is None:
-            frame = path.frame_at(path.closest_parameter(p), p)
+            frame = path.closest_point(p)
         else:
             # The hint: s* extrapolated linearly from the last two steps, or
             # the last s* on the second step.
@@ -397,7 +397,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     if failure is None and not path.periodic and at_end <= PATH_END_TOL and abs(frame.d) > d_thr:
         failure = (
             f"path end: the closest point is the path's end at s = {frame.s_star:g};"
-            f" {abs(frame.d):.1f} m away"
+            f" {abs(frame.d):g} m away"
         )
 
     table = np.array(rows, dtype=float).reshape(-1, 9)
@@ -564,8 +564,9 @@ def monte_carlo(
     Per-trial seeds are spawned deterministically from the master seed; trial
     ``i`` draws its initial offset, initial course and wind once and every law
     is run on that same draw, so the laws are compared on paired conditions.
-    ``workers`` processes run the trials (None: ``os.cpu_count()``; 1: this
-    process; a count below 1 raises ValueError before any trial runs).
+    ``workers`` processes, at most one per job, run the trials (None:
+    ``os.cpu_count()``; 1: this process; a count below 1 raises ValueError
+    before any trial runs).
     Results come back in job order (law, then trial index), so the summary
     does not depend on the worker count.  Non-converged trials are excluded
     from the t_conv statistics and counted by ``n_converged``.
@@ -586,7 +587,9 @@ def monte_carlo(
     run_job = partial(_mc_job, base_config)
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers > 1 and len(jobs) > 1:
+    # A fork-started pool starts all its processes with the first job.
+    workers = min(workers, len(jobs))
+    if workers > 1:
         # Imported here: multiprocessing costs every process that starts no pool.
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1,4 +1,8 @@
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +92,41 @@ def test_failed_run_removes_the_clones(bench_pairs, monkeypatch, tmp_path, stop)
         bench_pairs.main(argv)
     assert len(clones) == 2
     assert not clones[0].parent.exists()
+
+
+# Run in a child process, so that a SIGTERM with no handler ends only it.
+SIGTERM_CHILD = """
+import importlib.util, os, signal, sys
+
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+manifest = (bench_pairs.ROOT / "BENCHMARK.json").read_text(encoding="utf-8")
+
+
+def fake_clone(commit, dest):
+    dest.mkdir()
+    (dest / "BENCHMARK.json").write_text(manifest, encoding="utf-8")
+
+
+def terminated_run(*args):
+    os.kill(os.getpid(), signal.SIGTERM)
+    raise AssertionError("SIGTERM did not stop the run")
+
+
+bench_pairs.git = lambda repo, *args: "0" * 40
+bench_pairs.clone_at = fake_clone
+bench_pairs.run_bench = terminated_run
+bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--seed", "1",
+                  "--pairs", "capture_paths=1", "--out", sys.argv[2]])
+"""
+
+
+def test_sigterm_removes_the_clones(tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", SIGTERM_CHILD, str(TOOL), str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert list(tmp_path.glob("bench_pairs-*")) == []
+    assert proc.returncode == 128 + signal.SIGTERM, proc.stderr

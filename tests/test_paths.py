@@ -18,6 +18,7 @@ from vfpath.paths import (
     CirclePath,
     LinePath,
     PathDomainError,
+    PathFrame,
     PolylinePath,
     ReferencePath,
     SinusoidPath,
@@ -91,24 +92,53 @@ def frame_parameters(path):
     return values
 
 
+def closed_form_tangent(path, s):
+    """Tangent angle at ``s`` from each kind's defining geometry rather than
+    its ``tangent_angle``; on the polyline, the heading of the segment that
+    starts at a vertex, or of the last one at the end."""
+    if isinstance(path, LinePath):
+        return path.heading
+    if isinstance(path, CirclePath):
+        return s / path.radius + 0.5 * math.pi
+    if isinstance(path, SinusoidPath):
+        w = 2.0 * math.pi / path.period
+        return math.atan(path.amplitude * w * math.cos(w * s))
+    seg = np.diff(path.points, axis=0)
+    cum = np.concatenate(([0.0], np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))))
+    i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg) - 1)
+    return math.atan2(seg[i, 1], seg[i, 0])
+
+
 class TestFrameAt:
-    """Each kind's own ``frame_at`` gives the generic composition's frame,
-    from ``point`` and ``tangent_angle``, to the bit."""
+    """``frame_at`` equals, to the bit, the frame the test builds from
+    ``point`` and ``tangent_angle``, and matches each kind's defining
+    geometry to 1e-12 per unit of |s|."""
 
     @staticmethod
-    def assert_generic(path, s, p):
-        fast = path.frame_at(s, p)
-        generic = ReferencePath.frame_at(path, s, p)
-        assert fast == generic
+    def assert_frame(path, s, p):
+        frame = path.frame_at(s, p)
+        rx, ry = path.point(s)
+        chi_p = path.tangent_angle(s)
+        ux, uy = p[0] - rx, p[1] - ry
+        cross = math.cos(chi_p) * uy - math.sin(chi_p) * ux
+        dist = math.hypot(ux, uy)
+        d = math.copysign(dist, cross) if cross != 0.0 else dist
+        composed = PathFrame(s, (rx, ry), chi_p, d, 1 if d >= 0.0 else -1)
+        assert frame == composed
         # repr tells -0.0 from 0.0 and spells every float exactly.
-        assert repr(fast) == repr(generic)
+        assert repr(frame) == repr(composed)
+        # The rounding of a phase such as w s grows with |s|.
+        tol = 1e-12 * max(1.0, abs(s))
+        x, y = sample_points(path, np.array([s]))
+        assert frame.p_ref == pytest.approx((x[0], y[0]), rel=0.0, abs=tol)
+        assert abs(wrap_angle(frame.chi_p - closed_form_tangent(path, s))) <= tol
 
     @pytest.mark.parametrize("kind", FRAME_PATHS)
     def test_domain_ends_and_vertices(self, kind):
         path = FRAME_PATHS[kind]
         for s in frame_parameters(path):
             for p in ((0.0, 0.0), (120.0, -35.0), path.point(s)):
-                self.assert_generic(path, s, p)
+                self.assert_frame(path, s, p)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -119,17 +149,17 @@ class TestFrameAt:
     def test_random_points(self, kind, fraction, p):
         path = FRAME_PATHS[kind]
         s = path.s_min + fraction * (path.s_max - path.s_min)
-        self.assert_generic(path, min(s, path.s_max), p)
+        self.assert_frame(path, min(s, path.s_max), p)
 
     @pytest.mark.parametrize("kind", ["line", "sinusoid", "polyline"])
-    def test_outside_domain_raises_as_generic(self, kind):
+    def test_outside_domain_raises_as_point(self, kind):
         path = FRAME_PATHS[kind]
         for s in (math.nextafter(path.s_min, -math.inf), math.nextafter(path.s_max, math.inf)):
-            with pytest.raises(PathDomainError) as fast:
+            with pytest.raises(PathDomainError) as frame:
                 path.frame_at(s, (0.0, 0.0))
-            with pytest.raises(PathDomainError) as generic:
-                ReferencePath.frame_at(path, s, (0.0, 0.0))
-            assert str(fast.value) == str(generic.value)
+            with pytest.raises(PathDomainError) as point:
+                path.point(s)
+            assert str(frame.value) == str(point.value)
 
 
 class TestTangent:
@@ -901,11 +931,8 @@ class TestLookahead:
         class Bare(ReferencePath):
             s_min, s_max = 0.0, 100.0
 
-            def point(self, s):
-                return (s, 0.0)
-
-            def tangent_angle(self, s):
-                return 0.0
+            def _pose(self, s):
+                return (s, 0.0, 0.0)
 
         path = Bare()
         with pytest.raises(NotImplementedError):

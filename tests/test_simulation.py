@@ -129,6 +129,13 @@ class TestRunTrial:
         assert not metrics.converged
         assert metrics.failure_reason.startswith("path end")
 
+    @pytest.mark.parametrize("law", ["switched", "basic_vf", "plos"])
+    def test_path_end_reason_states_a_far_distance_briefly(self, law):
+        # 1e102 m off the sinusoid, whose closest point is then its start.
+        _, metrics = run_trial(benchmark_scenario(law, d0=1e102, max_time=3.0))
+        assert metrics.failure_reason.startswith("path end")
+        assert metrics.failure_reason.endswith("; 1e+102 m away")
+
     def test_ending_within_threshold_of_path_end_is_not_a_failure(self):
         # Tracking the line 5 m past its end: |d| stays below d_threshold.
         cfg = line_config(path=LinePath(0, 0, 0, s_max=100.0), max_time=7.0)
@@ -505,6 +512,35 @@ class TestMonteCarlo:
             monte_carlo(base, 1, 1, laws=("bogus",))
         with pytest.raises(ValueError, match="'plos' is selected twice"):
             monte_carlo(base, 1, 1, laws=("plos", "switched", "plos"), workers=1)
+
+    def test_pool_has_no_more_workers_than_jobs(self, monkeypatch):
+        # A fork-started pool starts max_workers processes with its first
+        # job.  The stand-in records the size and maps in this process.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        base = benchmark_scenario()
+        laws = ("switched", "plos")
+        pooled = monte_carlo(base, 1, 3, laws=laws, workers=64)
+        assert sizes == [2]
+        serial = monte_carlo(base, 1, 3, laws=laws, workers=1)
+        assert sizes == [2]
+        assert pooled.stats == serial.stats
+        for law in laws:
+            assert list(map(repr, pooled.trials[law])) == list(map(repr, serial.trials[law]))
 
     @pytest.mark.parametrize("workers", [0, -1, -2])
     def test_worker_count_below_one_rejected_before_trials(self, monkeypatch, workers):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -106,6 +107,10 @@ def parse_pairs(items: list[str], workloads: list[str]) -> dict[str, int]:
     return pairs
 
 
+def exit_on_signal(signum: int, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit (any git revision)")
@@ -128,11 +133,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     commits = {"parent": git(ROOT, "rev-parse", args.parent),
                "change": git(ROOT, "rev-parse", args.change)}
+    # Python runs no finally on SIGTERM, so it is raised as SystemExit: a
+    # failed run (run_bench's SystemExit), Ctrl-C or SIGTERM still removes
+    # both clones.
+    previous = signal.signal(signal.SIGTERM, exit_on_signal)
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    # A failed run (run_bench's SystemExit) or Ctrl-C still removes both clones.
     try:
         measure(args, pairs, commits, work)
     finally:
+        signal.signal(signal.SIGTERM, previous)
         shutil.rmtree(work, ignore_errors=True)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
