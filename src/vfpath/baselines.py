@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .angles import HALF_PI, wrap_angle
+from .angles import HALF_PI, TAU
 from .paths import PathFrame, ReferencePath
 
 
@@ -51,7 +51,7 @@ def basic_vf_command(frame: PathFrame, params: BaselineParams) -> float:
     it proportionally with no feedforward.
     """
     offset = params.vf_beta * (2.0 / math.pi) * math.atan(params.vf_k * frame.d)
-    return wrap_angle(frame.chi_p - offset)
+    return math.remainder(frame.chi_p - offset, TAU)
 
 
 # Saturation of the PLOS proportional term (rad).  Strictly below pi: a
@@ -81,9 +81,9 @@ def plos_command(
     if math.hypot(dx, dy) < 1e-9:
         return frame.chi_p  # degenerate: sitting exactly on the aim point
     chi_los = math.atan2(dy, dx)
-    correction = params.plos_k1 * wrap_angle(chi_los - chi)
+    correction = params.plos_k1 * math.remainder(chi_los - chi, TAU)
     correction = min(max(correction, -PLOS_CLAMP), PLOS_CLAMP)
-    return wrap_angle(chi + correction)
+    return math.remainder(chi + correction, TAU)
 
 
 def nlgl_virtual_target(
@@ -154,7 +154,7 @@ def nlgl_command(
     dx, dy = target[0] - x, target[1] - y
     if math.hypot(dx, dy) < 1e-9:
         return frame.chi_p, frame.chi_p, 0, None, lookahead
-    eta_angle = wrap_angle(math.atan2(dy, dx) - chi)
+    eta_angle = math.remainder(math.atan2(dy, dx) - chi, TAU)
     rate = 2.0 * v_g / params.nlgl_l1 * math.sin(eta_angle)
-    chi_c = wrap_angle(chi + rate / alpha)
+    chi_c = math.remainder(chi + rate / alpha, TAU)
     return chi_c, chi_c, 0, None, lookahead

@@ -18,6 +18,7 @@ from .config import ConfigError, build_scenario, dump_settings, load_settings
 from .guidance import validate_curvature_constraint
 from .paths import UnboundedCurvatureError
 from .simulation import (
+    BLOCK_STEPS,
     GUIDANCE_LAWS,
     METRICS,
     MonteCarloSummary,
@@ -41,14 +42,16 @@ TRAJECTORY_ROW = ",".join(["%.9g"] * 8 + ["%d"])
 
 
 def write_trajectory_csv(traj: Trajectory, out_file: Path) -> None:
-    # One (n, 9) float table, formatted whole by one %; %d writes the
-    # phase's float as the integer it holds.
-    columns = (traj.t, traj.x, traj.y, traj.chi, traj.chi_c, traj.chi_d, traj.chi_dot, traj.d)
-    table = np.column_stack((*columns, traj.phase))
-    body = (TRAJECTORY_ROW + "\n") * len(table) % tuple(table.ravel().tolist())
+    # Each BLOCK_STEPS rows are one (rows, 9) float table, formatted whole
+    # by one % and written; %d writes the phase's float as the integer it
+    # holds.
+    columns = (traj.t, traj.x, traj.y, traj.chi, traj.chi_c, traj.chi_d, traj.chi_dot,
+               traj.d, traj.phase)
     with open(out_file, "w", encoding="utf-8") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        fh.write(body)
+        for start in range(0, len(traj), BLOCK_STEPS):
+            table = np.column_stack([column[start : start + BLOCK_STEPS] for column in columns])
+            fh.write((TRAJECTORY_ROW + "\n") * len(table) % tuple(table.ravel().tolist()))
 
 
 # Header of the fields _trial_fields writes for one trial in both trial CSVs.

@@ -698,16 +698,29 @@ class PolylinePath(ReferencePath):
         if not finite.all():
             i = int(np.argmin(finite))
             raise ValueError(f"polyline vertex {i} ({pts[i, 0]}, {pts[i, 1]}) is not finite")
-        seg = np.diff(pts, axis=0)
-        lengths = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(lengths == 0.0):
-            raise ValueError("polyline has repeated consecutive points")
+        # An overflow here is one of the lengths rejected below, not a warning.
+        with np.errstate(over="ignore"):
+            seg = np.diff(pts, axis=0)
+            lengths = np.hypot(seg[:, 0], seg[:, 1])
+            len_sq = lengths**2
+        # The projection divides by the squared length: one that underflows
+        # to 0 or overflows to inf gives a NaN or a constant parameter.  A
+        # positive, finite square has a positive, finite length.
+        ok = (0.0 < len_sq) & (len_sq < math.inf)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            (x0, y0), (x1, y1) = pts[i].tolist(), pts[i + 1].tolist()
+            raise ValueError(
+                f"polyline segment {i} from vertex {i} ({x0}, {y0}) to vertex {i + 1}"
+                f" ({x1}, {y1}) has length {float(lengths[i])!r} and squared length"
+                f" {float(len_sq[i])!r}: both must be positive and finite"
+            )
         cum = np.concatenate(([0.0], np.cumsum(lengths)))
         self.points = pts
         self.s_min = 0.0
         self.s_max = float(cum[-1])
         self._seg = seg
-        self._len_sq = lengths**2
+        self._len_sq = len_sq
         # Plain floats for the per-step arithmetic, which numpy would slow.
         self._cum = cum.tolist()
         self._headings = np.arctan2(seg[:, 1], seg[:, 0]).tolist()

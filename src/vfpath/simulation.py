@@ -64,11 +64,16 @@ CHATTER_RATE_FLOOR = 1e-9
 # path's end, off the path, has flown off that end.
 PATH_END_TOL = 1e-6
 
+# Steps a trial records as Python floats before run_trial turns them into
+# one float64 block, and trajectory rows write_trajectory_csv formats per
+# write: a step's floats live for at most one block.
+BLOCK_STEPS = 1024
+
 # Most steps (max_time / dt) a trial may plan.  run_trial keeps nine floats
-# a step, about 0.4 kB at its peak (the floats in one list and the
-# trajectory arrays built from them; tracemalloc over a 20,001-step trial),
-# so a full-length trial stays near 0.4 GB, and writing its trajectory CSV
-# near 0.5 GB.  That is 33 times the default 300 s at dt = 0.01 s.
+# a step, about 145 B at its peak (the float64 blocks and the trajectory
+# arrays built from them; tracemalloc over a 20,001-step trial), so a
+# full-length trial stays near 0.15 GB; writing its trajectory CSV adds
+# one block of rows.  That is 33 times the default 300 s at dt = 0.01 s.
 MAX_STEPS = 1_000_000
 
 
@@ -347,10 +352,13 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     streak = 0
     failure: Optional[str] = None
     # (x, y, chi, chi_c, chi_d, chi_dot, d, phase, chi_p) per step, appended
-    # to one flat list of floats, so no object of a step outlives it (t is
-    # k * dt, rebuilt after the loop).
+    # to one flat list of floats, so no object of a step outlives it; every
+    # BLOCK_STEPS steps the list becomes one float64 block and is cleared
+    # (t is k * dt, rebuilt to the bit after the loop).
     rows: list[float] = []
     record = rows.extend
+    blocks: list[np.ndarray] = []
+    block_len = 9 * BLOCK_STEPS
 
     for k in range(n_max + 1):
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(chi)):
@@ -376,6 +384,9 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         # turn_rate(chi_c, chi, alpha); GuidanceParams proved alpha > 0.
         chi_dot = alpha * remainder(chi_c - chi, TAU)
         record((x, y, chi, chi_c, chi_d, chi_dot, frame.d, phase, frame.chi_p))
+        if len(rows) == block_len:
+            blocks.append(np.array(rows, dtype=float))
+            rows.clear()
         if failure is not None:
             break
 
@@ -400,15 +411,17 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
             f" {abs(frame.d):g} m away"
         )
 
-    table = np.array(rows, dtype=float).reshape(-1, 9)
+    blocks.append(np.array(rows, dtype=float))
     del rows
-    traj = Trajectory(
-        np.arange(len(table)) * dt,  # k * dt to the bit
-        *(table[:, i].copy() for i in range(7)),
-        table[:, 7].astype(np.int8),
-        table[:, 8].copy(),
-    )
-    del table
+    # Channel i of a block is every ninth float from i; each concatenation
+    # copies it out, so no channel is a view of a block, and casts phase's
+    # floats to int8 as astype would.
+    channels = [
+        np.concatenate([block[i::9] for block in blocks], dtype=dtype, casting="unsafe")
+        for i, dtype in enumerate([np.float64] * 7 + [np.int8, np.float64])
+    ]
+    del blocks
+    traj = Trajectory(np.arange(len(channels[0])) * dt, *channels)
     metrics = compute_metrics(traj, config, failure_reason=failure)
     return traj, metrics
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import signal
 import subprocess
@@ -70,21 +71,25 @@ def test_claim_rule(bench_pairs, parent, change, better, met):
     assert out["claim_rule_met"] is met
 
 
+def fake_clone(commit, dest):
+    dest.mkdir()
+    manifest = (TOOL.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8")
+    (dest / "BENCHMARK.json").write_text(manifest, encoding="utf-8")
+
+
 @pytest.mark.parametrize("stop", [SystemExit("run failed"), KeyboardInterrupt()])
 def test_failed_run_removes_the_clones(bench_pairs, monkeypatch, tmp_path, stop):
     clones = []
 
-    def fake_clone(commit, dest):
-        dest.mkdir()
-        manifest = (TOOL.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8")
-        (dest / "BENCHMARK.json").write_text(manifest, encoding="utf-8")
+    def recording_clone(commit, dest):
+        fake_clone(commit, dest)
         clones.append(dest)
 
     def failing_run(*args):
         raise stop
 
     monkeypatch.setattr(bench_pairs, "git", lambda repo, *args: "0" * 40)
-    monkeypatch.setattr(bench_pairs, "clone_at", fake_clone)
+    monkeypatch.setattr(bench_pairs, "clone_at", recording_clone)
     monkeypatch.setattr(bench_pairs, "run_bench", failing_run)
     argv = ["--parent", "HEAD", "--change", "HEAD", "--seed", "1",
             "--pairs", "capture_paths=1", "--out", str(tmp_path / "out.json")]
@@ -92,6 +97,67 @@ def test_failed_run_removes_the_clones(bench_pairs, monkeypatch, tmp_path, stop)
         bench_pairs.main(argv)
     assert len(clones) == 2
     assert not clones[0].parent.exists()
+
+
+@pytest.mark.parametrize(
+    "claim, message",
+    [
+        ("trial_sinusoid:peak_rss", "'peak_rss' is not an end-to-end metric"),
+        ("trial_sinusoid", "'' is not an end-to-end metric"),
+        ("campaign_mc:peak_rss_mb", "workload 'campaign_mc' has no --pairs"),
+        ("trial_sinusoids:wall_s", "workload 'trial_sinusoids' has no --pairs"),
+    ],
+    ids=["metric-typo", "no-metric", "workload-unmeasured", "workload-typo"],
+)
+def test_bad_claim_is_a_usage_error_before_any_clone(
+    bench_pairs, monkeypatch, capsys, tmp_path, claim, message
+):
+    def no_clone(commit, dest):
+        raise AssertionError("cloned before the claim was checked")
+
+    monkeypatch.setattr(bench_pairs, "git", lambda repo, *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "clone_at", no_clone)
+    argv = ["--parent", "HEAD", "--change", "HEAD", "--seed", "1",
+            "--pairs", "trial_sinusoid=1", "--claim", claim, "--out", str(tmp_path / "o.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_claimed_pair_records_its_rule_and_change(bench_pairs, monkeypatch, tmp_path):
+    runs = []
+
+    def fake_run(clone, workload, seed, trace):
+        # The change's peak_rss_mb is 10 % lower on trial_sinusoid only.
+        runs.append(None)
+        value = 40.0 + 0.01 * len(runs)
+        if clone.name == "change" and workload == "trial_sinusoid":
+            value *= 0.9
+        metrics = {m: {"value": value} for m in ("wall_s", "sim_steps_per_s", "trial_ms_p50",
+                                                  "trial_ms_p90", "setup_s", "peak_rss_mb")}
+        return {"reference": "matched", "result": {"correct": True, "metrics": metrics},
+                "environment": {"git_commit": "0" * 40}}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda repo, *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "clone_at", fake_clone)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "out.json"
+    argv = ["--parent", "HEAD", "--change", "HEAD", "--seed", "1",
+            "--pairs", "trial_sinusoid=10", "--pairs", "capture_paths=1",
+            "--claim", "trial_sinusoid:peak_rss_mb", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    summary = doc["workloads"]["trial_sinusoid"]["metrics"]["peak_rss_mb"]
+    assert summary["claim_rule_met"] is True
+    assert doc["claimed"] == {
+        "workload": "trial_sinusoid",
+        "metric": "peak_rss_mb",
+        "claim_rule_met": True,
+        "rel_change": summary["rel_change"],
+    }
+    assert summary["rel_change"] == pytest.approx(-0.1, abs=1e-3)
 
 
 # Run in a child process, so that a SIGTERM with no handler ends only it.

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import Optional
 
@@ -12,7 +13,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vfpath.cli import TRAJECTORY_HEADER, _fmt, main, write_trajectory_csv
+from vfpath.cli import (
+    TRAJECTORY_HEADER,
+    TRAJECTORY_ROW,
+    _fmt,
+    main,
+    write_trajectory_csv,
+)
 from vfpath.config import (
     SCHEMA,
     ConfigError,
@@ -24,7 +31,7 @@ from vfpath.config import (
 from vfpath.guidance import validate_curvature_constraint
 from vfpath.paths import CirclePath, LinePath, SinusoidPath
 from vfpath import simulation
-from vfpath.simulation import GUIDANCE_LAWS, Trajectory, benchmark_scenario
+from vfpath.simulation import BLOCK_STEPS, GUIDANCE_LAWS, Trajectory, benchmark_scenario
 
 # Text that survives an INI line unchanged: no line breaks, no whitespace at
 # the ends (the parser strips it).
@@ -214,6 +221,43 @@ class TestCli:
             for *values, phase in zip(*columns, traj.phase.tolist())
         ]
         assert out.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 3]
+    )
+    def test_trajectory_csv_blocks_write_the_whole_table_bytes(self, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        specials = [math.nan, -0.0, 1e-300, -math.inf]
+        channels = {}
+        for name in ("t", "x", "y", "chi", "chi_c", "chi_d", "chi_dot", "d", "chi_p"):
+            values = rng.normal(size=rows) * 10.0 ** rng.integers(-5, 6, size=rows)
+            values[: len(specials)] = specials[:rows]
+            channels[name] = values
+        traj = Trajectory(**channels, phase=rng.integers(0, 4, size=rows).astype(np.int8))
+        out = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, out)
+        # The whole table formatted by one %, as a single-block writer does.
+        columns = (traj.t, traj.x, traj.y, traj.chi, traj.chi_c, traj.chi_d, traj.chi_dot, traj.d)
+        table = np.column_stack((*columns, traj.phase))
+        body = (TRAJECTORY_ROW + "\n") * len(table) % tuple(table.ravel().tolist())
+        assert out.read_bytes() == (TRAJECTORY_HEADER + "\n" + body).encode("utf-8")
+
+    def test_trajectory_csv_memory_is_bounded_by_a_block(self, tmp_path):
+        # A writer that formats the whole table at once peaks near 0.5 kB a
+        # row (15 MB here); one block at a time stays under 4 MB.
+        traj, _ = simulation.run_trial(
+            benchmark_scenario(stop_when_converged=False, max_time=300.0)
+        )
+        assert len(traj) == 30_001
+        out = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, out)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
 
     def test_run_nlgl_far_offset_exits_1(self, tmp_path, capsys):
         # default d0 = 200 m exceeds the 110 m look-ahead
@@ -523,6 +567,30 @@ class TestCli:
         assert rc == 2
         captured = capsys.readouterr()
         assert "vertex 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["validate"], ["compare"], ["montecarlo", "--trials", "2", "--serial"]]
+    )
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            "0,0\n1e-300,0\n1,0\n",  # the squared length underflows to 0
+            "0,0\n1e200,0\n",  # the squared length overflows
+            "-1e308,0\n1e308,0\n",  # the length overflows
+        ],
+        ids=["underflow", "square-overflow", "overflow"],
+    )
+    def test_extreme_polyline_segment_exits_2(self, command, vertices, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text("x,y\n" + vertices)
+        cfg = tmp_path / "poly.cfg"
+        cfg.write_text(f"[path]\nkind = polyline\nfile = {points}\n\n[sim]\nmax_time = 3\n")
+        rc = main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "polyline segment 0 from vertex 0" in captured.err
+        assert "must be positive and finite" in captured.err
         assert captured.out == ""
 
     def test_montecarlo_bad_trials_exits_2(self, tmp_path):

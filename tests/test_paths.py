@@ -577,6 +577,16 @@ class TestPolyline:
             PolylinePath([(0.0, 0.0), (math.nan, 5.0), (1.0, 0.0)])
         with pytest.raises(ValueError, match="vertex 2"):
             PolylinePath([(0.0, 0.0), (1.0, 0.0), (1.0, math.inf)])
+        # Segment i's squared length underflows to 0 or overflows, or its
+        # length overflows; no numpy warning on the way.
+        for i, points in [
+            (0, [(0.0, 0.0), (1e-300, 0.0), (1.0, 0.0)]),
+            (1, [(0.0, 0.0), (1.0, 0.0), (1.0, 1e-170)]),
+            (0, [(0.0, 0.0), (1e200, 0.0)]),
+            (0, [(-1e308, 0.0), (1e308, 0.0)]),
+        ]:
+            with pytest.raises(ValueError, match=f"segment {i} from vertex {i} .* to vertex {i + 1}"):
+                PolylinePath(points)
 
     def test_point_and_tangent(self):
         poly = PolylinePath([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)])

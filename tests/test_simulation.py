@@ -2,6 +2,7 @@ import concurrent.futures
 import gc
 import importlib.util
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -349,6 +350,71 @@ class TestRunTrial:
             if not enabled:
                 gc.disable()
         assert len(collections) <= 2, collections
+
+    @pytest.mark.parametrize(
+        "steps",
+        [1, simulation.BLOCK_STEPS - 1, simulation.BLOCK_STEPS, simulation.BLOCK_STEPS + 1,
+         2 * simulation.BLOCK_STEPS + 3],
+    )
+    def test_blocks_record_what_one_list_records(self, steps, monkeypatch):
+        config = line_config(d0=40.0, chi0=1.0, max_time=(steps - 0.9) * 0.01)
+        self.assert_blocks_record_what_one_list_records(config, steps, monkeypatch)
+
+    def test_blocks_record_a_converged_stop(self, monkeypatch):
+        config = benchmark_scenario()
+        steps = len(run_trial(config)[0])
+        assert steps > 2 * simulation.BLOCK_STEPS
+        metrics = self.assert_blocks_record_what_one_list_records(config, steps, monkeypatch)
+        assert metrics.converged
+
+    def test_blocks_record_a_failure_stop(self, monkeypatch):
+        # The vehicle state turns NaN after BLOCK_STEPS + 4 steps.
+        steps = simulation.BLOCK_STEPS + 4
+        calls = []
+        real_step = simulation.step_vehicle
+
+        def step_to_nan(state, *args):
+            calls.append(None)
+            if len(calls) == steps:
+                return (math.nan, state[1], state[2])
+            return real_step(state, *args)
+
+        monkeypatch.setattr(simulation, "step_vehicle", step_to_nan)
+        config = line_config(d0=40.0, chi0=1.0, max_time=30.0)
+        metrics = self.assert_blocks_record_what_one_list_records(
+            config, steps, monkeypatch, reset=calls.clear
+        )
+        assert metrics.failure_reason.startswith("non-finite state")
+
+    @staticmethod
+    def assert_blocks_record_what_one_list_records(config, steps, monkeypatch, reset=None):
+        traj, metrics = run_trial(config)
+        assert len(traj) == steps
+        # Blocks longer than the trial: every step stays in the one list.
+        monkeypatch.setattr(simulation, "BLOCK_STEPS", 10 * steps)
+        if reset is not None:
+            reset()
+        whole, whole_metrics = run_trial(config)
+        assert repr(metrics) == repr(whole_metrics)
+        for name in Trajectory.__dataclass_fields__:
+            got, want = getattr(traj, name), getattr(whole, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        return metrics
+
+    def test_recording_memory_is_bounded_by_the_arrays(self):
+        # A step's ten channels take 73 B as arrays (nine float64 and an int8
+        # phase) and the float64 blocks they are copied from 72 B; one flat
+        # list of Python floats held to the end peaked near 410 B a step.
+        config = line_config(d0=40.0, chi0=1.0, max_time=200.0)
+        run_trial(config)
+        tracemalloc.start()
+        try:
+            traj, _ = run_trial(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 20_001
+        assert peak / len(traj) < 200.0, peak / len(traj)
 
     def test_dt_refinement_stability(self):
         coarse = benchmark_scenario()

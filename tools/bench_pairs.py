@@ -12,7 +12,9 @@ For every end-to-end metric of BENCHMARK.json the file lists both sides' runs,
 their medians and quartiles, the pairs the change wins, the median's
 relative change and ``claim_rule_met``: whether the change wins at least 9
 of every 10 pairs and its median beats the parent's by more than the
-parent's interquartile range.  Every run takes the run length of BENCHMARK.json.
+parent's interquartile range; ``--claim`` copies the claimed metric's
+``claim_rule_met`` and relative change under ``claimed``.  Every run takes
+the run length of BENCHMARK.json.
 ``--traced`` adds one ``--trace 1`` pair per workload.  The
 file is rewritten after every run, so an interrupted session keeps what it
 measured.  Standard library only.
@@ -107,6 +109,23 @@ def parse_pairs(items: list[str], workloads: list[str]) -> dict[str, int]:
     return pairs
 
 
+def parse_claim(claim: str, pairs: dict[str, int], metrics: list[str]) -> tuple[str, str]:
+    """``WORKLOAD:METRIC`` as a pair; ValueError unless the workload has
+    ``pairs`` and the metric is one of ``metrics``."""
+    workload, _, metric = claim.partition(":")
+    if workload not in pairs:
+        raise ValueError(
+            f"--claim {claim}: workload {workload!r} has no --pairs"
+            f" (measured: {', '.join(pairs)})"
+        )
+    if metric not in metrics:
+        raise ValueError(
+            f"--claim {claim}: {metric!r} is not an end-to-end metric of BENCHMARK.json"
+            f" (choose from {', '.join(metrics)})"
+        )
+    return workload, metric
+
+
 def exit_on_signal(signum: int, frame) -> None:
     raise SystemExit(128 + signum)
 
@@ -119,16 +138,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                         help="alternating pairs for a workload; repeat per workload")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", default=None,
-                        help="the claimed metric, recorded in the file")
+                        help="the claimed end-to-end metric of a workload with --pairs,"
+                             " recorded in the file with its claim rule")
     parser.add_argument("--traced", action="store_true",
                         help="also one --trace 1 pair per workload")
     parser.add_argument("--note", default="", help="text appended to the description")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_N.json to write")
     args = parser.parse_args(argv)
 
-    known = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     try:
-        pairs = parse_pairs(args.pairs, [w["name"] for w in known])
+        pairs = parse_pairs(args.pairs, [w["name"] for w in manifest["workloads"]])
+        claim = None
+        if args.claim is not None:
+            claim = parse_claim(args.claim, pairs, [m["name"] for m in manifest["end_to_end"]])
     except ValueError as exc:
         parser.error(str(exc))
     commits = {"parent": git(ROOT, "rev-parse", args.parent),
@@ -139,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     previous = signal.signal(signal.SIGTERM, exit_on_signal)
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        measure(args, pairs, commits, work)
+        measure(args, pairs, claim, commits, work)
     finally:
         signal.signal(signal.SIGTERM, previous)
         shutil.rmtree(work, ignore_errors=True)
@@ -147,10 +170,11 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def measure(args: argparse.Namespace, pairs: dict[str, int], commits: dict[str, str],
-            work: Path) -> None:
+def measure(args: argparse.Namespace, pairs: dict[str, int], claim: tuple[str, str] | None,
+            commits: dict[str, str], work: Path) -> None:
     """Clone both commits into ``work`` and run the pairs, rewriting
-    ``args.out`` after every run."""
+    ``args.out`` after every run; the claimed (workload, metric), if any,
+    is recorded with its ``claim_rule_met`` and ``rel_change``."""
     clones = {side: work / side for side in SIDES}
     for side in SIDES:
         clone_at(commits[side], clones[side])
@@ -174,9 +198,8 @@ def measure(args: argparse.Namespace, pairs: dict[str, int], commits: dict[str, 
         "claimed": None,
         "workloads": {},
     }
-    if args.claim:
-        workload, _, metric = args.claim.partition(":")
-        doc["claimed"] = {"workload": workload, "metric": metric}
+    if claim is not None:
+        doc["claimed"] = {"workload": claim[0], "metric": claim[1]}
     environments: dict = {}
 
     def save() -> None:
@@ -215,6 +238,10 @@ def measure(args: argparse.Namespace, pairs: dict[str, int], commits: dict[str, 
                         )
                         for name, direction in better.items()
                     }
+                    if claim is not None and claim[0] == workload:
+                        claimed = entry["metrics"][claim[1]]
+                        doc["claimed"]["claim_rule_met"] = claimed["claim_rule_met"]
+                        doc["claimed"]["rel_change"] = claimed["rel_change"]
                 save()
     if args.traced:
         doc["traced"] = {}
