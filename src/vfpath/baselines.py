@@ -137,20 +137,16 @@ def nlgl_command(
     loop realizes through chi_c = chi + rate/alpha.  Returns the law step
     tuple ``(chi_c, chi_c, 0, None, lookahead)`` (README, "Guidance laws
     share one interface"), where ``lookahead`` holds the law's last two
-    look-ahead parameters, newest last.  ``prev`` is the law's previous step
-    tuple in the trial, or None: its look-ahead pair, extrapolated linearly
-    (its one parameter alone on the second step), predicts this step's
-    target parameter, which starts the path's search.
+    look-ahead parameters, newest last; the first step's target stands in
+    as its own predecessor.  ``prev`` is the law's previous step tuple in
+    the trial, or None: its look-ahead pair, extrapolated linearly,
+    predicts this step's target parameter, which starts the path's search.
     """
     if v_g <= 0.0 or alpha <= 0.0:
         raise ValueError("v_g and alpha must be positive")
-    seen = () if prev is None else prev[4]
-    if len(seen) == 2:
-        near = 2.0 * seen[1] - seen[0]
-    else:
-        near = seen[0] if seen else None
+    near = None if prev is None else 2.0 * prev[4][1] - prev[4][0]
     s_t, target = nlgl_virtual_target(path, frame, (x, y), params.nlgl_l1, near)
-    lookahead = (seen[-1], s_t) if seen else (s_t,)
+    lookahead = (s_t if prev is None else prev[4][1], s_t)
     dx, dy = target[0] - x, target[1] - y
     if math.hypot(dx, dy) < 1e-9:
         return frame.chi_p, frame.chi_p, 0, None, lookahead

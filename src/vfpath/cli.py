@@ -236,9 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, trials: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, trials: bool = False, law: bool = True) -> None:
         p.add_argument("--config", default=None, help="scenario config file (INI)")
-        p.add_argument("--law", default=None, help="guidance law name(s), comma separated")
+        if law:
+            p.add_argument("--law", default=None, help="guidance law name(s), comma separated")
         p.add_argument("--seed", type=int, default=0, help="master random seed")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--dt", type=float, default=None, help="override time step (s)")
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.set_defaults(func=cmd_montecarlo)
 
     p_val = sub.add_parser("validate", help="field-parameter curvature feasibility check")
-    common(p_val)
+    common(p_val, law=False)
     p_val.set_defaults(func=cmd_validate)
 
     return parser

@@ -33,12 +33,20 @@ SKIN_MIN = 5.0
 SKIN_FRAC = 0.1
 SLACK = 1e-3
 
+# The error for a finite point whose squared distance to the path overflows.
+_FAR_POINT = "point ({!r}, {!r}) is too far from the path: the square of its distance overflows"
 
-def _skin_and_reach(r0: float) -> tuple[float, float]:
+
+def _skin_and_reach(r0: float, px: float, py: float) -> tuple[float, float]:
     """Skin max(SKIN_MIN, SKIN_FRAC r0) and reach r0 + 2 skin + SLACK of a
-    neighbour list or basin rebuilt at distance r0 from the path."""
+    neighbour list or basin rebuilt at p = (px, py), at distance r0 from
+    the path.  ValueError when the square of the reach overflows: no
+    squared distance within it may."""
     skin = max(SKIN_MIN, SKIN_FRAC * r0)
-    return skin, r0 + 2.0 * skin + SLACK
+    reach = r0 + 2.0 * skin + SLACK
+    if not reach * reach < math.inf:
+        raise ValueError(_FAR_POINT.format(px, py))
+    return skin, reach
 
 
 class PathDomainError(ValueError):
@@ -113,7 +121,7 @@ class ReferencePath:
         to the smallest parameter.  ``near``, the closest parameter predicted
         from the previous ones when tracking, is a hint that a path kind may
         use; it never changes which point is the answer.  ValueError unless
-        ``p`` is finite."""
+        ``p`` is finite, or when a kind's squared distance to it overflows."""
         raise NotImplementedError
 
     def lookahead_parameter(
@@ -136,8 +144,7 @@ class ReferencePath:
 
     def closest_point(self, p: Sequence[float]) -> PathFrame:
         """Path frame at the point of the path closest to ``p``."""
-        s_star = self.closest_parameter(p)
-        return self.frame_at(s_star, (float(p[0]), float(p[1])))
+        return self.frame_at(self.closest_parameter(p), (float(p[0]), float(p[1])))
 
     def frame_at(self, s_star: float, p: Sequence[float]) -> PathFrame:
         """Frame of ``p`` with its closest point at ``s_star``: the signed
@@ -439,15 +446,14 @@ class SinusoidPath(ReferencePath):
         predicted from the previous ones when tracking (``run_trial``
         extrapolates the last two linearly), starts Newton's method.  The
         stationary Newton point is the answer when it lies within
-        ``r_cert`` of ``p`` (case 1), or when ``p`` lies within the skin of
-        the cached basin's centre and the point lies in the basin's piece
-        [a, b] (see
-        ``_rebuild_basin``).  Otherwise the convexity test (case 2) or the
-        piece search (case 3) finds it, and a tracked call outside the skin
-        then rebuilds the basin around ``p``.  The answer depends only on
-        ``p`` and ``near``, not on the basin that earlier calls left.  Ties
-        go to the smallest parameter.  README, "Tracking projection",
-        sketches why the result is the global minimizer.
+        ``r_cert`` of ``p``, or when ``p`` lies within the skin of the
+        cached basin's centre and the point lies in the basin's piece [a, b]
+        (see ``_rebuild_basin``).  Otherwise the piece search finds it, and
+        a tracked call outside the skin then rebuilds the basin around
+        ``p``.  The answer depends only on ``p`` and ``near``, not on the
+        basin that earlier calls left.  Ties go to the smallest parameter.
+        README, "Tracking projection", sketches why the result is the global
+        minimizer.
         """
         px, py = float(p[0]), float(p[1])
         if not (math.isfinite(px) and math.isfinite(py)):
@@ -459,7 +465,10 @@ class SinusoidPath(ReferencePath):
         stationary = s is not None
         if not stationary:
             s = min(max(px, self.s_min), self.s_max)
-        q = self._distance_sq(s, px, py)
+        try:
+            q = self._distance_sq(s, px, py)
+        except OverflowError:
+            raise ValueError(_FAR_POINT.format(px, py)) from None
         if stationary and q < self.r_cert * self.r_cert:
             return s
         rebuild = False
@@ -473,10 +482,7 @@ class SinusoidPath(ReferencePath):
         # Any point closer than s lies in [lo, hi], as q(v) >= (v - px)^2.
         r = math.sqrt(q)
         lo, hi = max(px - r, self.s_min), min(px + r, self.s_max)
-        # q strictly convex on [lo, hi]: the stationary s is its unique
-        # minimizer there.
-        if not (stationary and self._convex_on(lo, hi, py)):
-            s = self._search_convex_pieces(px, py, lo, hi, s, stationary)
+        s = self._search_convex_pieces(px, py, lo, hi, s, stationary)
         if rebuild:
             self._rebuild_basin(px, py, s)
         return s
@@ -499,7 +505,7 @@ class SinusoidPath(ReferencePath):
         certificate caches an empty J, so the skin is not tried again.
         """
         r0 = math.sqrt(self._distance_sq(s0, px, py))
-        skin, reach = _skin_and_reach(r0)
+        skin, reach = _skin_and_reach(r0, px, py)
         reach_sq = reach * reach
         lo, hi = max(px - reach, self.s_min), min(px + reach, self.s_max)
         # Clear of the cuts, where q'' = 0 at one height.
@@ -812,7 +818,7 @@ class PolylinePath(ReferencePath):
         i = turns.index(sharpest) + 1
         x, y = self.points[i]
         raise UnboundedCurvatureError(
-            f"polyline vertex {i} ({x:g}, {y:g}) turns {sharpest:.4f} rad:"
+            f"polyline vertex {i} ({x:g}, {y:g}) turns {sharpest:.5g} rad:"
             " a corner has no finite curvature bound"
         )
 
@@ -821,13 +827,15 @@ class PolylinePath(ReferencePath):
         those that can hold the closest point of any position within the
         skin."""
         a, seg = self.points[:-1], self._seg
-        t = ((px - a[:, 0]) * seg[:, 0] + (py - a[:, 1]) * seg[:, 1]) / self._len_sq
-        t = np.clip(t, 0.0, 1.0)
-        qx = a[:, 0] + t * seg[:, 0]
-        qy = a[:, 1] + t * seg[:, 1]
-        d2 = (qx - px) ** 2 + (qy - py) ** 2
+        # _skin_and_reach rejects a point far enough to overflow here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = ((px - a[:, 0]) * seg[:, 0] + (py - a[:, 1]) * seg[:, 1]) / self._len_sq
+            t = np.clip(t, 0.0, 1.0)
+            qx = a[:, 0] + t * seg[:, 0]
+            qy = a[:, 1] + t * seg[:, 1]
+            d2 = (qx - px) ** 2 + (qy - py) ** 2
         r0 = math.sqrt(float(np.min(d2)))
-        skin, reach = _skin_and_reach(r0)
+        skin, reach = _skin_and_reach(r0, px, py)
         kept = [self._segments[i] for i in np.flatnonzero(d2 <= reach * reach).tolist()]
         self._neighbours = (px, py, skin * skin, kept)
         return kept

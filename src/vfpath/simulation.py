@@ -346,8 +346,8 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     remainder = math.remainder
 
     x, y, chi = initial_state(config)
-    prev_frame: Optional[PathFrame] = None
-    s_back: Optional[float] = None  # the closest parameter two steps back
+    frame: Optional[PathFrame] = None
+    near: Optional[float] = None  # the closest parameter predicted for this step
     cmd: Optional[tuple] = None  # the law's previous step tuple
     streak = 0
     failure: Optional[str] = None
@@ -365,18 +365,14 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
             failure = f"non-finite state at t = {k * dt:g} s: x = {x}; y = {y}; chi = {chi}"
             break
         p = (x, y)
-        if prev_frame is None:
-            frame = path.closest_point(p)
-        else:
-            # The hint: s* extrapolated linearly from the last two steps, or
-            # the last s* on the second step.
-            s_last = prev_frame.s_star
-            near = s_last if s_back is None else 2.0 * s_last - s_back
-            s_back = s_last
-            frame = path.frame_at(path.closest_parameter(p, near=near), p)
-            # Path course rate; on the first step it keeps the frame's default 0.
-            frame.chi_p_dot = remainder(frame.chi_p - prev_frame.chi_p, TAU) / dt
         prev_frame = frame
+        frame = path.frame_at(path.closest_parameter(p, near=near), p)
+        # The first frame stands in as its own predecessor: its path course
+        # rate is 0 and the next hint is its own s*.
+        last = prev_frame or frame
+        frame.chi_p_dot = remainder(frame.chi_p - last.chi_p, TAU) / dt
+        # The next step's hint: s* extrapolated linearly from the last two.
+        near = 2.0 * frame.s_star - last.s_star
         v_g = ground_speed(spec, wind, chi)
 
         cmd = law_step(config, x, y, chi, frame, v_g, cmd)
@@ -447,18 +443,15 @@ def compute_metrics(
         np.abs(wrap_angle_array(traj.chi - traj.chi_p)) <= config.align_threshold
     )
     t_conv = math.nan
-    converged = False
     n = len(ok)
     if n > need and failure_reason is None:
-        window = np.cumsum(ok)
-        window_sum = window[need:].astype(np.int64)
-        window_sum[1:] -= window[: n - need - 1]
-        hits = np.nonzero(window_sum == need + 1)[0]
+        # Samples of ok in [i, j): count[j] - count[i].
+        count = np.concatenate(([0], np.cumsum(ok)))
+        hits = np.nonzero(count[need + 1 :] - count[: n - need] == need + 1)[0]
         if hits.size:
-            converged = True
             t_conv = float(traj.t[hits[0]])
     return TrialMetrics(
-        converged=converged,
+        converged=not math.isnan(t_conv),
         t_conv=t_conv,
         d_rms=float(np.sqrt(np.mean(traj.d**2))),
         chi_dot_rms=float(np.sqrt(np.mean(traj.chi_dot**2))),
@@ -485,20 +478,18 @@ def chattering_index(traj: Trajectory) -> float:
     if CHATTER_WINDOW <= dt:
         raise ValueError("the chatter window must exceed the sample interval")
     rate = np.where(np.abs(traj.chi_dot) < CHATTER_RATE_FLOOR, 0.0, traj.chi_dot)
-    changes = (rate[:-1] * rate[1:] < 0.0).astype(np.int64)
+    # Sign changes between samples lo and hi: count[hi] - count[lo].
+    count = np.concatenate(([0], np.cumsum(rate[:-1] * rate[1:] < 0.0)))
     half = int(round(0.5 * CHATTER_WINDOW / dt))
     transitions = np.nonzero(np.diff(traj.phase) != 0)[0] + 1
     if transitions.size:
-        best = 0
-        for idx in transitions:
-            lo = max(int(idx) - half, 0)
-            hi = min(int(idx) + half, n - 1)
-            best = max(best, int(np.sum(changes[lo:hi])))
-        return best / CHATTER_WINDOW
-    span = min(2 * half, n - 1)
-    csum = np.concatenate(([0], np.cumsum(changes)))
-    window_counts = csum[span:] - csum[: len(csum) - span]
-    return float(np.max(window_counts)) / CHATTER_WINDOW
+        lo = np.maximum(transitions - half, 0)
+        hi = np.minimum(transitions + half, n - 1)
+    else:
+        span = min(2 * half, n - 1)
+        lo = np.arange(n - span)
+        hi = lo + span
+    return float(np.max(count[hi] - count[lo])) / CHATTER_WINDOW
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,26 @@ class TestNLGL:
         expected = state.chi + 2.0 * v_g / BP.nlgl_l1 * math.sin(eta) / alpha
         assert cmd == pytest.approx(expected, abs=1e-9)
 
+    def test_first_target_stands_in_as_its_own_predecessor(self):
+        # The first step's look-ahead pair is (s_t, s_t), so the second
+        # step's hint, extrapolated from it, is the first target.
+        hints = []
+
+        class RecordingSinusoid(SinusoidPath):
+            def lookahead_parameter(self, frame, px, py, l1, near=None):
+                hints.append(near)
+                return super().lookahead_parameter(frame, px, py, l1, near)
+
+        path = RecordingSinusoid(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
+        p0, p1 = (0.0, 60.0), (0.15, 60.1)
+        frame0 = path.closest_point(p0)
+        first = nlgl_command(*p0, 0.3, frame0, path, BP, 15.0, 1.65)
+        s_first = nlgl_virtual_target(path, frame0, p0, BP.nlgl_l1)[0]
+        assert first[4] == (s_first, s_first)
+        second = nlgl_command(*p1, 0.3, path.closest_point(p1), path, BP, 15.0, 1.65, first)
+        assert hints == [None, None, s_first]
+        assert second[4][0] == s_first
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BaselineParams(nlgl_l1=0.0)

@@ -17,6 +17,7 @@ from vfpath.cli import (
     TRAJECTORY_HEADER,
     TRAJECTORY_ROW,
     _fmt,
+    build_parser,
     main,
     write_trajectory_csv,
 )
@@ -332,6 +333,16 @@ class TestCli:
         assert "PASS" in text
         assert (tmp_path / "v" / "feasibility.txt").exists()
         assert (tmp_path / "v" / "feasibility.csv").exists()
+
+    def test_validate_takes_no_law(self, tmp_path, capsys):
+        # validate checks the switched law's field whatever --law says, so
+        # it does not accept the option; the trial commands do.
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--law", "plos", "--out", str(tmp_path / "v")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --law plos" in capsys.readouterr().err
+        for command in ("run", "compare", "montecarlo"):
+            assert build_parser().parse_args([command, "--law", "plos"]).law == "plos"
 
     def test_validate_notes_bound_below_half_pi(self, tmp_path, capsys):
         assert main(["validate", "--out", str(tmp_path / "exact")]) == 0

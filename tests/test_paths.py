@@ -1,4 +1,7 @@
+import copy
 import math
+import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -311,6 +314,23 @@ class TestClosestPoint:
         with pytest.raises(ValueError, match="finite"):
             path.closest_parameter(bad)
 
+    @pytest.mark.parametrize("kind", sorted(FRAME_PATHS))
+    @pytest.mark.parametrize("p", [(1e200, 0.0), (1e155, 1e155)])
+    @pytest.mark.parametrize("near", [None, 0.0])
+    def test_far_finite_position_gives_frame_or_value_error(self, kind, p, near):
+        # The line and circle project a point this far in closed form; the
+        # sinusoid and polyline square its distance, which overflows, and
+        # say so, naming the point, with no numpy warning.
+        path = copy.deepcopy(FRAME_PATHS[kind])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if kind in ("line", "circle"):
+                frame = path.frame_at(path.closest_parameter(p, near=near), p)
+                assert abs(frame.d) == pytest.approx(math.hypot(*p), rel=1e-9)
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"point ({p[0]!r}, {p[1]!r})")):
+                    path.closest_parameter(p, near=near)
+
     def test_generic_refine_reaches_float_precision(self):
         # A refine on the distance's value cannot place s* this finely (it was
         # 1.4e-6 off here): the distance is too flat at its minimum.  The
@@ -427,13 +447,12 @@ class TestWarmStart:
                 branches["convex pieces"] += 1
             elif path._distance_sq(s_newton, p[0], p[1]) < path.r_cert**2:
                 branches["r_cert"] += 1
-            elif (p[0] - x0) ** 2 + (p[1] - y0) ** 2 <= skin_sq and a <= s_newton <= b:
-                branches["basin"] += 1
             else:
-                branches["convex interval"] += 1
+                assert (p[0] - x0) ** 2 + (p[1] - y0) ** 2 <= skin_sq and a <= s_newton <= b
+                branches["basin"] += 1
         if law == "switched":
             # Every branch of the projection resolves some step of the capture.
-            assert set(branches) == {"r_cert", "basin", "convex interval", "convex pieces"}
+            assert set(branches) == {"r_cert", "basin", "convex pieces"}
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -1054,4 +1073,10 @@ class TestMaxCourseRate:
     def test_polyline_corner_unbounded(self):
         path = PolylinePath([(0.0, 0.0), (100.0, 0.0), (200.0, 10.0), (200.0, 100.0)])
         with pytest.raises(UnboundedCurvatureError, match=r"vertex 2 \(200, 10\) turns 1\.4711"):
+            path.peak_curvature()
+
+    def test_polyline_tiny_corner_prints_its_turn(self):
+        # A 1e-10 rad turn is a corner too, and its size is printed, not 0.
+        path = PolylinePath([(0.0, 0.0), (1e-150, 0.0), (2e-150, 1e-160)])
+        with pytest.raises(UnboundedCurvatureError, match=r"vertex 1 \(1e-150, 0\) turns 1e-10 rad"):
             path.peak_curvature()

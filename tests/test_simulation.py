@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfpath import simulation
-from vfpath.angles import wrap_angle
-from vfpath.baselines import basic_vf_command, nlgl_command, plos_command
+from vfpath.angles import wrap_angle, wrap_angle_array
+from vfpath.baselines import (
+    basic_vf_command, nlgl_command, nlgl_virtual_target, plos_command,
+)
 from vfpath.guidance import GuidanceParams, commanded_course
 from vfpath.paths import CirclePath, LinePath, PolylinePath, ReferencePath, SinusoidPath
 from vfpath.simulation import (
@@ -263,7 +265,8 @@ class TestRunTrial:
                 )
             elif law == "nlgl":
                 out = nlgl_command(x, y, chi, frame, path, cfg.baselines, v_g, alpha, prev)
-                assert len(out[4]) == min(k + 1, 2)
+                s_t = nlgl_virtual_target(path, frame, (x, y), cfg.baselines.nlgl_l1)[0]
+                assert out[4] == (s_t if prev is None else prev[4][1], s_t)
             else:
                 chi_c = (
                     basic_vf_command(frame, cfg.baselines)
@@ -293,6 +296,40 @@ class TestRunTrial:
         for k in range(len(traj)):
             chi_c, chi = float(traj.chi_c[k]), float(traj.chi[k])
             assert traj.chi_dot[k] == turn_rate(chi_c, chi, alpha)
+
+    @pytest.mark.parametrize("law", GUIDANCE_LAWS)
+    def test_first_step_frame_is_closest_point(self, law, monkeypatch):
+        # Step 0 projects with no hint through the loop's one call: its frame
+        # is closest_point's of the start to the bit, with path course rate
+        # 0.0, and it stands in as its own predecessor, so the second step's
+        # hint is its s*.
+        hints = []
+
+        class RecordingSinusoid(SinusoidPath):
+            def closest_parameter(self, p, near=None):
+                hints.append(near)
+                return super().closest_parameter(p, near)
+
+        frames = []
+        real = simulation.LAWS[law]
+
+        def recording(config, x, y, chi, frame, v_g, prev):
+            frames.append((frame.s_star, frame.p_ref, frame.chi_p, frame.d, frame.rho,
+                           frame.chi_p_dot))
+            return real(config, x, y, chi, frame, v_g, prev)
+
+        monkeypatch.setitem(simulation.LAWS, law, recording)
+        path = RecordingSinusoid(simulation.SCENARIO_AMPLITUDE, simulation.SCENARIO_PERIOD)
+        cfg = benchmark_scenario(law, path=path, d0=80.0 if law == "nlgl" else 200.0,
+                                 max_time=0.05)
+        run_trial(cfg)
+        state = initial_state(cfg)
+        fresh = SinusoidPath(simulation.SCENARIO_AMPLITUDE, simulation.SCENARIO_PERIOD)
+        expected = fresh.closest_point((state.x, state.y))
+        assert frames[0] == (expected.s_star, expected.p_ref, expected.chi_p, expected.d,
+                             expected.rho, 0.0)
+        assert math.copysign(1.0, frames[0][5]) == 1.0
+        assert hints[:3] == [None, frames[0][0], 2.0 * frames[1][0] - frames[0][0]]
 
     def test_switched_step_gets_previous_phase(self, monkeypatch):
         real = simulation.commanded_course
@@ -514,6 +551,75 @@ class TestChatteringIndex:
         traj = synthetic_trajectory(t, np.zeros_like(t))
         with pytest.raises(ValueError):
             chattering_index(traj)
+
+    @staticmethod
+    def chattering_by_loop(traj):
+        """The chattering index as a loop over the transitions and a slice
+        sum per window, as it was written before one running count."""
+        n = len(traj)
+        if n < 2:
+            return 0.0
+        dt = float(traj.t[1] - traj.t[0])
+        rate = np.where(np.abs(traj.chi_dot) < 1e-9, 0.0, traj.chi_dot)
+        changes = (rate[:-1] * rate[1:] < 0.0).astype(np.int64)
+        half = int(round(0.5 * 1.0 / dt))
+        transitions = np.nonzero(np.diff(traj.phase) != 0)[0] + 1
+        if transitions.size:
+            best = 0
+            for idx in transitions:
+                lo = max(int(idx) - half, 0)
+                hi = min(int(idx) + half, n - 1)
+                best = max(best, int(np.sum(changes[lo:hi])))
+            return best / 1.0
+        span = min(2 * half, n - 1)
+        csum = np.concatenate(([0], np.cumsum(changes)))
+        window_counts = csum[span:] - csum[: len(csum) - span]
+        return float(np.max(window_counts)) / 1.0
+
+    @staticmethod
+    def t_conv_by_cumsum(traj, cfg):
+        """The reaching time from one cumsum with its first window handled
+        apart, as it was written before one running count."""
+        need = int(round(cfg.dwell / cfg.dt))
+        ok = (np.abs(traj.d) <= cfg.d_threshold) & (
+            np.abs(wrap_angle_array(traj.chi - traj.chi_p)) <= cfg.align_threshold
+        )
+        n = len(ok)
+        if n > need:
+            window = np.cumsum(ok)
+            window_sum = window[need:].astype(np.int64)
+            window_sum[1:] -= window[: n - need - 1]
+            hits = np.nonzero(window_sum == need + 1)[0]
+            if hits.size:
+                return float(traj.t[hits[0]])
+        return math.nan
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 99, 100, 101, 102, 250])
+    @pytest.mark.parametrize("where", ["none", "first", "last", "both", "random"])
+    def test_window_counts_match_loop_formulas(self, n, where):
+        # dt = 0.01 s: half = 50 samples, so n <= 2 half covers a window
+        # longer than the trajectory; the dwell of need = 7 samples puts n = 7
+        # and n = 8 at its edge.
+        rng = np.random.default_rng(n)
+        dt = 0.01
+        t = np.arange(n) * dt
+        phase = np.zeros(n, dtype=np.int8)
+        if where in ("first", "both"):
+            phase[1:] = 1
+        if where in ("last", "both"):
+            phase[n - 1] = 2
+        if where == "random":
+            phase = rng.integers(1, 4, size=n).astype(np.int8)
+        for trial in range(20):
+            chi_dot = rng.choice([-1.0, 0.0, 1e-12, 1.0], size=n)
+            d = np.where(rng.random(n) < 0.9, 0.0, 50.0)
+            traj = synthetic_trajectory(t, d, chi_dot=chi_dot, phase=phase)
+            assert chattering_index(traj) == self.chattering_by_loop(traj)
+            for need in (7, n - 1, n, n + 1):
+                cfg = line_config(d_threshold=1.0, dwell=need * dt, dt=dt)
+                expected = self.t_conv_by_cumsum(traj, cfg)
+                t_conv = compute_metrics(traj, cfg).t_conv
+                assert t_conv == expected or (math.isnan(t_conv) and math.isnan(expected))
 
     def test_compute_metrics_scores_two_samples_alike(self):
         # One turn-rate sign change between two samples: 1 per 1 s window.
