@@ -618,7 +618,9 @@ class TestChatteringIndex:
             for need in (7, n - 1, n, n + 1):
                 cfg = line_config(d_threshold=1.0, dwell=need * dt, dt=dt)
                 expected = self.t_conv_by_cumsum(traj, cfg)
-                t_conv = compute_metrics(traj, cfg).t_conv
+                metrics = compute_metrics(traj, cfg)
+                assert metrics.converged == (not math.isnan(expected))
+                t_conv = metrics.t_conv
                 assert t_conv == expected or (math.isnan(t_conv) and math.isnan(expected))
 
     def test_compute_metrics_scores_two_samples_alike(self):
