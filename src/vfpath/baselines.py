@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .angles import HALF_PI, TAU
-from .paths import PathFrame, ReferencePath
+from .paths import ReferencePath
 
 
 class LookaheadInfeasibleError(RuntimeError):
@@ -44,14 +44,15 @@ class BaselineParams:
                 raise ValueError(f"{name} must be positive and finite")
 
 
-def basic_vf_command(frame: PathFrame, params: BaselineParams) -> float:
+def basic_vf_command(frame: tuple, params: BaselineParams) -> float:
     """Unswitched vector-field command: chi_c = chi_p - beta*(2/pi)*atan(k*d).
 
     The desired field angle is commanded directly, so the course loop tracks
     it proportionally with no feedforward.
     """
-    offset = params.vf_beta * (2.0 / math.pi) * math.atan(params.vf_k * frame.d)
-    return math.remainder(frame.chi_p - offset, TAU)
+    _, _, _, chi_p, d, _ = frame
+    offset = params.vf_beta * (2.0 / math.pi) * math.atan(params.vf_k * d)
+    return math.remainder(chi_p - offset, TAU)
 
 
 # Saturation of the PLOS proportional term (rad).  Strictly below pi: a
@@ -64,7 +65,7 @@ def plos_command(
     x: float,
     y: float,
     chi: float,
-    frame: PathFrame,
+    frame: tuple,
     params: BaselineParams,
 ) -> float:
     """Pure-pursuit-plus-LOS command from the vehicle pose ``(x, y, chi)``.
@@ -74,12 +75,12 @@ def plos_command(
     straight path), and plos_k1 multiplies the course error to that reference.
     The proportional term saturates at +-PLOS_CLAMP for large errors.
     """
+    _, px, py, chi_p, _, _ = frame
     lookahead = 1.0 / params.plos_k2
-    aim_x = frame.p_ref[0] + lookahead * math.cos(frame.chi_p)
-    aim_y = frame.p_ref[1] + lookahead * math.sin(frame.chi_p)
-    dx, dy = aim_x - x, aim_y - y
+    dx = px + lookahead * math.cos(chi_p) - x
+    dy = py + lookahead * math.sin(chi_p) - y
     if math.hypot(dx, dy) < 1e-9:
-        return frame.chi_p  # degenerate: sitting exactly on the aim point
+        return chi_p  # degenerate: sitting exactly on the aim point
     chi_los = math.atan2(dy, dx)
     correction = params.plos_k1 * math.remainder(chi_los - chi, TAU)
     correction = min(max(correction, -PLOS_CLAMP), PLOS_CLAMP)
@@ -88,7 +89,7 @@ def plos_command(
 
 def nlgl_virtual_target(
     path: ReferencePath,
-    frame: PathFrame,
+    frame: tuple,
     p: tuple[float, float],
     l1: float,
     near: Optional[float] = None,
@@ -103,14 +104,15 @@ def nlgl_virtual_target(
     Raises LookaheadInfeasibleError when |d| > L1 or the circle meets the
     path nowhere.
     """
-    dist_min = abs(frame.d)
+    s_star, px, py, _, d, _ = frame
+    dist_min = abs(d)
     if dist_min > l1:
         raise LookaheadInfeasibleError(
             f"cross-track error {dist_min:.1f} m exceeds look-ahead {l1:.1f} m"
         )
     if dist_min == l1:
-        return frame.s_star, frame.p_ref
-    s_t = path.lookahead_parameter(frame, p[0], p[1], l1, near)
+        return s_star, (px, py)
+    s_t = path.lookahead_parameter(s_star, p[0], p[1], l1, near)
     if s_t is None:
         raise LookaheadInfeasibleError(
             f"no look-ahead intersection found (|d| = {dist_min:.3f} m; L1 = {l1:.1f} m)"
@@ -122,7 +124,7 @@ def nlgl_command(
     x: float,
     y: float,
     chi: float,
-    frame: PathFrame,
+    frame: tuple,
     path: ReferencePath,
     params: BaselineParams,
     v_g: float,
@@ -149,7 +151,7 @@ def nlgl_command(
     lookahead = (s_t if prev is None else prev[4][1], s_t)
     dx, dy = target[0] - x, target[1] - y
     if math.hypot(dx, dy) < 1e-9:
-        return frame.chi_p, frame.chi_p, 0, None, lookahead
+        return frame[3], frame[3], 0, None, lookahead
     eta_angle = math.remainder(math.atan2(dy, dx) - chi, TAU)
     rate = 2.0 * v_g / params.nlgl_l1 * math.sin(eta_angle)
     chi_c = math.remainder(chi + rate / alpha, TAU)

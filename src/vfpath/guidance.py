@@ -32,7 +32,6 @@ from enum import IntEnum
 from typing import Optional
 
 from .angles import HALF_PI, TAU
-from .paths import PathFrame
 
 
 class GuidancePhase(IntEnum):
@@ -118,14 +117,15 @@ def sat(x: float) -> float:
 
 def commanded_course(
     chi: float,
-    frame: PathFrame,
+    frame: tuple,
+    chi_p_dot: float,
     params: GuidanceParams,
     prev_phase: Optional[GuidancePhase],
     v_g: float,
 ) -> tuple[float, float, GuidancePhase, None, tuple]:
-    """One step of the switched law from the vehicle's course ``chi``: the
-    desired course chi_d, the phase and the commanded course chi_c that
-    realizes the field through the course loop.
+    """One step of the switched law from the vehicle's course ``chi``, the
+    frame tuple of ``frame_at`` and the path course rate ``chi_p_dot``: chi_d,
+    the phase and the command chi_c realizing the field through the loop.
 
     Returns the law step tuple ``(chi_c, chi_d, phase, None, ())``: the
     switched law never fails and keeps no look-ahead (README, "Guidance
@@ -158,7 +158,7 @@ def commanded_course(
     """
     if v_g <= 0.0:
         raise ValueError("v_g must be positive")
-    d, chi_p, rho = frame.d, frame.chi_p, frame.rho
+    _, _, _, chi_p, d, rho = frame
     scale = params.chi_inf * (2.0 / math.pi)
     remainder = math.remainder
 
@@ -182,7 +182,7 @@ def commanded_course(
             phase = GuidancePhase.CASE2
 
     track = remainder(chi - chi_p, TAU)
-    feedforward = frame.chi_p_dot - scale * gain * v_g * math.sin(track)
+    feedforward = chi_p_dot - scale * gain * v_g * math.sin(track)
 
     if phase is GuidancePhase.CASE1:
         reaching = -rho * params.eta * abs(chi_tilde) ** (params.n / params.m)

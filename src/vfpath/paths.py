@@ -2,11 +2,11 @@
 
 Every path kind states its curve once, as the point and tangent angle at a
 parameter of a stated domain (``_pose``), which ``point(s)``,
-``tangent_angle(s)`` and ``frame_at`` read.  It answers two geometric queries
-exactly: the closest parameter to a point (``closest_parameter``, which fills
-a :class:`PathFrame`) and the forward-most parameter at a given distance from
-it (``lookahead_parameter``, the NLGL look-ahead target).  Each kind also
-states its exact peak curvature over the domain (``peak_curvature``).
+``tangent_angle(s)`` and ``frame_at`` (a plain tuple; :class:`PathFrame`
+names its fields) read.  It answers two queries exactly: the closest parameter
+to a point (``closest_parameter``, a float) and the forward-most parameter at
+a given distance from it (``lookahead_parameter``, the NLGL look-ahead
+target).  Each kind also states its exact peak curvature (``peak_curvature``).
 
 Sign convention: the cross-track error ``d`` is the component of the
 displacement (vehicle minus closest point) along the path tangent rotated by
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,25 +56,23 @@ class UnboundedCurvatureError(ValueError):
     """Raised when a path has a corner, so its curvature has no finite bound."""
 
 
-@dataclass(slots=True)
-class PathFrame:
-    """Closest-point frame of a vehicle position relative to a path.
+class PathFrame(NamedTuple):
+    """Named view of ``frame_at``'s plain frame tuple; only ``closest_point`` builds one.
 
     Attributes:
         s_star: path parameter of the closest point.
-        p_ref: closest point on the path (m).
+        px, py: closest point on the path (m).
         chi_p: path tangent angle at the closest point, wrapped to [-pi, pi].
-        d: signed cross-track error (m); |d| is the distance to p_ref.
+        d: signed cross-track error (m); |d| is the distance to (px, py).
         rho: side indicator, +1 on the positive-d side, -1 otherwise.
-        chi_p_dot: path course rate (rad/s); 0 until filled by the caller.
     """
 
     s_star: float
-    p_ref: tuple[float, float]
+    px: float
+    py: float
     chi_p: float
     d: float
     rho: int
-    chi_p_dot: float = 0.0
 
 
 class ReferencePath:
@@ -125,12 +122,12 @@ class ReferencePath:
         raise NotImplementedError
 
     def lookahead_parameter(
-        self, frame: PathFrame, px: float, py: float, l1: float, near: Optional[float] = None
+        self, s_star: float, px: float, py: float, l1: float, near: Optional[float] = None
     ) -> Optional[float]:
         """Forward-most (largest) parameter whose point lies at distance
         ``l1`` from p = (px, py), or None when no such point exists.
 
-        ``frame`` is the closest-point frame of p, with |d| < l1:
+        ``s_star`` is the closest parameter of p, with |d| < l1:
         ``nlgl_virtual_target`` handles tangency and |d| > l1 itself.
         ``near``, the answer predicted from the previous ones when tracking,
         is a hint that a path kind may use, as in ``closest_parameter``.
@@ -144,11 +141,10 @@ class ReferencePath:
 
     def closest_point(self, p: Sequence[float]) -> PathFrame:
         """Path frame at the point of the path closest to ``p``."""
-        return self.frame_at(self.closest_parameter(p), (float(p[0]), float(p[1])))
+        return PathFrame(*self.frame_at(self.closest_parameter(p), (float(p[0]), float(p[1]))))
 
-    def frame_at(self, s_star: float, p: Sequence[float]) -> PathFrame:
-        """Frame of ``p`` with its closest point at ``s_star``: the signed
-        cross-track error and the side indicator."""
+    def frame_at(self, s_star: float, p: Sequence[float]) -> tuple:
+        """Frame of ``p`` with its closest point at ``s_star``, a plain tuple (see PathFrame)."""
         rx, ry, chi_p = self._pose(self._clip_parameter(s_star))
         ux, uy = p[0] - rx, p[1] - ry
         cross = math.cos(chi_p) * uy - math.sin(chi_p) * ux
@@ -156,7 +152,7 @@ class ReferencePath:
         # |d| is the true Euclidean distance even when the minimizer sits on
         # a domain boundary and the displacement is not perpendicular.
         d = math.copysign(dist, cross) if cross != 0.0 else dist
-        return PathFrame(s_star, (rx, ry), chi_p, d, 1 if d >= 0.0 else -1)
+        return s_star, rx, ry, chi_p, d, 1 if d >= 0.0 else -1
 
 
 def _check_finite(**values: float) -> None:
@@ -211,10 +207,10 @@ class LinePath(ReferencePath):
         s = (px - self.x0) * self._cos + (py - self.y0) * self._sin
         return min(max(s, self.s_min), self.s_max)
 
-    def lookahead_parameter(self, frame, px, py, l1, near=None):
+    def lookahead_parameter(self, s_star, px, py, l1, near=None):
         """Largest root u +- sqrt(l1^2 - e^2) inside the domain, with u the
         along-track coordinate of p and e its offset from the unbounded line
-        (the frame's s* and d are clamped at a domain end).  It depends on e
+        (the closest point clamps s* and d at a domain end).  It depends on e
         through e^2 alone, so mirrored points get the same answer."""
         dx, dy = px - self.x0, py - self.y0
         u = dx * self._cos + dy * self._sin
@@ -266,7 +262,7 @@ class CirclePath(ReferencePath):
         theta = math.atan2(uy, ux) % (2.0 * math.pi)
         return theta * self.radius
 
-    def lookahead_parameter(self, frame, px, py, l1, near=None):
+    def lookahead_parameter(self, s_star, px, py, l1, near=None):
         """s* + R acos((R^2 + r^2 - l1^2) / (2 R r)), with r the distance of p
         from the centre: the crossing of the look-ahead circle within one lap
         ahead of s*.  On a small circle (circumference below 5 l1) a window
@@ -279,7 +275,7 @@ class CirclePath(ReferencePath):
         cos_angle = (self.radius**2 + r * r - l1 * l1) / (2.0 * self.radius * r)
         if not -1.0 <= cos_angle <= 1.0:
             return None
-        return frame.s_star + self.radius * math.acos(cos_angle)
+        return s_star + self.radius * math.acos(cos_angle)
 
     def peak_curvature(self) -> float:
         return 1.0 / self.radius
@@ -481,6 +477,7 @@ class SinusoidPath(ReferencePath):
                 return s
         # Any point closer than s lies in [lo, hi], as q(v) >= (v - px)^2.
         r = math.sqrt(q)
+        _skin_and_reach(r, px, py)  # a rebuild's check, so the hint cannot matter
         lo, hi = max(px - r, self.s_min), min(px + r, self.s_max)
         s = self._search_convex_pieces(px, py, lo, hi, s, stationary)
         if rebuild:
@@ -612,7 +609,7 @@ class SinusoidPath(ReferencePath):
         return min((self._distance_sq(v, px, py), v) for v in candidates)[1]
 
     def lookahead_parameter(
-        self, frame: PathFrame, px: float, py: float, l1: float, near: Optional[float] = None
+        self, s_star: float, px: float, py: float, l1: float, near: Optional[float] = None
     ) -> Optional[float]:
         """Forward-most parameter whose point lies at distance ``l1`` from p.
 
@@ -628,7 +625,7 @@ class SinusoidPath(ReferencePath):
         or Newton refuses it.  README, "Look-ahead target", sketches the
         search.
         """
-        lo, hi = frame.s_star, px + l1
+        lo, hi = s_star, px + l1
         if hi > self.s_max:
             hi = self.s_max
             if self._distance_sq(hi, px, py) < l1 * l1:
@@ -782,15 +779,15 @@ class PolylinePath(ReferencePath):
                 best, s_best = d2, cum + t * length
         return s_best
 
-    def lookahead_parameter(self, frame, px, py, l1, near=None):
+    def lookahead_parameter(self, s_star, px, py, l1, near=None):
         """Largest root of |point(s) - p| = l1 in the window [s* - 2.5 l1,
         s* + 2.5 l1] of the domain, from the segment-circle quadratic on each
         segment that overlaps the window, the last segment first.  The
         window keeps the target on the stretch near s*: a polyline that
         comes back near p has roots far ahead in parameter."""
         span = 2.5 * l1
-        lo = max(frame.s_star - span, self.s_min)
-        hi = min(frame.s_star + span, self.s_max)
+        lo = max(s_star - span, self.s_min)
+        hi = min(s_star + span, self.s_max)
         r_sq = l1 * l1
         for i in range(self._segment_index(hi), self._segment_index(lo) - 1, -1):
             ax, ay, sx, sy, len_sq, cum, length = self._segments[i]

@@ -27,7 +27,7 @@ from .baselines import (
     plos_command,
 )
 from .guidance import GuidanceParams, commanded_course
-from .paths import PathDomainError, PathFrame, ReferencePath, SinusoidPath
+from .paths import PathDomainError, ReferencePath, SinusoidPath
 from .vehicle import (
     AirspeedSpec,
     VehicleState,
@@ -185,28 +185,28 @@ class ScenarioConfig:
         return MC_WIND_SPEED_RANGE[1] if self.wind is None else self.wind.speed
 
 
-# Guidance steps (config, x, y, chi, frame, v_g, prev) -> (chi_c, chi_d,
-# phase, failure, lookahead), with ``prev`` the law's previous step tuple or
-# None (README, "Guidance laws share one interface").  They look the law
-# functions up in this module on each call, so a wrapper set on
-# ``vfpath.simulation`` sees every call.
-def _switched_step(config, x, y, chi, frame, v_g, prev):
+# Guidance steps (config, x, y, chi, frame, chi_p_dot, v_g, prev) -> (chi_c,
+# chi_d, phase, failure, lookahead): ``frame`` is frame_at's plain tuple and
+# ``prev`` the law's previous step tuple or None (README, "Guidance laws share
+# one interface").  They look the law functions up in this module on each
+# call, so a wrapper set on ``vfpath.simulation`` sees every call.
+def _switched_step(config, x, y, chi, frame, chi_p_dot, v_g, prev):
     return commanded_course(
-        chi, frame, config.guidance, None if prev is None else prev[2], v_g
+        chi, frame, chi_p_dot, config.guidance, None if prev is None else prev[2], v_g
     )
 
 
-def _basic_vf_step(config, x, y, chi, frame, v_g, prev):
+def _basic_vf_step(config, x, y, chi, frame, chi_p_dot, v_g, prev):
     chi_c = basic_vf_command(frame, config.baselines)
     return chi_c, chi_c, 0, None, ()
 
 
-def _plos_step(config, x, y, chi, frame, v_g, prev):
+def _plos_step(config, x, y, chi, frame, chi_p_dot, v_g, prev):
     chi_c = plos_command(x, y, chi, frame, config.baselines)
     return chi_c, chi_c, 0, None, ()
 
 
-def _nlgl_step(config, x, y, chi, frame, v_g, prev):
+def _nlgl_step(config, x, y, chi, frame, chi_p_dot, v_g, prev):
     try:
         return nlgl_command(
             x, y, chi, frame, config.path, config.baselines, v_g, config.guidance.alpha, prev
@@ -316,18 +316,18 @@ def sample_wind(rng: np.random.Generator) -> WindModel:
 def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialMetrics]:
     """Simulate one closed-loop trial and score it.
 
-    Each step evaluates the path frame, calls the law's step in ``LAWS``
-    with the pose as three floats and the law's previous step tuple, records
-    all channels, then integrates the vehicle one step.  When
-    ``stop_when_converged`` is set the trial ends as soon as the convergence
-    condition has held for a full dwell window (the recorded trajectory
-    always contains that window); otherwise it runs to ``max_time``.  A step
-    whose tuple names a failure (nlgl's infeasible look-ahead) is recorded
-    and stops the trial, marked non-converged with that reason, and so does
-    ending off a finite path's end (closest point at ``s_min`` or ``s_max``,
-    |d| above ``d_threshold``).  A state that turns non-finite also stops
-    the trial with a named reason; the trajectory ends at the last finite
-    state.
+    Each step evaluates the path frame tuple and course rate, calls the
+    law's step in ``LAWS`` with them, the pose as three floats and the law's
+    previous step tuple, records all channels, then integrates the vehicle
+    one step.  When ``stop_when_converged`` is set the trial ends as soon as
+    the convergence condition has held for a full dwell window (the recorded
+    trajectory always contains that window); otherwise it runs to
+    ``max_time``.  A step whose tuple names a failure (nlgl's infeasible
+    look-ahead) is recorded and stops the trial, marked non-converged with
+    that reason, and so does ending off a finite path's end (closest point
+    at ``s_min`` or ``s_max``, |d| above ``d_threshold``).  A state that
+    turns non-finite also stops the trial with a named reason; the
+    trajectory ends at the last finite state.
     """
     wind = config.wind
     if wind is None:
@@ -346,7 +346,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     remainder = math.remainder
 
     x, y, chi = initial_state(config)
-    frame: Optional[PathFrame] = None
+    frame: Optional[tuple] = None  # (s_star, px, py, chi_p, d, rho)
     near: Optional[float] = None  # the closest parameter predicted for this step
     cmd: Optional[tuple] = None  # the law's previous step tuple
     streak = 0
@@ -367,19 +367,20 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         p = (x, y)
         prev_frame = frame
         frame = path.frame_at(path.closest_parameter(p, near=near), p)
+        s_star, _, _, chi_p, d, _ = frame
         # The first frame stands in as its own predecessor: its path course
         # rate is 0 and the next hint is its own s*.
         last = prev_frame or frame
-        frame.chi_p_dot = remainder(frame.chi_p - last.chi_p, TAU) / dt
+        chi_p_dot = remainder(chi_p - last[3], TAU) / dt
         # The next step's hint: s* extrapolated linearly from the last two.
-        near = 2.0 * frame.s_star - last.s_star
+        near = 2.0 * s_star - last[0]
         v_g = ground_speed(spec, wind, chi)
 
-        cmd = law_step(config, x, y, chi, frame, v_g, cmd)
+        cmd = law_step(config, x, y, chi, frame, chi_p_dot, v_g, cmd)
         chi_c, chi_d, phase, failure, _ = cmd
         # turn_rate(chi_c, chi, alpha); GuidanceParams proved alpha > 0.
         chi_dot = alpha * remainder(chi_c - chi, TAU)
-        record((x, y, chi, chi_c, chi_d, chi_dot, frame.d, phase, frame.chi_p))
+        record((x, y, chi, chi_c, chi_d, chi_dot, d, phase, chi_p))
         if len(rows) == block_len:
             blocks.append(np.array(rows, dtype=float))
             rows.clear()
@@ -388,7 +389,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
 
         # compute_metrics scores convergence; the streak only decides the stop.
         if stop_early:
-            if abs(frame.d) <= d_thr and abs(remainder(chi - frame.chi_p, TAU)) <= align_thr:
+            if abs(d) <= d_thr and abs(remainder(chi - chi_p, TAU)) <= align_thr:
                 streak += 1
                 if streak > need:
                     break
@@ -400,11 +401,11 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         # v_g and chi_dot are the first RK4 stage at this state.
         x, y, chi = step_vehicle((x, y, chi), chi_c, spec, wind, alpha, dt, v_g, chi_dot)
 
-    at_end = min(abs(frame.s_star - path.s_min), abs(frame.s_star - path.s_max))
-    if failure is None and not path.periodic and at_end <= PATH_END_TOL and abs(frame.d) > d_thr:
+    at_end = min(abs(s_star - path.s_min), abs(s_star - path.s_max))
+    if failure is None and not path.periodic and at_end <= PATH_END_TOL and abs(d) > d_thr:
         failure = (
-            f"path end: the closest point is the path's end at s = {frame.s_star:g};"
-            f" {abs(frame.d):g} m away"
+            f"path end: the closest point is the path's end at s = {s_star:g};"
+            f" {abs(d):g} m away"
         )
 
     blocks.append(np.array(rows, dtype=float))

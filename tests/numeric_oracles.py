@@ -12,7 +12,6 @@ from vfpath.guidance import HALF_PI, GuidanceParams, GuidancePhase, sat
 from vfpath.paths import (
     CirclePath,
     LinePath,
-    PathFrame,
     PolylinePath,
     ReferencePath,
     SinusoidPath,
@@ -79,29 +78,32 @@ def dense_closest_parameter(path: ReferencePath, p: Sequence[float], n: int) -> 
 
 
 def scan_lookahead_parameter(
-    path: ReferencePath, frame: PathFrame, p: Sequence[float], l1: float
+    path: ReferencePath, s_star: float, p: Sequence[float], l1: float
 ) -> float:
     """Forward-most parameter at distance ``l1`` from ``p`` by a 257-point
     scan of the window [s* - 2.5 l1, s* + 2.5 l1] (within the domain unless
     the path is periodic) for sign changes of ``distance - l1``, and
-    bisection of the forward-most one to ``NLGL_BISECT_TOL``.
+    bisection of the forward-most one to ``NLGL_BISECT_TOL``; ``s_star`` is
+    the closest parameter s* of ``p``.
 
-    A tangency (|d| within tolerance of l1) with no sign change gives s*;
+    A tangency (|d|, the distance from p to point(s*), within tolerance of
+    l1) with no sign change gives s*;
     LookaheadInfeasibleError when there is no crossing otherwise.  On a
     circle shorter than the window the forward-most crossing can be one a
     lap on.
     """
-    dist_min = abs(frame.d)
-
     def g(s: float) -> float:
         x, y = path.point(s)
         return math.hypot(x - p[0], y - p[1]) - l1
 
+    x_star, y_star = path.point(s_star)
+    dist_min = math.hypot(x_star - p[0], y_star - p[1])
+
     # Intersections lie within about half the circle circumference of arc
     # length from the closest point; scan a generous window.
     span = 2.5 * l1
-    lo = frame.s_star - span
-    hi = frame.s_star + span
+    lo = s_star - span
+    hi = s_star + span
     if not path.periodic:
         lo = max(lo, path.s_min)
         hi = min(hi, path.s_max)
@@ -123,7 +125,7 @@ def scan_lookahead_parameter(
     if crossing is None:
         # Tangency: the circle grazes the path at the closest point.
         if abs(dist_min - l1) <= 1e-6 * max(l1, 1.0) + 1e-9:
-            return frame.s_star
+            return s_star
         raise LookaheadInfeasibleError(
             f"no look-ahead intersection found (|d| = {dist_min:.3f} m; L1 = {l1:.1f} m)"
         )
@@ -320,7 +322,8 @@ def helper_step_vehicle(
 
 def helper_commanded_course(
     chi: float,
-    frame: PathFrame,
+    frame: tuple,
+    chi_p_dot: float,
     params: GuidanceParams,
     prev_phase: Optional[GuidancePhase],
     v_g: float,
@@ -329,7 +332,7 @@ def helper_commanded_course(
     wrap_angle and the course error recomputed after the phase test."""
     if v_g <= 0.0:
         raise ValueError("v_g must be positive")
-    d, chi_p, rho = frame.d, frame.chi_p, frame.rho
+    _, _, _, chi_p, d, rho = frame
     scale = params.chi_inf * (2.0 / math.pi)
 
     if abs(d) < params.d_s:
@@ -350,7 +353,7 @@ def helper_commanded_course(
 
     chi_tilde = wrap_angle(chi - chi_d)
     sin_track = math.sin(wrap_angle(chi - chi_p))
-    feedforward = frame.chi_p_dot - scale * gain * v_g * sin_track
+    feedforward = chi_p_dot - scale * gain * v_g * sin_track
 
     if phase is GuidancePhase.CASE1:
         reaching = -rho * params.eta * abs(chi_tilde) ** (params.n / params.m)

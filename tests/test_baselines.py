@@ -88,7 +88,7 @@ class TestNLGL:
         p = (30.0, BP.nlgl_l1)
         frame = line.closest_point(p)
         s_t, target = nlgl_virtual_target(line, frame, p, BP.nlgl_l1)
-        assert target == pytest.approx(frame.p_ref, abs=1e-2)
+        assert target == pytest.approx((frame.px, frame.py), abs=1e-2)
 
     def test_beyond_lookahead_raises(self):
         line = LinePath(0, 0, 0)
@@ -157,9 +157,9 @@ class TestNLGL:
         hints = []
 
         class RecordingSinusoid(SinusoidPath):
-            def lookahead_parameter(self, frame, px, py, l1, near=None):
+            def lookahead_parameter(self, s_star, px, py, l1, near=None):
                 hints.append(near)
-                return super().lookahead_parameter(frame, px, py, l1, near)
+                return super().lookahead_parameter(s_star, px, py, l1, near)
 
         path = RecordingSinusoid(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
         p0, p1 = (0.0, 60.0), (0.15, 60.1)
@@ -206,7 +206,7 @@ class TestLookaheadParameter:
     def assert_forward_most_crossing(self, path, p, l1):
         frame = path.closest_point(p)
         assert abs(frame.d) < l1 and p[0] + l1 <= path.s_max
-        s_t = path.lookahead_parameter(frame, p[0], p[1], l1)
+        s_t = path.lookahead_parameter(frame.s_star, p[0], p[1], l1)
         assert s_t is not None
         x, y = path.point(s_t)
         assert math.hypot(x - p[0], y - p[1]) == pytest.approx(l1, abs=1e-6)
@@ -273,9 +273,9 @@ class TestLookaheadParameter:
         calls = []
 
         class RecordingSinusoid(SinusoidPath):
-            def lookahead_parameter(self, frame, px, py, l1, near=None):
-                s_t = super().lookahead_parameter(frame, px, py, l1, near)
-                calls.append((frame, (px, py), l1, s_t))
+            def lookahead_parameter(self, s_star, px, py, l1, near=None):
+                s_t = super().lookahead_parameter(s_star, px, py, l1, near)
+                calls.append((s_star, (px, py), l1, s_t))
                 return s_t
 
         path = RecordingSinusoid(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
@@ -286,18 +286,18 @@ class TestLookaheadParameter:
         assert metrics.failure_reason is None
         assert len(calls) == len(traj) == 6001
         assert all(s_t is not None for *_, s_t in calls)
-        for frame, p, l1, s_t in calls:
-            assert s_t == pytest.approx(scan_lookahead_parameter(path, frame, p, l1), abs=1e-4)
+        for s_star, p, l1, s_t in calls:
+            assert s_t == pytest.approx(scan_lookahead_parameter(path, s_star, p, l1), abs=1e-4)
 
     @staticmethod
     def benchmark_lookahead_calls(every=60):
-        """Every ``every``-th (frame, p, l1) of the 60 s benchmark nlgl trial."""
+        """Every ``every``-th (s_star, p, l1) of the 60 s benchmark nlgl trial."""
         calls = []
 
         class RecordingSinusoid(SinusoidPath):
-            def lookahead_parameter(self, frame, px, py, l1, near=None):
-                calls.append((frame, (px, py), l1))
-                return super().lookahead_parameter(frame, px, py, l1, near)
+            def lookahead_parameter(self, s_star, px, py, l1, near=None):
+                calls.append((s_star, (px, py), l1))
+                return super().lookahead_parameter(s_star, px, py, l1, near)
 
         path = RecordingSinusoid(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
         run_trial(
@@ -317,28 +317,28 @@ class TestLookaheadParameter:
         path = SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
         calls = self.benchmark_lookahead_calls()
         assert len(calls) > 50
-        for frame, p, l1 in calls:
+        for s_star, p, l1 in calls:
             cold = SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD).lookahead_parameter(
-                frame, p[0], p[1], l1
+                s_star, p[0], p[1], l1
             )
             near = {
                 "none": None,
                 "nan": math.nan,
                 "answer": cold,
-                "inside": 0.5 * (frame.s_star + cold),
-                "at s*": frame.s_star,
-                "left of s*": frame.s_star - 1.0,
+                "inside": 0.5 * (s_star + cold),
+                "at s*": s_star,
+                "left of s*": s_star - 1.0,
                 "past hi": p[0] + l1 + 1.0,
             }[hint]
-            s_t = path.lookahead_parameter(frame, p[0], p[1], l1, near)
+            s_t = path.lookahead_parameter(s_star, p[0], p[1], l1, near)
             assert abs(s_t - cold) <= 1e-12
-            assert s_t == pytest.approx(scan_lookahead_parameter(path, frame, p, l1), abs=1e-4)
+            assert s_t == pytest.approx(scan_lookahead_parameter(path, s_star, p, l1), abs=1e-4)
 
     def test_hint_reaches_each_branch(self):
         class RecordingSinusoid(SinusoidPath):
-            def lookahead_parameter(self, frame, px, py, l1, near=None):
+            def lookahead_parameter(self, s_star, px, py, l1, near=None):
                 self.events = []
-                return super().lookahead_parameter(frame, px, py, l1, near)
+                return super().lookahead_parameter(s_star, px, py, l1, near)
 
             def _forward_crossing_in_pieces(self, *args, **kwargs):
                 self.events.append("walk")
@@ -366,9 +366,9 @@ class TestLookaheadParameter:
         for p, hint, branch in steps:
             fresh = SinusoidPath(100.0, 1000.0)
             frame = fresh.closest_point(p)
-            cold = fresh.lookahead_parameter(frame, p[0], p[1], l1)
+            cold = fresh.lookahead_parameter(frame.s_star, p[0], p[1], l1)
             near = {None: None, "inside": 0.5 * (frame.s_star + cold), "at s*": frame.s_star}[hint]
-            s_t = path.lookahead_parameter(frame, p[0], p[1], l1, near)
+            s_t = path.lookahead_parameter(frame.s_star, p[0], p[1], l1, near)
             events = {
                 "cold": ["root"],
                 "hinted": [],
@@ -377,7 +377,8 @@ class TestLookaheadParameter:
             }[branch]
             assert path.events[: len(events) or None] == events, branch
             assert abs(s_t - cold) <= 1e-12
-            assert s_t == pytest.approx(scan_lookahead_parameter(path, frame, p, l1), abs=1e-4)
+            scan = scan_lookahead_parameter(path, frame.s_star, p, l1)
+            assert s_t == pytest.approx(scan, abs=1e-4)
 
     def test_cached_state_changes_no_answer(self):
         # An nlgl trial on a path that has just flown another nlgl trial,

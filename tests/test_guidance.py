@@ -22,8 +22,8 @@ P = GuidanceParams()  # defaults: chi_inf=pi/2, k1=0.01, d_s=10, eta=pi/4, n=3, 
 
 def step(d, chi, chi_p=0.0, prev_phase=None, params=P):
     """One switched-law step at cross-track error d and course chi."""
-    frame = PathFrame(0.0, (0.0, 0.0), chi_p, d, 1 if d >= 0.0 else -1)
-    return commanded_course(chi, frame, params, prev_phase, 15.0)
+    frame = PathFrame(0.0, 0.0, 0.0, chi_p, d, 1 if d >= 0.0 else -1)
+    return commanded_course(chi, frame, 0.0, params, prev_phase, 15.0)
 
 
 def field(d, chi_p=0.0, params=P):
@@ -173,7 +173,7 @@ class TestCommandedCourse:
         line = LinePath(0, 0, 0)
         frame = line.closest_point((5.0, 0.0))
         state = VehicleState(5.0, 0.0, 0.0)
-        out = commanded_course(state.chi, frame, P, None, 15.0)
+        out = commanded_course(state.chi, frame, 0.0, P, None, 15.0)
         assert out[2] is GuidancePhase.CASE3
         assert wrap_angle(state.chi - out[1]) == 0.0
         assert out[0] == pytest.approx(0.0, abs=1e-15)
@@ -184,7 +184,7 @@ class TestCommandedCourse:
         chi = 2.5
         state = VehicleState(0.0, 200.0, chi)
         v_g = 15.0
-        out = commanded_course(state.chi, frame, P, None, v_g)
+        out = commanded_course(state.chi, frame, 0.0, P, None, v_g)
         assert out[2] is GuidancePhase.CASE1
         d = 200.0
         k3 = P.k3
@@ -204,7 +204,7 @@ class TestCommandedCourse:
         frame = line.closest_point((5.0, 0.0))  # d = 0
         chi = P.epsilon / 2.0
         state = VehicleState(5.0, 0.0, chi)
-        out = commanded_course(state.chi, frame, P, GuidancePhase.CASE3, 15.0)
+        out = commanded_course(state.chi, frame, 0.0, P, GuidancePhase.CASE3, 15.0)
         assert out[2] is GuidancePhase.CASE3
         beta = P.sigma / (1.0 + P.epsilon / 2.0)
         ff = -P.k1 / (1.0 + 0.0) * 15.0 * math.sin(chi)
@@ -215,7 +215,7 @@ class TestCommandedCourse:
         line = LinePath(0, 0, 0)
         frame = line.closest_point((0.0, 5.0))
         with pytest.raises(ValueError):
-            commanded_course(0, frame, P, None, 0.0)
+            commanded_course(0, frame, 0.0, P, None, 0.0)
 
 
 class TestConvergenceTime:

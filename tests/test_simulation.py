@@ -256,12 +256,11 @@ class TestRunTrial:
         for k in range(len(traj)):
             x, y, chi = float(traj.x[k]), float(traj.y[k]), float(traj.chi[k])
             frame = path.closest_point((x, y))
-            if k:
-                frame.chi_p_dot = wrap_angle(frame.chi_p - float(traj.chi_p[k - 1])) / dt
+            chi_p_dot = wrap_angle(frame.chi_p - float(traj.chi_p[k - 1])) / dt if k else 0.0
             v_g = ground_speed(spec, wind, chi)
             if law == "switched":
                 out = commanded_course(
-                    chi, frame, cfg.guidance, None if prev is None else prev[2], v_g
+                    chi, frame, chi_p_dot, cfg.guidance, None if prev is None else prev[2], v_g
                 )
             elif law == "nlgl":
                 out = nlgl_command(x, y, chi, frame, path, cfg.baselines, v_g, alpha, prev)
@@ -285,7 +284,7 @@ class TestRunTrial:
         # A command exactly pi behind the course: chi_c - chi is -pi, which
         # the wrap keeps at -pi (remainder's tie goes to the even quotient
         # 0), so the recorded rate is -alpha*pi.
-        def half_turn(chi, frame, params, prev_phase, v_g):
+        def half_turn(chi, frame, chi_p_dot, params, prev_phase, v_g):
             return chi - math.pi, 0.0, 3, None, ()
 
         monkeypatch.setattr(simulation, "commanded_course", half_turn)
@@ -313,10 +312,9 @@ class TestRunTrial:
         frames = []
         real = simulation.LAWS[law]
 
-        def recording(config, x, y, chi, frame, v_g, prev):
-            frames.append((frame.s_star, frame.p_ref, frame.chi_p, frame.d, frame.rho,
-                           frame.chi_p_dot))
-            return real(config, x, y, chi, frame, v_g, prev)
+        def recording(config, x, y, chi, frame, chi_p_dot, v_g, prev):
+            frames.append((*frame, chi_p_dot))
+            return real(config, x, y, chi, frame, chi_p_dot, v_g, prev)
 
         monkeypatch.setitem(simulation.LAWS, law, recording)
         path = RecordingSinusoid(simulation.SCENARIO_AMPLITUDE, simulation.SCENARIO_PERIOD)
@@ -326,17 +324,40 @@ class TestRunTrial:
         state = initial_state(cfg)
         fresh = SinusoidPath(simulation.SCENARIO_AMPLITUDE, simulation.SCENARIO_PERIOD)
         expected = fresh.closest_point((state.x, state.y))
-        assert frames[0] == (expected.s_star, expected.p_ref, expected.chi_p, expected.d,
-                             expected.rho, 0.0)
-        assert math.copysign(1.0, frames[0][5]) == 1.0
+        assert frames[0] == (*expected, 0.0)
+        assert math.copysign(1.0, frames[0][6]) == 1.0
         assert hints[:3] == [None, frames[0][0], 2.0 * frames[1][0] - frames[0][0]]
+
+    @pytest.mark.parametrize("law", GUIDANCE_LAWS)
+    def test_trial_step_builds_no_path_frame(self, law, monkeypatch):
+        # frame_at returns a plain tuple that the step unpacks; only
+        # closest_point names its fields.  With PathFrame raising, a trial
+        # of each law still runs on every path kind.
+        class NoFrame:
+            def __init__(self, *fields):
+                raise AssertionError("a PathFrame was built")
+
+        monkeypatch.setattr("vfpath.paths.PathFrame", NoFrame)
+        kinds = [
+            LinePath(0, 0, 0.3),
+            CirclePath(0, 0, 300.0),
+            SinusoidPath(simulation.SCENARIO_AMPLITUDE, simulation.SCENARIO_PERIOD),
+            PolylinePath([(0.0, 0.0), (400.0, 0.0), (700.0, 300.0)]),
+        ]
+        for path in kinds:
+            with pytest.raises(AssertionError, match="PathFrame"):
+                path.closest_point((10.0, 20.0))
+            cfg = line_config(path=path, law=law, d0=40.0, s0=100.0, max_time=1.0)
+            traj, metrics = run_trial(cfg)
+            assert metrics.failure_reason is None
+            assert len(traj) == 101
 
     def test_switched_step_gets_previous_phase(self, monkeypatch):
         real = simulation.commanded_course
         seen = []
 
-        def recording(chi, frame, params, prev_phase, v_g):
-            out = real(chi, frame, params, prev_phase, v_g)
+        def recording(chi, frame, chi_p_dot, params, prev_phase, v_g):
+            out = real(chi, frame, chi_p_dot, params, prev_phase, v_g)
             seen.append((prev_phase, out[2]))
             return out
 

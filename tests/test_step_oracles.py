@@ -100,7 +100,7 @@ def test_commanded_course_matches_helper_oracle(
     chi, chi_p, d, chi_p_dot, v_g, prev_phase, reaching, chi_inf
 ):
     params = GuidanceParams(chi_inf=chi_inf, reaching=reaching)
-    frame = PathFrame(0.0, (0.0, 0.0), chi_p, d, 1 if d >= 0.0 else -1, chi_p_dot)
-    new = commanded_course(chi, frame, params, prev_phase, v_g)
-    old = helper_commanded_course(chi, frame, params, prev_phase, v_g)
+    frame = PathFrame(0.0, 0.0, 0.0, chi_p, d, 1 if d >= 0.0 else -1)
+    new = commanded_course(chi, frame, chi_p_dot, params, prev_phase, v_g)
+    old = helper_commanded_course(chi, frame, chi_p_dot, params, prev_phase, v_g)
     assert bits(new) == bits(old)

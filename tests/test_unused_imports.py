@@ -1,4 +1,5 @@
-"""Every name a ``vfpath`` module imports is used in that module.
+"""Every name a ``vfpath`` module, a test module or a tool imports is used
+in that module.
 
 A static check with the stdlib ``ast``: a name bound by an ``import`` counts
 as used when it appears as a name anywhere else in the module.  The package
@@ -13,9 +14,10 @@ import pytest
 
 import vfpath
 
+TESTS = Path(__file__).parent
 MODULES = sorted(
     path for path in Path(vfpath.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+) + sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
