@@ -20,6 +20,7 @@ from .paths import UnboundedCurvatureError
 from .simulation import (
     BLOCK_STEPS,
     GUIDANCE_LAWS,
+    MAX_TRIALS,
     METRICS,
     MonteCarloSummary,
     Trajectory,
@@ -44,13 +45,16 @@ TRAJECTORY_ROW = ",".join(["%.9g"] * 8 + ["%d"])
 def write_trajectory_csv(traj: Trajectory, out_file: Path) -> None:
     # Each BLOCK_STEPS rows are one (rows, 9) float table, formatted whole
     # by one % and written; %d writes the phase's float as the integer it
-    # holds.
-    columns = (traj.t, traj.x, traj.y, traj.chi, traj.chi_c, traj.chi_d, traj.chi_dot,
-               traj.d, traj.phase)
+    # holds.  The block's t is built from dt, as Trajectory.t is.
+    columns = (traj.x, traj.y, traj.chi, traj.chi_c, traj.chi_d, traj.chi_dot, traj.d,
+               traj.phase)
+    n = len(traj)
     with open(out_file, "w", encoding="utf-8") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        for start in range(0, len(traj), BLOCK_STEPS):
-            table = np.column_stack([column[start : start + BLOCK_STEPS] for column in columns])
+        for start in range(0, n, BLOCK_STEPS):
+            stop = min(start + BLOCK_STEPS, n)
+            t = np.arange(start, stop) * traj.dt
+            table = np.column_stack([t] + [column[start:stop] for column in columns])
             fh.write((TRAJECTORY_ROW + "\n") * len(table) % tuple(table.ravel().tolist()))
 
 
@@ -291,8 +295,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             build_scenario(settings)  # print only a scenario that can run
             print(dump_settings(settings), end="")
             return 0
-        if getattr(args, "trials", None) is not None and args.trials < 1:
-            raise ConfigError("--trials must be at least 1")
+        if getattr(args, "trials", None) is not None and not 1 <= args.trials <= MAX_TRIALS:
+            raise ConfigError(f"--trials must be between 1 and {MAX_TRIALS}")
         if args.seed < 0:
             raise ConfigError("--seed must be non-negative")
         return args.func(args, settings)

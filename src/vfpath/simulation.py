@@ -65,16 +65,26 @@ CHATTER_RATE_FLOOR = 1e-9
 PATH_END_TOL = 1e-6
 
 # Steps a trial records as Python floats before run_trial turns them into
-# one float64 block, and trajectory rows write_trajectory_csv formats per
-# write: a step's floats live for at most one block.
+# one float64 block and splits it into channel pieces, and trajectory rows
+# write_trajectory_csv formats per write: a step's floats live for at most
+# one block.
 BLOCK_STEPS = 1024
 
-# Most steps (max_time / dt) a trial may plan.  run_trial keeps nine floats
-# a step, about 145 B at its peak (the float64 blocks and the trajectory
-# arrays built from them; tracemalloc over a 20,001-step trial), so a
-# full-length trial stays near 0.15 GB; writing its trajectory CSV adds
-# one block of rows.  That is 33 times the default 300 s at dt = 0.01 s.
+# Most steps (max_time / dt) a trial may plan.  run_trial keeps eight floats
+# and an int8 phase a step, 65 B as channels and about 106 B at its peak
+# (compute_metrics' temporaries beside the channels; recording alone, the
+# pieces and the channels joined from them, about 78 B; tracemalloc over a
+# 20,001-step trial), so a full-length trial stays near 0.11 GB; writing
+# its trajectory CSV adds one block of rows.  That is 33 times the default
+# 300 s at dt = 0.01 s.
 MAX_STEPS = 1_000_000
+
+# Most trials a campaign may run.  Before its first trial monte_carlo
+# spawns one SeedSequence per trial (about 0.45 kB and 7 us each), draws
+# the trial's start and wind (0.3 kB, 17 us) and builds a job per law (0.3
+# kB for four laws), so a full campaign holds about 0.1 GB and spends about
+# 3 s before it runs a trial (tracemalloc and perf_counter, 100,000 trials).
+MAX_TRIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -262,9 +272,10 @@ def benchmark_scenario(law: str = "switched", **overrides) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled closed-loop history of one trial."""
+    """Uniformly sampled closed-loop history of one trial: sample k is at
+    time ``k * dt``, and each channel is its own array."""
 
-    t: np.ndarray
+    dt: float
     x: np.ndarray
     y: np.ndarray
     chi: np.ndarray
@@ -276,7 +287,12 @@ class Trajectory:
     chi_p: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.x)
+
+    @property
+    def t(self) -> np.ndarray:
+        """Sample times, built on each read: ``np.arange(n) * dt``."""
+        return np.arange(len(self.x)) * self.dt
 
 
 @dataclass(frozen=True)
@@ -311,6 +327,22 @@ def sample_wind(rng: np.random.Generator) -> WindModel:
     speed = rng.uniform(*MC_WIND_SPEED_RANGE)
     direction = rng.uniform(*MC_WIND_DIR_RANGE)
     return WindModel(speed * math.cos(direction), speed * math.sin(direction))
+
+
+# The dtypes of the channels run_trial records, in the order of a step's
+# floats and of the Trajectory fields after dt.
+CHANNEL_DTYPES = (np.float64,) * 7 + (np.int8, np.float64)
+
+
+def _store_block(rows: list[float], pieces: list[list[np.ndarray]]) -> None:
+    """Append each channel of the flat step floats ``rows`` to its list in
+    ``pieces`` as its own array and clear ``rows``.  Channel i is every
+    ninth float from i; astype copies it out of the block, so no piece is a
+    view of it, and casts phase's floats to int8."""
+    block = np.array(rows, dtype=float)
+    rows.clear()
+    for i, (channel, dtype) in enumerate(zip(pieces, CHANNEL_DTYPES)):
+        channel.append(block[i::9].astype(dtype))
 
 
 def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialMetrics]:
@@ -353,11 +385,11 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     failure: Optional[str] = None
     # (x, y, chi, chi_c, chi_d, chi_dot, d, phase, chi_p) per step, appended
     # to one flat list of floats, so no object of a step outlives it; every
-    # BLOCK_STEPS steps the list becomes one float64 block and is cleared
-    # (t is k * dt, rebuilt to the bit after the loop).
+    # BLOCK_STEPS steps _store_block splits the list into one piece per
+    # channel and clears it (t is k * dt, Trajectory.t to the bit).
     rows: list[float] = []
     record = rows.extend
-    blocks: list[np.ndarray] = []
+    pieces: list[list[np.ndarray]] = [[] for _ in CHANNEL_DTYPES]
     block_len = 9 * BLOCK_STEPS
 
     for k in range(n_max + 1):
@@ -382,8 +414,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         chi_dot = alpha * remainder(chi_c - chi, TAU)
         record((x, y, chi, chi_c, chi_d, chi_dot, d, phase, chi_p))
         if len(rows) == block_len:
-            blocks.append(np.array(rows, dtype=float))
-            rows.clear()
+            _store_block(rows, pieces)
         if failure is not None:
             break
 
@@ -408,17 +439,14 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
             f" {abs(d):g} m away"
         )
 
-    blocks.append(np.array(rows, dtype=float))
-    del rows
-    # Channel i of a block is every ninth float from i; each concatenation
-    # copies it out, so no channel is a view of a block, and casts phase's
-    # floats to int8 as astype would.
-    channels = [
-        np.concatenate([block[i::9] for block in blocks], dtype=dtype, casting="unsafe")
-        for i, dtype in enumerate([np.float64] * 7 + [np.int8, np.float64])
-    ]
-    del blocks
-    traj = Trajectory(np.arange(len(channels[0])) * dt, *channels)
+    _store_block(rows, pieces)
+    # One channel at a time, its pieces dropped before the next is joined,
+    # so the trial never holds all its pieces beside all its channels.
+    channels = []
+    for channel in pieces:
+        channels.append(np.concatenate(channel))
+        channel.clear()
+    traj = Trajectory(dt, *channels)
     metrics = compute_metrics(traj, config, failure_reason=failure)
     return traj, metrics
 
@@ -450,7 +478,7 @@ def compute_metrics(
         count = np.concatenate(([0], np.cumsum(ok)))
         hits = np.nonzero(count[need + 1 :] - count[: n - need] == need + 1)[0]
         if hits.size:
-            t_conv = float(traj.t[hits[0]])
+            t_conv = float(hits[0] * traj.dt)
     return TrialMetrics(
         converged=not math.isnan(t_conv),
         t_conv=t_conv,
@@ -475,7 +503,7 @@ def chattering_index(traj: Trajectory) -> float:
     n = len(traj)
     if n < 2:
         return 0.0
-    dt = float(traj.t[1] - traj.t[0])
+    dt = traj.dt
     if CHATTER_WINDOW <= dt:
         raise ValueError("the chatter window must exceed the sample interval")
     rate = np.where(np.abs(traj.chi_dot) < CHATTER_RATE_FLOOR, 0.0, traj.chi_dot)
@@ -571,13 +599,16 @@ def monte_carlo(
     is run on that same draw, so the laws are compared on paired conditions.
     ``workers`` processes, at most one per job, run the trials (None:
     ``os.cpu_count()``; 1: this process; a count below 1 raises ValueError
-    before any trial runs).
+    before any trial runs, and so does ``n_trials`` outside 1 to
+    ``MAX_TRIALS``, before any seed is spawned).
     Results come back in job order (law, then trial index), so the summary
     does not depend on the worker count.  Non-converged trials are excluded
     from the t_conv statistics and counted by ``n_converged``.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(
+            f"n_trials must be between 1 and MAX_TRIALS = {MAX_TRIALS}, got {n_trials}"
+        )
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1 (or None for every core), got {workers}")
     check_laws(laws)

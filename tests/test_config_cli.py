@@ -207,16 +207,19 @@ class TestCli:
         # The row template must write what per-value _fmt and str(phase) wrote.
         specials = [math.nan, -0.0, 1e-300, 1e300, -math.inf, 0.1, -123456.789012345]
         n = len(specials)
+        # t is k * dt; the specials roll through the seven other float columns.
         channels = {
             name: np.roll(specials, k)
-            for k, name in enumerate(("t", "x", "y", "chi", "chi_c", "chi_d", "chi_dot", "d"))
+            for k, name in enumerate(("x", "y", "chi", "chi_c", "chi_d", "chi_dot", "d"))
         }
         traj = Trajectory(
-            **channels, phase=np.arange(n, dtype=np.int8) % 4, chi_p=np.zeros(n)
+            dt=0.1, **channels, phase=np.arange(n, dtype=np.int8) % 4, chi_p=np.zeros(n)
         )
         out = tmp_path / "trajectory.csv"
         write_trajectory_csv(traj, out)
-        columns = [channels[name].tolist() for name in TRAJECTORY_HEADER.split(",")[:-1]]
+        columns = [traj.t.tolist()] + [
+            channels[name].tolist() for name in TRAJECTORY_HEADER.split(",")[1:-1]
+        ]
         expected = [TRAJECTORY_HEADER] + [
             ",".join([_fmt(v) for v in values] + [str(phase)])
             for *values, phase in zip(*columns, traj.phase.tolist())
@@ -230,11 +233,14 @@ class TestCli:
         rng = np.random.default_rng(rows)
         specials = [math.nan, -0.0, 1e-300, -math.inf]
         channels = {}
-        for name in ("t", "x", "y", "chi", "chi_c", "chi_d", "chi_dot", "d", "chi_p"):
+        for name in ("x", "y", "chi", "chi_c", "chi_d", "chi_dot", "d", "chi_p"):
             values = rng.normal(size=rows) * 10.0 ** rng.integers(-5, 6, size=rows)
             values[: len(specials)] = specials[:rows]
             channels[name] = values
-        traj = Trajectory(**channels, phase=rng.integers(0, 4, size=rows).astype(np.int8))
+        # t is k * dt, so the specials sit only in the other float columns.
+        traj = Trajectory(
+            dt=0.01, **channels, phase=rng.integers(0, 4, size=rows).astype(np.int8)
+        )
         out = tmp_path / "trajectory.csv"
         write_trajectory_csv(traj, out)
         # The whole table formatted by one %, as a single-block writer does.
@@ -456,6 +462,24 @@ class TestCli:
         assert proc.returncode == 0
         assert "montecarlo" in proc.stdout
 
+    def test_fixed_wind_run_imports_neither_numpy_random_nor_ma(self, tmp_path):
+        # numpy.random alone adds about 6 MB to the resident memory of a run.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("[sim]\nmax_time = 60\n")
+        script = (
+            "import sys\n"
+            "from vfpath.cli import main\n"
+            f"rc = main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+            "print(rc, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False False"
+
     def test_montecarlo_small_campaign(self, tmp_path, capsys):
         out = tmp_path / "mc"
         args = [
@@ -604,9 +628,17 @@ class TestCli:
         assert "must be positive and finite" in captured.err
         assert captured.out == ""
 
-    def test_montecarlo_bad_trials_exits_2(self, tmp_path):
-        rc = main(["montecarlo", "--trials", "0", "--out", str(tmp_path / "x")])
-        assert rc == 2
+    def test_montecarlo_bad_trials_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A count past MAX_TRIALS is refused before a seed is spawned.
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("SeedSequence.spawn ran for a bad --trials")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        for trials in (0, simulation.MAX_TRIALS + 1):
+            rc = main(["montecarlo", "--trials", str(trials), "--out", str(tmp_path / "x")])
+            assert rc == 2, trials
+            assert "--trials" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", [["run"], ["compare"], ["montecarlo", "--trials", "1", "--serial"], ["validate"]]

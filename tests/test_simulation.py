@@ -35,12 +35,11 @@ from vfpath.vehicle import (
 )
 
 
-def synthetic_trajectory(t, d, chi_dot=None, chi=None, chi_p=None, phase=None):
-    t = np.asarray(t, dtype=float)
-    n = len(t)
+def synthetic_trajectory(dt, d, chi_dot=None, chi=None, chi_p=None, phase=None):
+    n = len(d)
     zeros = np.zeros(n)
     return Trajectory(
-        t=t,
+        dt=dt,
         x=zeros,
         y=zeros,
         chi=zeros if chi is None else np.asarray(chi, dtype=float),
@@ -378,7 +377,12 @@ class TestRunTrial:
         # table alive in every kept Trajectory.
         config = line_config(max_time=2.0)
         traj, _ = run_trial(config)
-        for name in Trajectory.__dataclass_fields__:
+        fields = Trajectory.__dataclass_fields__
+        assert "t" not in fields and fields["dt"].type == "float"
+        assert type(traj.dt) is float and traj.dt == config.dt
+        for name in fields:
+            if name == "dt":
+                continue
             channel = getattr(traj, name)
             assert channel.base is None and channel.flags.c_contiguous, name
             assert channel.dtype == (np.int8 if name == "phase" else np.float64), name
@@ -454,15 +458,20 @@ class TestRunTrial:
             reset()
         whole, whole_metrics = run_trial(config)
         assert repr(metrics) == repr(whole_metrics)
+        assert traj.dt == whole.dt
         for name in Trajectory.__dataclass_fields__:
+            if name == "dt":
+                continue
             got, want = getattr(traj, name), getattr(whole, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         return metrics
 
     def test_recording_memory_is_bounded_by_the_arrays(self):
-        # A step's ten channels take 73 B as arrays (nine float64 and an int8
-        # phase) and the float64 blocks they are copied from 72 B; one flat
-        # list of Python floats held to the end peaked near 410 B a step.
+        # A step's nine channels take 65 B as arrays (eight float64 and an
+        # int8 phase), and compute_metrics' temporaries about 41 B beside
+        # them; holding every float64 block beside the channels peaked near
+        # 145 B a step, and one flat list of Python floats held to the end
+        # near 410 B.
         config = line_config(d0=40.0, chi0=1.0, max_time=200.0)
         run_trial(config)
         tracemalloc.start()
@@ -472,7 +481,7 @@ class TestRunTrial:
         finally:
             tracemalloc.stop()
         assert len(traj) == 20_001
-        assert peak / len(traj) < 200.0, peak / len(traj)
+        assert peak / len(traj) < 125.0, peak / len(traj)
 
     def test_dt_refinement_stability(self):
         coarse = benchmark_scenario()
@@ -488,7 +497,7 @@ class TestComputeMetrics:
         dt = 0.001
         t = np.arange(0.0, 8.0, dt)
         d = 10.0 * np.exp(-t)
-        traj = synthetic_trajectory(t, d)
+        traj = synthetic_trajectory(dt, d)
         cfg = line_config(d_threshold=1.0, align_threshold=0.2, dwell=5.0, dt=dt)
         metrics = compute_metrics(traj, cfg)
         assert metrics.converged
@@ -498,7 +507,7 @@ class TestComputeMetrics:
         dt = 0.01
         t = np.arange(0.0, 3.0, dt)
         d = np.where((t > 1.0) & (t < 1.5), 0.0, 50.0)  # only a 0.5 s dip
-        traj = synthetic_trajectory(t, d)
+        traj = synthetic_trajectory(dt, d)
         cfg = line_config(d_threshold=1.0, dwell=1.0, dt=dt)
         metrics = compute_metrics(traj, cfg)
         assert not metrics.converged
@@ -509,14 +518,14 @@ class TestComputeMetrics:
         t = np.arange(0.0, 10.0, dt)
         d = np.zeros_like(t)
         chi = np.full_like(t, 0.5)  # misaligned by 0.5 rad
-        traj = synthetic_trajectory(t, d, chi=chi)
+        traj = synthetic_trajectory(dt, d, chi=chi)
         cfg = line_config(d_threshold=1.0, align_threshold=0.2, dwell=1.0, dt=dt)
         assert not compute_metrics(traj, cfg).converged
 
     def test_constant_turn_rate_statistics(self):
         dt = 0.01
         t = np.arange(0.0, 2.0, dt)
-        traj = synthetic_trajectory(t, np.zeros_like(t), chi_dot=np.full_like(t, -0.3))
+        traj = synthetic_trajectory(dt, np.zeros_like(t), chi_dot=np.full_like(t, -0.3))
         cfg = line_config(dt=dt)
         metrics = compute_metrics(traj, cfg)
         assert metrics.chi_dot_rms == pytest.approx(0.3, abs=1e-12)
@@ -534,7 +543,7 @@ class TestChatteringIndex:
     def test_constant_sign_is_zero(self):
         dt = 0.01
         t = np.arange(0.0, 3.0, dt)
-        traj = synthetic_trajectory(t, np.zeros_like(t), chi_dot=np.ones_like(t))
+        traj = synthetic_trajectory(dt, np.zeros_like(t), chi_dot=np.ones_like(t))
         assert chattering_index(traj) == 0.0
 
     def test_rounding_noise_is_no_sign_change(self):
@@ -544,14 +553,14 @@ class TestChatteringIndex:
         t = np.arange(0.0, 3.0, dt)
         for first in (-2.2e-14, 2.2e-14):
             chi_dot = np.concatenate(([first], np.full(len(t) - 1, 0.0125)))
-            traj = synthetic_trajectory(t, np.zeros_like(t), chi_dot=chi_dot)
+            traj = synthetic_trajectory(dt, np.zeros_like(t), chi_dot=chi_dot)
             assert chattering_index(traj) == 0.0
 
     def test_alternating_sign_counts_per_window(self):
         dt = 0.01
         t = np.arange(0.0, 3.0, dt)
         chi_dot = np.where(np.arange(len(t)) % 2 == 0, 1.0, -1.0)
-        traj = synthetic_trajectory(t, np.zeros_like(t), chi_dot=chi_dot)
+        traj = synthetic_trajectory(dt, np.zeros_like(t), chi_dot=chi_dot)
         assert chattering_index(traj) == pytest.approx(100.0, abs=2.0)
 
     def test_windows_centered_on_transitions(self):
@@ -563,13 +572,13 @@ class TestChatteringIndex:
         chi_dot = np.ones(n)
         # sign flips far from the transition are not counted
         chi_dot[20:30] = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
-        traj = synthetic_trajectory(t, np.zeros(n), chi_dot=chi_dot, phase=phase)
+        traj = synthetic_trajectory(dt, np.zeros(n), chi_dot=chi_dot, phase=phase)
         assert chattering_index(traj) == 0.0
 
     def test_window_must_exceed_dt(self):
         dt = 1.0
         t = np.arange(0.0, 3.0, dt)
-        traj = synthetic_trajectory(t, np.zeros_like(t))
+        traj = synthetic_trajectory(dt, np.zeros_like(t))
         with pytest.raises(ValueError):
             chattering_index(traj)
 
@@ -634,7 +643,7 @@ class TestChatteringIndex:
         for trial in range(20):
             chi_dot = rng.choice([-1.0, 0.0, 1e-12, 1.0], size=n)
             d = np.where(rng.random(n) < 0.9, 0.0, 50.0)
-            traj = synthetic_trajectory(t, d, chi_dot=chi_dot, phase=phase)
+            traj = synthetic_trajectory(dt, d, chi_dot=chi_dot, phase=phase)
             assert chattering_index(traj) == self.chattering_by_loop(traj)
             for need in (7, n - 1, n, n + 1):
                 cfg = line_config(d_threshold=1.0, dwell=need * dt, dt=dt)
@@ -646,8 +655,7 @@ class TestChatteringIndex:
 
     def test_compute_metrics_scores_two_samples_alike(self):
         # One turn-rate sign change between two samples: 1 per 1 s window.
-        t = np.array([0.0, 0.01])
-        traj = synthetic_trajectory(t, np.zeros(2), chi_dot=[0.5, -0.5])
+        traj = synthetic_trajectory(0.01, np.zeros(2), chi_dot=[0.5, -0.5])
         metrics = compute_metrics(traj, line_config())
         assert metrics.chattering_index == chattering_index(traj) == 1.0
 
@@ -746,6 +754,16 @@ class TestMonteCarlo:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_trials)
         with pytest.raises(ValueError, match="workers must be at least 1"):
             monte_carlo(benchmark_scenario(), 2, 0, workers=workers)
+
+    @pytest.mark.parametrize("n_trials", [0, simulation.MAX_TRIALS + 1])
+    def test_trial_count_out_of_range_rejected_before_spawning(self, monkeypatch, n_trials):
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("a seed was spawned before the trial count was checked")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        with pytest.raises(ValueError, match="n_trials"):
+            monte_carlo(benchmark_scenario(), n_trials, 0)
 
     @pytest.mark.parametrize("parallel", [False, True])
     def test_sampled_wind_above_airspeed_rejected_before_trials(self, monkeypatch, parallel):
