@@ -50,7 +50,7 @@ def basic_vf_command(frame: tuple, params: BaselineParams) -> float:
     The desired field angle is commanded directly, so the course loop tracks
     it proportionally with no feedforward.
     """
-    _, _, _, chi_p, d, _ = frame
+    _, _, _, chi_p, d = frame
     offset = params.vf_beta * (2.0 / math.pi) * math.atan(params.vf_k * d)
     return math.remainder(chi_p - offset, TAU)
 
@@ -75,7 +75,7 @@ def plos_command(
     straight path), and plos_k1 multiplies the course error to that reference.
     The proportional term saturates at +-PLOS_CLAMP for large errors.
     """
-    _, px, py, chi_p, _, _ = frame
+    _, px, py, chi_p, _ = frame
     lookahead = 1.0 / params.plos_k2
     dx = px + lookahead * math.cos(chi_p) - x
     dy = py + lookahead * math.sin(chi_p) - y
@@ -104,7 +104,7 @@ def nlgl_virtual_target(
     Raises LookaheadInfeasibleError when |d| > L1 or the circle meets the
     path nowhere.
     """
-    s_star, px, py, _, d, _ = frame
+    s_star, px, py, _, d = frame
     dist_min = abs(d)
     if dist_min > l1:
         raise LookaheadInfeasibleError(

@@ -31,23 +31,23 @@ from .simulation import (
     run_trial,
 )
 
-TRAJECTORY_HEADER = "t,x,y,chi,chi_c,chi_d,chi_dot,d,phase"
+# Every float the CSVs and the console write takes FLOAT_FORMAT.  A trajectory
+# row is t, then the Trajectory channels named here, the phase last as %d.
+FLOAT_FORMAT = "%.9g"
+TRAJECTORY_CHANNELS = ("x", "y", "chi", "chi_c", "chi_d", "chi_dot", "d", "phase")
+TRAJECTORY_HEADER = ",".join(("t",) + TRAJECTORY_CHANNELS)
+TRAJECTORY_ROW = ",".join([FLOAT_FORMAT] * len(TRAJECTORY_CHANNELS) + ["%d"])
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
-# One trajectory row: the float channels as _fmt writes them, then the phase.
-TRAJECTORY_ROW = ",".join(["%.9g"] * 8 + ["%d"])
+    return FLOAT_FORMAT % value
 
 
 def write_trajectory_csv(traj: Trajectory, out_file: Path) -> None:
     # Each BLOCK_STEPS rows are one (rows, 9) float table, formatted whole
     # by one % and written; %d writes the phase's float as the integer it
     # holds.  The block's t is built from dt, as Trajectory.t is.
-    columns = (traj.x, traj.y, traj.chi, traj.chi_c, traj.chi_d, traj.chi_dot, traj.d,
-               traj.phase)
+    columns = [getattr(traj, name) for name in TRAJECTORY_CHANNELS]
     n = len(traj)
     with open(out_file, "w", encoding="utf-8") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")

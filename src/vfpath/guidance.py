@@ -5,12 +5,12 @@ branch: a linear-argument arctangent near the path (|d| < d_s) and a
 cubic-argument one everywhere else (|d| >= d_s).  The branch gains are tied
 together (d_s = sqrt(k1/k3)) so the field is continuous at the switch.  On
 the cubic branch, when the vehicle is pointed far off the field direction,
-the desired course is additionally offset by rho*pi/2, a quarter turn from
-the field's approach direction toward the path's own direction; the offset
-does not bound the course error (see :func:`commanded_course`).  That
-offset phase uses a fractional-power reaching term that drives the course
-error to zero in finite time, after which a saturated sliding-mode term
-takes over.
+the desired course is additionally offset by rho*pi/2 (rho = sign(d), the
+side of the path), a quarter turn from the field's approach direction toward
+the path's own direction; the offset does not bound the course error (see
+:func:`commanded_course`).  That offset phase uses a fractional-power
+reaching term that drives the course error to zero in finite time, after
+which a saturated sliding-mode term takes over.
 
 Phases:
     CASE3: |d| < d_s (linear branch)
@@ -139,12 +139,13 @@ def commanded_course(
     applies whenever a previous phase exists: it makes CASE1 exit early
     (before the reaching term stalls at zero) and keeps the loop from
     re-entering CASE1 while the error sits inside the margin band.  On the
-    very first step there is no margin.  CASE1 adds rho*pi/2 to the field.
-    That sign comes from the side of the path (rho = sign(d)), not from the
-    course error, so the offset bounds neither the course error nor the
-    commanded turn: a vehicle flying against the path's direction is offset
-    away from its own course, and CASE1 course errors near pi occur (up to
-    3.11 rad in the 200-trial windy campaign at seed 42).
+    very first step there is no margin.  CASE1 adds rho*pi/2 to the field,
+    rho = sign(d) worked out in that branch alone.  The sign comes from the
+    side of the path, not from the course error, so the offset bounds
+    neither the course error nor the commanded turn: a vehicle flying
+    against the path's direction is offset away from its own course, and
+    CASE1 course errors near pi occur (up to 3.11 rad in the 200-trial windy
+    campaign at seed 42).
 
     All three phases share the structure
 
@@ -158,7 +159,7 @@ def commanded_course(
     """
     if v_g <= 0.0:
         raise ValueError("v_g must be positive")
-    _, _, _, chi_p, d, rho = frame
+    _, _, _, chi_p, d = frame
     scale = params.chi_inf * (2.0 / math.pi)
     remainder = math.remainder
 
@@ -175,6 +176,8 @@ def commanded_course(
         margin = 0.0 if prev_phase is None else params.delta_hys
         chi_tilde = remainder(chi - chi_d, TAU)
         if abs(chi_tilde) > HALF_PI + margin:
+            # |d| >= d_s > 0 here, so the side of the path is never in doubt.
+            rho = 1 if d >= 0.0 else -1
             chi_d = remainder(chi_d + rho * HALF_PI, TAU)
             chi_tilde = remainder(chi - chi_d, TAU)
             phase = GuidancePhase.CASE1

@@ -2,17 +2,18 @@
 
 Every path kind states its curve once, as the point and tangent angle at a
 parameter of a stated domain (``_pose``), which ``point(s)``,
-``tangent_angle(s)`` and ``frame_at`` (a plain tuple; :class:`PathFrame`
-names its fields) read.  It answers two queries exactly: the closest parameter
-to a point (``closest_parameter``, a float) and the forward-most parameter at
-a given distance from it (``lookahead_parameter``, the NLGL look-ahead
-target).  Each kind also states its exact peak curvature (``peak_curvature``).
+``tangent_angle(s)`` and ``frame_at`` (the plain tuple ``(s_star, px, py,
+chi_p, d)``; :class:`PathFrame` names its fields) read.  It answers two
+queries exactly: the closest parameter to a point (``closest_parameter``, a
+float) and the forward-most parameter at a given distance from it
+(``lookahead_parameter``, the NLGL look-ahead target).  Each kind also
+states its exact peak curvature (``peak_curvature``).
 
 Sign convention: the cross-track error ``d`` is the component of the
 displacement (vehicle minus closest point) along the path tangent rotated by
 +90 degrees, i.e. ``d = cross(tangent, displacement)``.  With this choice the
 kinematic identity ``d_dot = V_g * sin(chi - chi_p)`` holds along vehicle
-trajectories and the side indicator is simply ``rho = sign(d)``.
+trajectories, and the sign of ``d`` tells the side of the path.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class PathFrame(NamedTuple):
         px, py: closest point on the path (m).
         chi_p: path tangent angle at the closest point, wrapped to [-pi, pi].
         d: signed cross-track error (m); |d| is the distance to (px, py).
-        rho: side indicator, +1 on the positive-d side, -1 otherwise.
     """
 
     s_star: float
@@ -72,7 +72,6 @@ class PathFrame(NamedTuple):
     py: float
     chi_p: float
     d: float
-    rho: int
 
 
 class ReferencePath:
@@ -152,7 +151,7 @@ class ReferencePath:
         # |d| is the true Euclidean distance even when the minimizer sits on
         # a domain boundary and the displacement is not perpendicular.
         d = math.copysign(dist, cross) if cross != 0.0 else dist
-        return s_star, rx, ry, chi_p, d, 1 if d >= 0.0 else -1
+        return s_star, rx, ry, chi_p, d
 
 
 def _check_finite(**values: float) -> None:

@@ -297,13 +297,17 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrialMetrics:
-    converged: bool
     t_conv: float  # nan when not converged
     d_rms: float
     chi_dot_rms: float
     chi_dot_max: float
     chattering_index: float
     failure_reason: Optional[str] = None
+
+    @property
+    def converged(self) -> bool:
+        """True exactly when the trial has a reaching time ``t_conv``."""
+        return not math.isnan(self.t_conv)
 
 
 # The scored TrialMetrics fields, in the order every output lists them.
@@ -378,7 +382,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
     remainder = math.remainder
 
     x, y, chi = initial_state(config)
-    frame: Optional[tuple] = None  # (s_star, px, py, chi_p, d, rho)
+    frame: Optional[tuple] = None  # (s_star, px, py, chi_p, d)
     near: Optional[float] = None  # the closest parameter predicted for this step
     cmd: Optional[tuple] = None  # the law's previous step tuple
     streak = 0
@@ -399,7 +403,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
         p = (x, y)
         prev_frame = frame
         frame = path.frame_at(path.closest_parameter(p, near=near), p)
-        s_star, _, _, chi_p, d, _ = frame
+        s_star, _, _, chi_p, d = frame
         # The first frame stands in as its own predecessor: its path course
         # rate is 0 and the next hint is its own s*.
         last = prev_frame or frame
@@ -480,7 +484,6 @@ def compute_metrics(
         if hits.size:
             t_conv = float(hits[0] * traj.dt)
     return TrialMetrics(
-        converged=not math.isnan(t_conv),
         t_conv=t_conv,
         d_rms=float(np.sqrt(np.mean(traj.d**2))),
         chi_dot_rms=float(np.sqrt(np.mean(traj.chi_dot**2))),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .angles import TAU, wrap_angle
 
@@ -95,8 +95,8 @@ def step_vehicle(
     wind: WindModel,
     alpha: float,
     dt: float,
-    v_g: Optional[float] = None,
-    chi_dot: Optional[float] = None,
+    v_g: float,
+    chi_dot: float,
 ) -> tuple[float, float, float]:
     """Integrate the three-state dynamics one classical RK4 step with the
     command held fixed.
@@ -107,13 +107,11 @@ def step_vehicle(
 
     Every stage takes its ground speed from the crab geometry of
     :func:`ground_speed` and its course rate from :func:`turn_rate`, so the
-    course difference chi_c - chi is wrapped in each stage.  A caller that
-    already holds ``ground_speed(spec, wind, chi)`` and ``turn_rate(chi_c,
-    chi, alpha)`` at the state's course passes them as ``v_g`` and
-    ``chi_dot``: they are the first stage, which is then not evaluated
-    again.  The other stages write both inline, each wrap as
-    ``math.remainder(x, TAU)``.  The returned course is wrapped to
-    [-pi, pi].
+    course difference chi_c - chi is wrapped in each stage.  The caller
+    passes the first stage, ``v_g = ground_speed(spec, wind, chi)`` and
+    ``chi_dot = turn_rate(chi_c, chi, alpha)`` at the state's course; the
+    other stages write both inline, each wrap as ``math.remainder(x,
+    TAU)``.  The returned course is wrapped to [-pi, pi].
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -123,9 +121,6 @@ def step_vehicle(
     if wind.speed >= v_a:
         check_wind_speed(wind.speed, v_a)
     x, y, chi = state
-    if v_g is None:
-        v_g = ground_speed(spec, wind, chi)
-        chi_dot = turn_rate(chi_c, chi, alpha)
     cos, sin, remainder = math.cos, math.sin, math.remainder
     half = 0.5 * dt
     chi2 = chi + half * chi_dot

@@ -283,8 +283,8 @@ def helper_step_vehicle(
     wind: WindModel,
     alpha: float,
     dt: float,
-    v_g: Optional[float] = None,
-    chi_dot: Optional[float] = None,
+    v_g: float,
+    chi_dot: float,
 ) -> tuple[float, float, float]:
     """``vfpath.vehicle.step_vehicle`` with every stage through the helpers."""
     if dt <= 0.0:
@@ -296,9 +296,6 @@ def helper_step_vehicle(
     x, y, chi = state
     cos, sin = math.cos, math.sin
     c1, s1 = cos(chi), sin(chi)
-    if v_g is None:
-        v_g = _helper_ground_speed(v_a, w_x, w_y, c1, s1)
-        chi_dot = alpha * wrap_angle(chi_c - chi)
     half = 0.5 * dt
     chi2 = chi + half * chi_dot
     c2, s2 = cos(chi2), sin(chi2)
@@ -332,7 +329,7 @@ def helper_commanded_course(
     wrap_angle and the course error recomputed after the phase test."""
     if v_g <= 0.0:
         raise ValueError("v_g must be positive")
-    _, _, _, chi_p, d, rho = frame
+    _, _, _, chi_p, d = frame
     scale = params.chi_inf * (2.0 / math.pi)
 
     if abs(d) < params.d_s:
@@ -346,6 +343,7 @@ def helper_commanded_course(
         gain = 3.0 * params.k3 * d * d / (1.0 + k3d3 * k3d3)
         margin = 0.0 if prev_phase is None else params.delta_hys
         if abs(wrap_angle(chi - chi_d)) > HALF_PI + margin:
+            rho = 1 if d >= 0.0 else -1
             chi_d = wrap_angle(chi_d + rho * HALF_PI)
             phase = GuidancePhase.CASE1
         else:

@@ -22,7 +22,7 @@ P = GuidanceParams()  # defaults: chi_inf=pi/2, k1=0.01, d_s=10, eta=pi/4, n=3, 
 
 def step(d, chi, chi_p=0.0, prev_phase=None, params=P):
     """One switched-law step at cross-track error d and course chi."""
-    frame = PathFrame(0.0, 0.0, 0.0, chi_p, d, 1 if d >= 0.0 else -1)
+    frame = PathFrame(0.0, 0.0, 0.0, chi_p, d)
     return commanded_course(chi, frame, 0.0, params, prev_phase, 15.0)
 
 
@@ -154,6 +154,10 @@ class TestDesiredCourse:
         expected = -math.atan(800.0) + math.pi / 2.0
         assert chi_d == pytest.approx(expected, abs=1e-12)
         assert chi_d == pytest.approx(0.00125, abs=1e-5)
+        # Mirrored across the path: the offset turns the other way.
+        chi_d, phase = step(-200.0, -chi)[1:3]
+        assert phase is GuidancePhase.CASE1
+        assert chi_d == pytest.approx(-expected, abs=1e-12)
 
     def test_case3_on_path(self):
         chi_d, phase = step(0.0, 0.0)[1:3]

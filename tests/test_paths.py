@@ -127,7 +127,7 @@ class TestFrameAt:
         cross = math.cos(chi_p) * uy - math.sin(chi_p) * ux
         dist = math.hypot(ux, uy)
         d = math.copysign(dist, cross) if cross != 0.0 else dist
-        composed = (s, rx, ry, chi_p, d, 1 if d >= 0.0 else -1)
+        composed = (s, rx, ry, chi_p, d)
         assert frame == composed
         # repr tells -0.0 from 0.0 and spells every float exactly.
         assert repr(frame) == repr(composed)
@@ -138,9 +138,19 @@ class TestFrameAt:
         # The rounding of a phase such as w s grows with |s|.
         tol = 1e-12 * max(1.0, abs(s))
         x, y = sample_points(path, np.array([s]))
-        _, fx, fy, frame_chi_p, _, _ = frame
+        _, fx, fy, frame_chi_p, _ = frame
         assert (fx, fy) == pytest.approx((x[0], y[0]), rel=0.0, abs=tol)
         assert abs(wrap_angle(frame_chi_p - closed_form_tangent(path, s))) <= tol
+
+    @pytest.mark.parametrize("kind", FRAME_PATHS)
+    def test_frame_is_a_plain_five_tuple(self, kind):
+        # (s_star, px, py, chi_p, d): the side of the path is the sign of d,
+        # so no slot repeats it.
+        path = FRAME_PATHS[kind]
+        for s in frame_parameters(path):
+            frame = path.frame_at(s, (120.0, -35.0))
+            assert type(frame) is tuple and len(frame) == 5
+        assert PathFrame._fields == ("s_star", "px", "py", "chi_p", "d")
 
     @pytest.mark.parametrize("kind", FRAME_PATHS)
     def test_domain_ends_and_vertices(self, kind):
@@ -210,7 +220,7 @@ class TestClosestPoint:
         # positive d on the side of the tangent rotated +90 degrees, so that
         # d_dot = V_g sin(chi - chi_p) holds
         assert frame.d == pytest.approx(7.0)
-        assert frame.rho == 1
+        assert frame.d >= 0.0
         assert frame.s_star == pytest.approx(3.0)
 
     def test_side_indicator_flips_under_reflection(self):
@@ -222,7 +232,7 @@ class TestClosestPoint:
             mirrored = 2.0 * np.asarray((f.px, f.py)) - p
             g = line.closest_point(mirrored)
             if abs(f.d) > 1e-9:
-                assert g.rho == -f.rho
+                assert (g.d >= 0.0) != (f.d >= 0.0)
                 assert g.d == pytest.approx(-f.d, abs=1e-6)
 
     def test_circle_radial_projection(self):

@@ -22,6 +22,7 @@ from vfpath.simulation import (
     GUIDANCE_LAWS,
     ScenarioConfig,
     Trajectory,
+    TrialMetrics,
     benchmark_scenario,
     chattering_index,
     check_laws,
@@ -121,6 +122,24 @@ class TestRunTrial:
         assert not metrics.converged
         assert "look-ahead infeasible" in metrics.failure_reason
         assert len(traj) == 1
+
+    def test_converged_follows_from_t_conv(self):
+        # converged is no stored field: it reads t_conv, so the two agree on
+        # a converged trial, a non-converged one and a failed one.
+        assert "converged" not in TrialMetrics.__dataclass_fields__
+        assert len(TrialMetrics.__dataclass_fields__) == 6
+        assert isinstance(TrialMetrics.converged, property)
+        configs = [
+            benchmark_scenario(),
+            line_config(d0=200.0, chi0=1.0, max_time=2.0),
+            line_config(law="nlgl", d0=150.0, chi0=0.0),
+        ]
+        seen = []
+        for cfg in configs:
+            _, metrics = run_trial(cfg)
+            assert metrics.converged == (not math.isnan(metrics.t_conv))
+            seen.append((metrics.converged, metrics.failure_reason is None))
+        assert seen == [(True, True), (False, True), (False, False)]
 
     def test_flying_off_path_end_marks_failure(self):
         cfg = benchmark_scenario(
@@ -230,7 +249,8 @@ class TestRunTrial:
             assert traj.chi_dot[k] == turn_rate(chi_c, chi, alpha)
             if k + 1 < len(traj):
                 state = VehicleState(float(traj.x[k]), float(traj.y[k]), chi)
-                step = step_vehicle(state, chi_c, spec, wind, alpha, dt)
+                stage = (ground_speed(spec, wind, chi), turn_rate(chi_c, chi, alpha))
+                step = step_vehicle(state, chi_c, spec, wind, alpha, dt, *stage)
                 assert step == (traj.x[k + 1], traj.y[k + 1], traj.chi[k + 1])
 
     @pytest.mark.parametrize("law", GUIDANCE_LAWS)
@@ -324,7 +344,7 @@ class TestRunTrial:
         fresh = SinusoidPath(simulation.SCENARIO_AMPLITUDE, simulation.SCENARIO_PERIOD)
         expected = fresh.closest_point((state.x, state.y))
         assert frames[0] == (*expected, 0.0)
-        assert math.copysign(1.0, frames[0][6]) == 1.0
+        assert math.copysign(1.0, frames[0][5]) == 1.0
         assert hints[:3] == [None, frames[0][0], 2.0 * frames[1][0] - frames[0][0]]
 
     @pytest.mark.parametrize("law", GUIDANCE_LAWS)

@@ -17,6 +17,14 @@ from vfpath.vehicle import (
 )
 
 
+def step(state, chi_c, spec, wind, alpha, dt):
+    """``step_vehicle`` given its first stage at the state's course, as
+    ``run_trial`` gives it."""
+    chi = state[2]
+    stage = (ground_speed(spec, wind, chi), turn_rate(chi_c, chi, alpha))
+    return step_vehicle(state, chi_c, spec, wind, alpha, dt, *stage)
+
+
 def crab_oracle(v_a: float, wind: WindModel, chi: float) -> float:
     """Solve the air-velocity heading numerically so the ground track is chi."""
     psi = np.linspace(-math.pi, math.pi, 2_000_001)
@@ -103,14 +111,14 @@ class TestTurnRate:
 class TestStep:
     def test_straight_flight_euler(self):
         state = VehicleState(0.0, 0.0, 0.0)
-        out = step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, 1.0)
+        out = step(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, 1.0)
         assert out == pytest.approx((15.0, 0.0, 0.0))
 
     def test_initial_turn_rate(self):
         # chi_c - chi = 1 rad commands alpha rad/s at the first instant
         state = VehicleState(0.0, 0.0, 0.0)
         dt = 1e-6
-        out = step_vehicle(state, 1.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, dt)
+        out = step(state, 1.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, dt)
         assert out[2] / dt == pytest.approx(1.65, rel=1e-4)
 
     def test_first_order_response_matches_closed_form(self):
@@ -120,7 +128,7 @@ class TestStep:
         state = VehicleState(0.0, 0.0, 0.0)
         n = round(1.0 / dt)
         for _ in range(n):
-            state = step_vehicle(state, chi_c, spec, wind, alpha, dt)
+            state = step(state, chi_c, spec, wind, alpha, dt)
         expected = chi_c * (1.0 - math.exp(-alpha * 1.0))
         assert state[2] == pytest.approx(expected, abs=1e-6)
 
@@ -129,7 +137,7 @@ class TestStep:
         state = VehicleState(0.0, 0.0, 0.0)
         t, target = 0.0, 1.0 - math.exp(-1.0)
         while state[2] < target:
-            state = step_vehicle(state, 1.0, spec, wind, alpha, dt)
+            state = step(state, 1.0, spec, wind, alpha, dt)
             t += dt
         assert t == pytest.approx(1.0 / alpha, rel=0.01)
 
@@ -138,7 +146,7 @@ class TestStep:
         chi = 0.7
         v_g = ground_speed(spec, wind, chi)
         state = VehicleState(0.0, 0.0, chi)
-        out = step_vehicle(state, chi, spec, wind, 1.65, 0.01)
+        out = step(state, chi, spec, wind, 1.65, 0.01)
         step_len = math.hypot(out[0] - state.x, out[1] - state.y)
         assert step_len == pytest.approx(v_g * 0.01, abs=1e-9)
 
@@ -149,22 +157,22 @@ class TestStep:
             state = VehicleState(0.0, 0.0, 0.3)
             hist = []
             for k in range(500):
-                state = step_vehicle(state, math.sin(0.01 * k), spec, wind, 1.65, 0.01)
+                state = step(state, math.sin(0.01 * k), spec, wind, 1.65, 0.01)
                 hist.append(state)
             runs.append(hist)
         assert runs[0] == runs[1]
 
     def test_wrapped_output_and_validation(self):
         state = VehicleState(0.0, 0.0, 3.1)
-        out = step_vehicle(state, -3.1, AirspeedSpec(15.0), WindModel(0, 0), 5.0, 0.2)
+        out = step(state, -3.1, AirspeedSpec(15.0), WindModel(0, 0), 5.0, 0.2)
         assert -math.pi < out[2] <= math.pi
-        with pytest.raises(ValueError):
-            step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, -0.1)
         # A given first stage skips none of the checks.
-        for stage in ((), (15.0, 0.0)):
-            with pytest.raises(WindInfeasibleError):
-                step_vehicle(state, 0.0, AirspeedSpec(5.0), WindModel(4.0, 4.0), 1.65, 0.1, *stage)
-            with pytest.raises(ValueError, match="alpha"):
-                step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 0.0, 0.1, *stage)
-            with pytest.raises(ValueError, match="dt"):
-                step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, 0.0, *stage)
+        stage = (15.0, 0.0)
+        with pytest.raises(ValueError):
+            step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, -0.1, *stage)
+        with pytest.raises(WindInfeasibleError):
+            step_vehicle(state, 0.0, AirspeedSpec(5.0), WindModel(4.0, 4.0), 1.65, 0.1, *stage)
+        with pytest.raises(ValueError, match="alpha"):
+            step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 0.0, 0.1, *stage)
+        with pytest.raises(ValueError, match="dt"):
+            step_vehicle(state, 0.0, AirspeedSpec(15.0), WindModel(0, 0), 1.65, 0.0, *stage)
