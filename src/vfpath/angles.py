@@ -1,4 +1,6 @@
-"""Angle wrapping helpers shared by the path, vehicle and guidance modules."""
+"""Helpers every layer shares: angle wrapping, and the input checks of every
+constructor, so each rule is written once and each rejection reads ``<name>
+must be ..., got <value>`` (the per-step guards stay inline, to save a call)."""
 
 import math
 
@@ -40,3 +42,26 @@ def wrap_angle_array(angles: np.ndarray) -> np.ndarray:
     wrapped = np.where(wrapped < -PI, wrapped + TAU, wrapped)
     odd = np.fmod(np.trunc(angles / TAU), 2.0) != 0.0
     return np.where((np.abs(wrapped) == PI) & odd, -wrapped, wrapped)
+
+
+def check_finite(**values: float) -> None:
+    """ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_positive(**values: float) -> None:
+    """ValueError naming the first of ``values`` outside (0, inf)."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_derived(name: str, value: float, **inputs: float) -> None:
+    """ValueError naming ``inputs`` and ``value`` unless the constant ``name``
+    they give is positive and finite: it can underflow or overflow where none
+    of its inputs does."""
+    if not 0.0 < value < math.inf:
+        given = " and ".join(f"{key} = {arg!r}" for key, arg in inputs.items())
+        raise ValueError(f"{given} give the {name} = {value!r}, which must be positive and finite")

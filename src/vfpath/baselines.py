@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .angles import HALF_PI, TAU
+from .angles import HALF_PI, TAU, check_positive
 from .paths import ReferencePath
 
 
@@ -39,9 +39,8 @@ class BaselineParams:
     nlgl_l1: float = 110.0
 
     def __post_init__(self):
-        for name in ("vf_k", "vf_beta", "plos_k1", "plos_k2", "nlgl_l1"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        names = ("vf_k", "vf_beta", "plos_k1", "plos_k2", "nlgl_l1")
+        check_positive(**{name: getattr(self, name) for name in names})
 
 
 def basic_vf_command(frame: tuple, params: BaselineParams) -> float:
@@ -145,7 +144,8 @@ def nlgl_command(
     predicts this step's target parameter, which starts the path's search.
     """
     if v_g <= 0.0 or alpha <= 0.0:
-        raise ValueError("v_g and alpha must be positive")
+        name, value = ("v_g", v_g) if v_g <= 0.0 else ("alpha", alpha)
+        raise ValueError(f"{name} must be positive, got {value!r}")
     near = None if prev is None else 2.0 * prev[4][1] - prev[4][0]
     s_t, target = nlgl_virtual_target(path, frame, (x, y), params.nlgl_l1, near)
     lookahead = (s_t if prev is None else prev[4][1], s_t)

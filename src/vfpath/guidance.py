@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
-from .angles import HALF_PI, TAU
+from .angles import HALF_PI, TAU, check_derived, check_positive
 
 
 class GuidancePhase(IntEnum):
@@ -78,12 +78,11 @@ class GuidanceParams:
 
     def __post_init__(self):
         if not 0.0 < self.chi_inf <= HALF_PI:
-            raise ValueError("chi_inf must lie in (0, pi/2]")
-        for name in ("k1", "d_s", "alpha", "eta", "sigma", "epsilon"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            raise ValueError(f"chi_inf must lie in (0, pi/2], got {self.chi_inf!r}")
+        names = ("k1", "d_s", "alpha", "eta", "sigma", "epsilon")
+        check_positive(**{name: getattr(self, name) for name in names})
         if not 0.0 <= self.delta_hys < math.inf:
-            raise ValueError("delta_hys must be non-negative and finite")
+            raise ValueError(f"delta_hys must be non-negative and finite, got {self.delta_hys!r}")
         n, m = self.n, self.m
         if not (
             isinstance(n, int)
@@ -93,16 +92,14 @@ class GuidanceParams:
             and m % 2 == 1
             and math.gcd(n, m) == 1
         ):
-            raise ValueError("n, m must be odd co-prime integers with 0 < n < m")
+            raise ValueError(
+                f"n, m must be odd co-prime integers with 0 < n < m, got {n!r}, {m!r}"
+            )
         if self.reaching not in ("sat", "sign"):
-            raise ValueError("reaching must be 'sat' or 'sign'")
+            raise ValueError(f"reaching must be 'sat' or 'sign', got {self.reaching!r}")
         d_s_sq = self.d_s * self.d_s
         k3 = self.k1 / d_s_sq if d_s_sq > 0.0 else math.inf
-        if not 0.0 < k3 < math.inf:
-            raise ValueError(
-                f"k1 = {self.k1!r} and d_s = {self.d_s!r} give the far-field gain"
-                f" k3 = k1 / d_s**2 = {k3!r}, which must be positive and finite"
-            )
+        check_derived("far-field gain k3 = k1 / d_s**2", k3, k1=self.k1, d_s=self.d_s)
         object.__setattr__(self, "k3", k3)
 
 
@@ -158,7 +155,7 @@ def commanded_course(
     beta = sigma / (1 + |chi_err|).
     """
     if v_g <= 0.0:
-        raise ValueError("v_g must be positive")
+        raise ValueError(f"v_g must be positive, got {v_g!r}")
     _, _, _, chi_p, d = frame
     scale = params.chi_inf * (2.0 / math.pi)
     remainder = math.remainder
@@ -268,9 +265,9 @@ def validate_curvature_constraint(
     of sin(theta), and s*sin(s*theta) <= sin(theta) for theta in [0, pi/2].
     """
     if kappa_max <= 0.0:
-        raise ValueError("kappa_max must be positive")
+        raise ValueError(f"kappa_max must be positive, got {kappa_max!r}")
     if path_curvature < 0.0:
-        raise ValueError("path_curvature must be non-negative")
+        raise ValueError(f"path_curvature must be non-negative, got {path_curvature!r}")
     k1, k3 = params.k1, params.k3
     k1_curv = 2.0 * k1 / (3.0 * math.sqrt(3.0))
     k3_curv = (2.0 ** (4.0 / 3.0) * 5.0 ** (5.0 / 6.0) / 9.0) * k3 ** (1.0 / 3.0)

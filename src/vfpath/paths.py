@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .angles import TAU, wrap_angle
+from .angles import TAU, check_derived, check_finite, check_positive, wrap_angle
 
 # Polyline neighbour list and sinusoid basin: the skin is the larger of the
 # first two, and the 1 mm slack on the reach covers the rounding of the
@@ -154,13 +154,6 @@ class ReferencePath:
         return s_star, rx, ry, chi_p, d
 
 
-def _check_finite(**values: float) -> None:
-    """ValueError naming the first of ``values`` that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _finite_domain(s_min: float, s_max: float) -> tuple[float, float]:
     """(s_min, s_max) as floats; ValueError unless both are finite and
     s_min < s_max."""
@@ -189,7 +182,7 @@ class LinePath(ReferencePath):
         s_min: float = -1.0e6,
         s_max: float = 1.0e6,
     ):
-        _check_finite(x0=x0, y0=y0, heading=heading)
+        check_finite(x0=x0, y0=y0, heading=heading)
         self.x0, self.y0 = float(x0), float(y0)
         self.heading = wrap_angle(heading)
         self.s_min, self.s_max = _finite_domain(s_min, s_max)
@@ -202,7 +195,7 @@ class LinePath(ReferencePath):
     def closest_parameter(self, p, near=None) -> float:
         px, py = float(p[0]), float(p[1])
         if not (math.isfinite(px) and math.isfinite(py)):
-            raise ValueError("vehicle position must be finite")
+            raise ValueError(f"vehicle position must be finite, got ({px!r}, {py!r})")
         s = (px - self.x0) * self._cos + (py - self.y0) * self._sin
         return min(max(s, self.s_min), self.s_max)
 
@@ -234,9 +227,8 @@ class CirclePath(ReferencePath):
     periodic = True
 
     def __init__(self, cx: float = 0.0, cy: float = 0.0, radius: float = 100.0):
-        if not 0.0 < radius < math.inf:
-            raise ValueError("radius must be positive and finite")
-        _check_finite(cx=cx, cy=cy)
+        check_positive(radius=radius)
+        check_finite(cx=cx, cy=cy)
         self.cx, self.cy = float(cx), float(cy)
         self.radius = float(radius)
         self.s_min = 0.0
@@ -253,7 +245,7 @@ class CirclePath(ReferencePath):
     def closest_parameter(self, p, near=None) -> float:
         px, py = float(p[0]), float(p[1])
         if not (math.isfinite(px) and math.isfinite(py)):
-            raise ValueError("vehicle position must be finite")
+            raise ValueError(f"vehicle position must be finite, got ({px!r}, {py!r})")
         ux, uy = px - self.cx, py - self.cy
         if ux == 0.0 and uy == 0.0:
             # Center is equidistant from the whole circle; smallest parameter.
@@ -295,9 +287,7 @@ class SinusoidPath(ReferencePath):
         s_min: Optional[float] = None,
         s_max: Optional[float] = None,
     ):
-        for name, value in (("amplitude", amplitude), ("period", period)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_positive(amplitude=amplitude, period=period)
         self.amplitude = float(amplitude)
         self.period = float(period)
         self.omega = 2.0 * math.pi / self.period
@@ -311,31 +301,22 @@ class SinusoidPath(ReferencePath):
         # to a point p has q''/2 = c + u (b - 2 (Aw)^2 u), b = A w^2 py and
         # c = 1 + (Aw)^2: a concave quadratic in u, whatever px.
         self._kappa_max = aw * self.omega
-        self._check_derived("peak curvature A w^2", self._kappa_max)
+        given = {"amplitude": self.amplitude, "period": self.period}
+        check_derived("peak curvature A w^2", self._kappa_max, **given)
         try:
             self._slope_sq = aw**2
         except OverflowError:
             self._slope_sq = math.inf
-        self._check_derived("squared peak slope (A w)^2", self._slope_sq)
+        check_derived("squared peak slope (A w)^2", self._slope_sq, **given)
         # Certified radius of the warm start.  If some path point lies at
         # distance r from p, every s within r of px has |A sin(ws) - py| <=
         # (1 + 2Aw) r, so q'' >= 2 (1 - (1 + 2Aw) r Aw^2) there, positive for
         # r below this radius.
         self.r_cert = 1.0 / self._kappa_max / (1.0 + 2.0 * aw)
-        self._check_derived("certified radius 1 / (A w^2 (1 + 2 A w))", self.r_cert)
+        check_derived("certified radius 1 / (A w^2 (1 + 2 A w))", self.r_cert, **given)
         # (x0, y0, skin^2, a, b) of the last basin rebuild; the negative
         # skin^2 of the empty start makes the first tracked call rebuild.
         self._basin: tuple = (0.0, 0.0, -1.0, math.inf, -math.inf)
-
-    def _check_derived(self, name: str, value: float) -> None:
-        """ValueError, naming amplitude and period, unless the constant
-        ``value`` they give is positive and finite: a derived constant can
-        underflow or overflow where neither input does."""
-        if not 0.0 < value < math.inf:
-            raise ValueError(
-                f"amplitude = {self.amplitude!r} and period = {self.period!r} give the"
-                f" {name} = {value!r}, which must be positive and finite"
-            )
 
     def _pose(self, s):
         a, ws = self.amplitude, self.omega * s
@@ -452,7 +433,7 @@ class SinusoidPath(ReferencePath):
         """
         px, py = float(p[0]), float(p[1])
         if not (math.isfinite(px) and math.isfinite(py)):
-            raise ValueError("vehicle position must be finite")
+            raise ValueError(f"vehicle position must be finite, got ({px!r}, {py!r})")
         s = None
         tracked = near is not None and math.isfinite(near)
         if tracked:
@@ -759,7 +740,7 @@ class PolylinePath(ReferencePath):
         """
         px, py = float(p[0]), float(p[1])
         if not (math.isfinite(px) and math.isfinite(py)):
-            raise ValueError("vehicle position must be finite")
+            raise ValueError(f"vehicle position must be finite, got ({px!r}, {py!r})")
         x0, y0, skin_sq, kept = self._neighbours
         dx, dy = px - x0, py - y0
         if dx * dx + dy * dy > skin_sq:

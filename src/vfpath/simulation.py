@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .angles import TAU, wrap_angle, wrap_angle_array
+from .angles import TAU, check_finite, check_positive, wrap_angle, wrap_angle_array
 from .baselines import (
     BaselineParams,
     LookaheadInfeasibleError,
@@ -113,22 +113,18 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_laws((self.law,))
-        for name in (
-            "d0", "s0", "chi0", "x_init", "y_init", "dt", "max_time", "dwell", "nlgl_d0"
-        ):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.dt <= 0.0 or self.max_time <= 0.0:
-            raise ValueError("dt and max_time must be positive")
+        names = ("d0", "s0", "chi0", "x_init", "y_init", "dwell", "nlgl_d0")
+        check_finite(
+            **{name: getattr(self, name) for name in names if getattr(self, name) is not None}
+        )
+        names = ("dt", "max_time", "d_threshold", "align_threshold")
+        check_positive(**{name: getattr(self, name) for name in names})
         if self.dt >= CHATTER_WINDOW:
-            raise ValueError(f"dt must be below the {CHATTER_WINDOW} s chatter window")
-        for name in ("d_threshold", "align_threshold"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            raise ValueError(
+                f"dt must be below the {CHATTER_WINDOW} s chatter window, got {self.dt!r}"
+            )
         if self.dwell < 0.0:
-            raise ValueError("dwell must be non-negative")
+            raise ValueError(f"dwell must be non-negative, got {self.dwell!r}")
         if not math.isfinite(max(self.max_time, self.dwell) / self.dt):
             raise ValueError(
                 f"dt = {self.dt!r} is too small: max_time / dt or dwell / dt is not finite"
@@ -264,10 +260,9 @@ def benchmark_scenario(law: str = "switched", **overrides) -> ScenarioConfig:
     puts the switched law in its far-offset adverse-course phase (CASE1).
     No wind.
     """
-    path = overrides.pop(
-        "path", SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
-    )
-    return ScenarioConfig(path=path, law=law, **overrides)
+    if "path" not in overrides:
+        overrides["path"] = SinusoidPath(SCENARIO_AMPLITUDE, SCENARIO_PERIOD)
+    return ScenarioConfig(law=law, **overrides)
 
 
 @dataclass(frozen=True)
@@ -398,7 +393,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
 
     for k in range(n_max + 1):
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(chi)):
-            failure = f"non-finite state at t = {k * dt:g} s: x = {x}; y = {y}; chi = {chi}"
+            failure = f"non-finite state: at t = {k * dt:g} s; x = {x}; y = {y}; chi = {chi}"
             break
         p = (x, y)
         prev_frame = frame
@@ -465,13 +460,14 @@ def compute_metrics(
     The reaching time is the start of the first window of length ``dwell``
     during which both |d| <= d_threshold and |wrap(chi - chi_p)| <=
     align_threshold hold at every sample; a trajectory that never sustains
-    the condition for a full window is non-converged (t_conv = nan).  RMS and
-    max statistics run over the full recorded trajectory.
+    the condition for a full window is non-converged (t_conv = nan).  The
+    window and t_conv are both counted in the trajectory's own sample
+    interval ``traj.dt``.  RMS and max statistics run over the full recorded
+    trajectory.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    dt = config.dt
-    need = int(round(config.dwell / dt))
+    need = int(round(config.dwell / traj.dt))
     ok = (np.abs(traj.d) <= config.d_threshold) & (
         np.abs(wrap_angle_array(traj.chi - traj.chi_p)) <= config.align_threshold
     )
@@ -524,6 +520,23 @@ def chattering_index(traj: Trajectory) -> float:
     return float(np.max(count[hi] - count[lo])) / CHATTER_WINDOW
 
 
+def _quantile(ordered: list[float], q: float) -> float:
+    """Quantile ``q`` of the sorted, non-empty ``ordered`` by numpy's default
+    ``linear`` rule, equal to ``np.percentile`` to the bit on finite values:
+    the virtual index ``q * (n - 1)`` lies between neighbours lo <= hi at
+    fraction t, and the result is ``lo + (hi - lo) * t``, or ``hi - (hi - lo)
+    * (1 - t)`` when t >= 0.5.  ``np.percentile`` itself calls ``np.unique``,
+    which imports ``numpy.ma``: 2 MB in every campaign process."""
+    pos = q * (len(ordered) - 1)
+    i = int(pos)
+    t = pos - i
+    lo = ordered[i]
+    hi = ordered[min(i + 1, len(ordered) - 1)]
+    if t >= 0.5:
+        return hi - (hi - lo) * (1.0 - t)
+    return lo + (hi - lo) * t
+
+
 @dataclass(frozen=True)
 class BoxStats:
     """Box-plot summary of one metric over a batch of trials."""
@@ -542,13 +555,13 @@ class BoxStats:
         if arr.size == 0:
             nan = math.nan
             return cls(0, nan, nan, nan, nan, nan, nan)
-        q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
+        ordered = sorted(arr.tolist())
         return cls(
             count=int(arr.size),
             minimum=float(arr.min()),
-            q1=float(q1),
-            median=float(med),
-            q3=float(q3),
+            q1=_quantile(ordered, 0.25),
+            median=_quantile(ordered, 0.5),
+            q3=_quantile(ordered, 0.75),
             maximum=float(arr.max()),
             mean=float(arr.mean()),
         )

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .angles import TAU, wrap_angle
+from .angles import TAU, check_finite, check_positive, wrap_angle
 
 
 class WindInfeasibleError(ValueError):
@@ -46,8 +46,7 @@ class WindModel:
     speed: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.w_x) and math.isfinite(self.w_y)):
-            raise ValueError("wind components must be finite")
+        check_finite(wind_x=self.w_x, wind_y=self.w_y)
         object.__setattr__(self, "speed", math.hypot(self.w_x, self.w_y))
 
 
@@ -58,8 +57,7 @@ class AirspeedSpec:
     v_a: float
 
     def __post_init__(self):
-        if not (self.v_a > 0.0 and math.isfinite(self.v_a)):
-            raise ValueError("airspeed must be positive and finite")
+        check_positive(airspeed=self.v_a)
 
 
 def ground_speed(spec: AirspeedSpec, wind: WindModel, chi: float) -> float:
@@ -84,7 +82,7 @@ def ground_speed(spec: AirspeedSpec, wind: WindModel, chi: float) -> float:
 def turn_rate(chi_c: float, chi: float, alpha: float) -> float:
     """Course rate alpha * wrap(chi_c - chi) commanded by the course loop."""
     if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
     return alpha * wrap_angle(chi_c - chi)
 
 
@@ -114,9 +112,9 @@ def step_vehicle(
     TAU)``.  The returned course is wrapped to [-pi, pi].
     """
     if dt <= 0.0:
-        raise ValueError("dt must be positive")
+        raise ValueError(f"dt must be positive, got {dt!r}")
     if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
     v_a, w_x, w_y = spec.v_a, wind.w_x, wind.w_y
     if wind.speed >= v_a:
         check_wind_speed(wind.speed, v_a)

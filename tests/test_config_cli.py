@@ -480,6 +480,23 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False False"
 
+    def test_campaign_does_not_import_numpy_ma(self, tmp_path):
+        # np.percentile would import numpy.ma (about 2 MB) through np.unique.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        args = ["montecarlo", "--trials", "2", "--law", "switched", "--serial"]
+        script = (
+            "import sys\n"
+            "from vfpath.cli import main\n"
+            f"rc = main({args!r} + ['--out', {str(tmp_path / 'o')!r}])\n"
+            "print(rc, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
     def test_montecarlo_small_campaign(self, tmp_path, capsys):
         out = tmp_path / "mc"
         args = [
@@ -556,6 +573,9 @@ class TestCli:
             (["run"], "[sim]\nd0 = 1e150\n", "d0 = 1e+150"),
             (["compare"], "[sim]\nnlgl_d0 = 1e300\n", "nlgl_d0 = 1e+300"),
             (["run"], "[sim]\nx_init = 1e300\ny_init = 0\n", "(x_init, y_init) = (1e+300, 0.0)"),
+            # The shared checks name the key and give its value.
+            (["run"], "[sim]\ndt = -1\n", "dt must be positive and finite, got -1.0"),
+            (["run"], "[sim]\nwind_x = nan\n", "wind_x must be finite, got nan"),
         ],
     )
     def test_bad_scenario_value_exits_2(self, command, config, key, tmp_path, capsys):

@@ -20,6 +20,7 @@ from vfpath.guidance import GuidanceParams, commanded_course
 from vfpath.paths import CirclePath, LinePath, PolylinePath, ReferencePath, SinusoidPath
 from vfpath.simulation import (
     GUIDANCE_LAWS,
+    BoxStats,
     ScenarioConfig,
     Trajectory,
     TrialMetrics,
@@ -156,6 +157,21 @@ class TestRunTrial:
         _, metrics = run_trial(benchmark_scenario(law, d0=1e102, max_time=3.0))
         assert metrics.failure_reason.startswith("path end")
         assert metrics.failure_reason.endswith("; 1e+102 m away")
+
+    @pytest.mark.parametrize("kind", ["look-ahead infeasible", "non-finite state", "path end"])
+    def test_failure_reason_reads_kind_colon_detail(self, kind, monkeypatch):
+        # The text before the first colon is the failure kind alone.
+        if kind == "look-ahead infeasible":
+            config = benchmark_scenario("nlgl", max_time=5.0)  # d0 = 200 m > L1
+        elif kind == "non-finite state":
+            monkeypatch.setattr(
+                simulation, "step_vehicle", lambda state, *args: (state[0], math.nan, state[2])
+            )
+            config = benchmark_scenario(max_time=5.0)
+        else:
+            config = benchmark_scenario(path=LinePath(0, 0, 0, s_max=50.0), max_time=60.0)
+        _, metrics = run_trial(config)
+        assert metrics.failure_reason.split(":", 1)[0] == kind
 
     def test_ending_within_threshold_of_path_end_is_not_a_failure(self):
         # Tracking the line 5 m past its end: |d| stays below d_threshold.
@@ -551,6 +567,13 @@ class TestComputeMetrics:
         assert metrics.chi_dot_rms == pytest.approx(0.3, abs=1e-12)
         assert metrics.chi_dot_max == pytest.approx(0.3, abs=1e-12)
 
+    def test_window_and_t_conv_use_the_trajectory_interval(self):
+        # 50 converged samples 0.1 s apart hold a 1 s dwell from t = 0,
+        # whatever dt the config names.
+        traj = synthetic_trajectory(0.1, np.zeros(50))
+        for dt in (0.1, 0.01):
+            assert compute_metrics(traj, line_config(dt=dt, dwell=1.0)).t_conv == 0.0
+
     def test_rms_relation(self):
         cfg = benchmark_scenario(max_time=30.0, stop_when_converged=False)
         _, metrics = run_trial(cfg)
@@ -678,6 +701,19 @@ class TestChatteringIndex:
         traj = synthetic_trajectory(0.01, np.zeros(2), chi_dot=[0.5, -0.5])
         metrics = compute_metrics(traj, line_config())
         assert metrics.chattering_index == chattering_index(traj) == 1.0
+
+
+class TestBoxStats:
+    def test_quartiles_equal_numpy_percentile_to_the_bit(self):
+        rng = np.random.default_rng(2024)
+        samples = [[3.5], [2.0, -1.0], [4.0, 4.0, 4.0], [1.0, 2.0, 2.0, 2.0, 7.0]]
+        for n in range(1, 41):
+            samples.append(rng.normal(10.0, 5.0, size=n).tolist())
+            samples.append(rng.integers(0, 4, size=n).astype(float).tolist())  # ties
+        for values in samples:
+            stats = BoxStats.from_values(values)
+            quartiles = np.percentile(np.asarray(values), [25.0, 50.0, 75.0]).tolist()
+            assert [stats.q1, stats.median, stats.q3] == quartiles, values
 
 
 class TestMonteCarlo:
@@ -950,6 +986,14 @@ class TestScenarioConfig:
             line_config(y_init=500.0)
         with pytest.raises(ValueError, match="start"):
             line_config(path=LinePath(1e308, 0, 0, s_min=-1e308, s_max=1e308), s0=1e308)
+
+    def test_benchmark_scenario_builds_its_sinusoid_only_without_a_path(self, monkeypatch):
+        def no_sinusoid(*args):
+            raise AssertionError("benchmark_scenario built its default sinusoid")
+
+        monkeypatch.setattr(simulation, "SinusoidPath", no_sinusoid)
+        path = LinePath()
+        assert benchmark_scenario("plos", path=path).path is path
 
     def test_guidance_params_threaded_through(self):
         cfg = line_config(guidance=GuidanceParams(eta=1.0))
