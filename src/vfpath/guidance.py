@@ -40,6 +40,12 @@ class GuidancePhase(IntEnum):
     CASE3 = 3
 
 
+# The members as module globals: commanded_course reads these, since a read
+# of an enum class attribute costs about 100 ns against about 7 ns for a
+# global (README, "Per-step costs").
+CASE1, CASE2, CASE3 = GuidancePhase
+
+
 @dataclass(frozen=True)
 class GuidanceParams:
     """Tunables of the switched guidance law.
@@ -47,7 +53,9 @@ class GuidanceParams:
     The near/far branch gains are kept consistent by construction: ``k1`` and
     the switching distance ``d_s`` are stored and the far-field gain
     ``k3 = k1 / d_s**2`` (1/m^3) is derived once, at construction, which is
-    exactly the continuity condition d_s = sqrt(k1/k3).
+    exactly the continuity condition d_s = sqrt(k1/k3).  The field's
+    arctangent scale ``scale = chi_inf * (2 / pi)`` is derived beside it.
+    Neither is a constructor argument or a config key.
 
     Attributes:
         chi_inf: asymptotic approach angle relative to the path tangent,
@@ -75,6 +83,7 @@ class GuidanceParams:
     delta_hys: float = 0.05
     reaching: str = "sat"
     k3: float = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.chi_inf <= HALF_PI:
@@ -101,6 +110,7 @@ class GuidanceParams:
         k3 = self.k1 / d_s_sq if d_s_sq > 0.0 else math.inf
         check_derived("far-field gain k3 = k1 / d_s**2", k3, k1=self.k1, d_s=self.d_s)
         object.__setattr__(self, "k3", k3)
+        object.__setattr__(self, "scale", self.chi_inf * (2.0 / math.pi))
 
 
 def sat(x: float) -> float:
@@ -129,7 +139,8 @@ def commanded_course(
     laws share one interface").
 
     The branch is chosen once, by ``|d| < d_s``.  Near the path (CASE3) the
-    field is ``chi_d = chi_p - s * atan(k1 * d)`` with s = 2*chi_inf/pi;
+    field is ``chi_d = chi_p - s * atan(k1 * d)`` with s = ``params.scale``
+    = 2*chi_inf/pi;
     otherwise it is ``chi_d = chi_p - s * atan(k3 * d**3)``, and the course
     error to that field picks the phase: CASE1 when it exceeds pi/2 plus a
     hysteresis margin, CASE2 when it does not.  The margin (``delta_hys``)
@@ -157,14 +168,14 @@ def commanded_course(
     if v_g <= 0.0:
         raise ValueError(f"v_g must be positive, got {v_g!r}")
     _, _, _, chi_p, d = frame
-    scale = params.chi_inf * (2.0 / math.pi)
+    scale = params.scale
     remainder = math.remainder
 
     if abs(d) < params.d_s:
         k1d = params.k1 * d
         chi_d = remainder(chi_p - scale * math.atan(k1d), TAU)
         gain = params.k1 / (1.0 + k1d * k1d)
-        phase = GuidancePhase.CASE3
+        phase = CASE3
         chi_tilde = remainder(chi - chi_d, TAU)
     else:
         k3d3 = params.k3 * d**3
@@ -177,14 +188,14 @@ def commanded_course(
             rho = 1 if d >= 0.0 else -1
             chi_d = remainder(chi_d + rho * HALF_PI, TAU)
             chi_tilde = remainder(chi - chi_d, TAU)
-            phase = GuidancePhase.CASE1
+            phase = CASE1
         else:
-            phase = GuidancePhase.CASE2
+            phase = CASE2
 
     track = remainder(chi - chi_p, TAU)
     feedforward = chi_p_dot - scale * gain * v_g * math.sin(track)
 
-    if phase is GuidancePhase.CASE1:
+    if phase is CASE1:
         reaching = -rho * params.eta * abs(chi_tilde) ** (params.n / params.m)
     else:
         beta = params.sigma / (1.0 + abs(chi_tilde))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional, Sequence
@@ -64,10 +65,10 @@ CHATTER_RATE_FLOOR = 1e-9
 # path's end, off the path, has flown off that end.
 PATH_END_TOL = 1e-6
 
-# Steps a trial records as Python floats before run_trial turns them into
-# one float64 block and splits it into channel pieces, and trajectory rows
-# write_trajectory_csv formats per write: a step's floats live for at most
-# one block.
+# Steps a trial records as Python floats before run_trial packs them into
+# one float64 block (struct.pack, read by np.frombuffer) and splits it into
+# channel pieces, and trajectory rows write_trajectory_csv formats per
+# write: a step's floats live for at most one block.
 BLOCK_STEPS = 1024
 
 # Most steps (max_time / dt) a trial may plan.  run_trial keeps eight floats
@@ -335,10 +336,14 @@ CHANNEL_DTYPES = (np.float64,) * 7 + (np.int8, np.float64)
 
 def _store_block(rows: list[float], pieces: list[list[np.ndarray]]) -> None:
     """Append each channel of the flat step floats ``rows`` to its list in
-    ``pieces`` as its own array and clear ``rows``.  Channel i is every
-    ninth float from i; astype copies it out of the block, so no piece is a
-    view of it, and casts phase's floats to int8."""
-    block = np.array(rows, dtype=float)
+    ``pieces`` as its own array and clear ``rows``.  The block is the rows
+    packed as C doubles: every value is copied as it is (NaN payloads, -0.0
+    and +-inf kept; an IntEnum or int phase through ``__float__``), the
+    bytes ``np.array(rows, dtype=float)`` gives without its per-float type
+    check (README, "Per-step costs").  Channel i is every ninth float from
+    i; astype copies it out of the block, so no piece is a view of it, and
+    casts phase's floats to int8."""
+    block = np.frombuffer(struct.pack(f"{len(rows)}d", *rows))
     rows.clear()
     for i, (channel, dtype) in enumerate(zip(pieces, CHANNEL_DTYPES)):
         channel.append(block[i::9].astype(dtype))
@@ -397,7 +402,7 @@ def run_trial(config: ScenarioConfig, seed: int = 0) -> tuple[Trajectory, TrialM
             break
         p = (x, y)
         prev_frame = frame
-        frame = path.frame_at(path.closest_parameter(p, near=near), p)
+        frame = path.frame_at(path.closest_parameter(p, near), p)
         s_star, _, _, chi_p, d = frame
         # The first frame stands in as its own predecessor: its path course
         # rate is 0 and the next hint is its own s*.

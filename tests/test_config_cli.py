@@ -272,8 +272,18 @@ class TestCli:
         assert rc == 1
         assert "look-ahead infeasible" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("reason", ["path end", "non-finite state"])
+    @pytest.mark.parametrize(
+        "reason",
+        [
+            "path end",
+            "non-finite state",
+            "look-ahead infeasible: cross-track error",
+            "look-ahead infeasible: no look-ahead intersection",
+        ],
+    )
     def test_failure_reason_stays_in_its_csv_field(self, reason, tmp_path, capsys, monkeypatch):
+        # The reason is written unquoted, so it must hold no comma.
+        law = "switched"
         cfg = tmp_path / "short_line.cfg"
         cfg.write_text("[path]\nkind = line\ns_max = 50\n\n[sim]\nmax_time = 60\n")
         if reason == "non-finite state":
@@ -281,12 +291,31 @@ class TestCli:
                 return (math.nan, state[1], state[2])
 
             monkeypatch.setattr(simulation, "step_vehicle", step_to_nan)
+        elif reason.startswith("look-ahead infeasible"):
+            law = "nlgl"
+            if reason.endswith("cross-track error"):
+                # |d| = 150 m > L1 = 110 m at the first step.
+                cfg.write_text("[path]\nkind = line\n\n[sim]\nx_init = 0\ny_init = 150\n")
+            else:
+                # 14 m past the end of a 50 m line: no path point lies L1 away.
+                cfg.write_text(
+                    "[path]\nkind = line\ns_min = 0\ns_max = 50\n\n"
+                    "[sim]\nx_init = 60\ny_init = 10\n"
+                )
         out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["run", "--law", law, "--config", str(cfg), "--out", str(out)]) == 1
         assert reason in capsys.readouterr().out
-        header, row = (out / "metrics_switched.csv").read_text().splitlines()
+        header, row = (out / f"metrics_{law}.csv").read_text().splitlines()
         assert row.split(",")[-1].startswith(reason)
         assert len(row.split(",")) == len(header.split(","))
+        args = ["montecarlo", "--law", law, "--trials", "2", "--config", str(cfg)]
+        assert main([*args, "--out", str(out), "--per-trial", "--serial"]) == 0
+        capsys.readouterr()
+        header, *rows = (out / "montecarlo_trials.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert any(row.split(",")[-1].startswith(reason) for row in rows)
+        for row in rows:
+            assert len(row.split(",")) == len(header.split(","))
 
     def test_nlgl_starts_at_nlgl_d0_only_in_compare(self, tmp_path, capsys):
         # On a line the first row's d is the start offset itself.

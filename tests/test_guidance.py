@@ -5,6 +5,7 @@ import pytest
 
 from numeric_oracles import peak_field_rate_numeric
 from vfpath.angles import wrap_angle
+from vfpath.config import _field_schema, default_settings, dump_settings
 from vfpath.guidance import (
     GuidanceParams,
     GuidancePhase,
@@ -80,6 +81,38 @@ class TestParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GuidanceParams(**kwargs)
+
+    @pytest.mark.parametrize("chi_inf", [math.pi / 2.0, 1.0, 0.3, 1e-300])
+    def test_scale_is_derived_once_to_the_bit(self, chi_inf):
+        params = GuidanceParams(chi_inf=chi_inf)
+        assert params.scale == chi_inf * (2.0 / math.pi)
+        assert GuidanceParams().scale == GuidanceParams().chi_inf * (2.0 / math.pi)
+
+    def test_scale_is_no_config_key(self):
+        assert "scale" not in _field_schema(GuidanceParams)
+        assert "k3" not in _field_schema(GuidanceParams)
+        assert "scale" not in dump_settings(default_settings())
+        with pytest.raises(TypeError):
+            GuidanceParams(scale=1.0)
+
+
+class TestPhaseConstants:
+    def test_law_reads_no_enum_class_attribute(self):
+        # A per-step GuidancePhase.CASEn read costs about 100 ns; the law
+        # reads the module constants instead.
+        assert "GuidancePhase" not in commanded_course.__code__.co_names
+
+    def test_law_returns_the_enum_members(self):
+        chi_d = field(200.0)
+        phases = (
+            step(200.0, chi_d + 3.0)[2],
+            step(200.0, chi_d)[2],
+            step(5.0, 2.0)[2],
+        )
+        members = (GuidancePhase.CASE1, GuidancePhase.CASE2, GuidancePhase.CASE3)
+        for phase, member, value in zip(phases, members, (1, 2, 3)):
+            assert phase is member
+            assert phase == value
 
 
 class TestSat:

@@ -2,6 +2,8 @@ import concurrent.futures
 import gc
 import importlib.util
 import math
+import struct
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +18,7 @@ from vfpath.angles import wrap_angle, wrap_angle_array
 from vfpath.baselines import (
     basic_vf_command, nlgl_command, nlgl_virtual_target, plos_command,
 )
-from vfpath.guidance import GuidanceParams, commanded_course
+from vfpath.guidance import GuidanceParams, GuidancePhase, commanded_course
 from vfpath.paths import CirclePath, LinePath, PolylinePath, ReferencePath, SinusoidPath
 from vfpath.simulation import (
     GUIDANCE_LAWS,
@@ -483,6 +485,53 @@ class TestRunTrial:
             config, steps, monkeypatch, reset=calls.clear
         )
         assert metrics.failure_reason.startswith("non-finite state")
+
+    @pytest.mark.parametrize("steps", [simulation.BLOCK_STEPS, 5])
+    def test_store_block_keeps_every_double_bit_for_bit(self, steps):
+        # The block of the earlier recording, built by numpy's list
+        # conversion; the packed block must give the same piece bytes.
+        def store_block_by_list(rows, pieces):
+            block = np.array(rows, dtype=float)
+            rows.clear()
+            for i, (channel, dtype) in enumerate(zip(pieces, simulation.CHANNEL_DTYPES)):
+                channel.append(block[i::9].astype(dtype))
+
+        def double(bits):
+            return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+        special = [
+            double(0x7FF8_0000_0000_0123),  # NaN with a payload
+            double(0xFFF8_0000_0000_BEEF),  # negative NaN with a payload
+            0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+            sys.float_info.max, -sys.float_info.max,
+        ]
+        phases = [GuidancePhase.CASE1, GuidancePhase.CASE2, GuidancePhase.CASE3, 0]
+        values = iter(np.random.default_rng(3).normal(size=9 * steps).tolist())
+        rows = []
+        for k in range(steps):
+            for i in range(9):
+                if i == 7:
+                    rows.append(phases[k % len(phases)])
+                elif (9 * k + i) % 3 == 0:
+                    rows.append(special[(9 * k + i) // 3 % len(special)])
+                else:
+                    rows.append(next(values))
+        assert all(any(v is x for v in rows) for x in special + phases)
+
+        got, want = [[] for _ in range(9)], [[] for _ in range(9)]
+        packed_rows = list(rows)
+        simulation._store_block(packed_rows, got)
+        store_block_by_list(rows, want)
+        assert packed_rows == [] and rows == []
+        for i, (got_piece, want_piece) in enumerate(zip(got, want)):
+            (g,), (w,) = got_piece, want_piece
+            assert g.dtype == w.dtype == simulation.CHANNEL_DTYPES[i]
+            assert len(g) == steps
+            assert g.tobytes() == w.tobytes(), i
+            assert g.flags.owndata and g.base is None, i
+        assert got[7][0].tolist() == [int(phases[k % 4]) for k in range(steps)]
+        # Row 0 starts with the payload NaN and row 1 with -0.0 (channel 0).
+        assert got[0][0][:2].view(np.uint64).tolist() == [0x7FF8_0000_0000_0123, 1 << 63]
 
     @staticmethod
     def assert_blocks_record_what_one_list_records(config, steps, monkeypatch, reset=None):
