@@ -41,7 +41,7 @@ class GuidancePhase(IntEnum):
 
 
 # The members as module globals: commanded_course reads these, since a read
-# of an enum class attribute costs about 100 ns against about 7 ns for a
+# of an enum class attribute costs about 100 ns against about 8 ns for a
 # global (README, "Per-step costs").
 CASE1, CASE2, CASE3 = GuidancePhase
 
@@ -139,9 +139,9 @@ def commanded_course(
     laws share one interface").
 
     The branch is chosen once, by ``|d| < d_s``.  Near the path (CASE3) the
-    field is ``chi_d = chi_p - s * atan(k1 * d)`` with s = ``params.scale``
-    = 2*chi_inf/pi;
-    otherwise it is ``chi_d = chi_p - s * atan(k3 * d**3)``, and the course
+    field is ``chi_d = chi_p - s * atan(k1 * d)`` with s = 2*chi_inf/pi
+    (``params.scale``); otherwise it is
+    ``chi_d = chi_p - s * atan(k3 * d**3)``, and the course
     error to that field picks the phase: CASE1 when it exceeds pi/2 plus a
     hysteresis margin, CASE2 when it does not.  The margin (``delta_hys``)
     applies whenever a previous phase exists: it makes CASE1 exit early

@@ -86,7 +86,6 @@ class TestParams:
     def test_scale_is_derived_once_to_the_bit(self, chi_inf):
         params = GuidanceParams(chi_inf=chi_inf)
         assert params.scale == chi_inf * (2.0 / math.pi)
-        assert GuidanceParams().scale == GuidanceParams().chi_inf * (2.0 / math.pi)
 
     def test_scale_is_no_config_key(self):
         assert "scale" not in _field_schema(GuidanceParams)
